@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,9 +37,10 @@ from .data import (
     NotFound,
     SampleStore,
     SchemaError,
+    drop_torn_tail,
     load_wikibio,
     read_score_records,
-    score_record_to_dict,
+    write_score_records,
 )
 from .detect import DetectorConfig, DetectorContext, run_detector
 from .embed import (
@@ -233,6 +235,9 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     )
     if dataset.kind not in ("wikibio",):
         raise ConfigError(f"unknown dataset kind {dataset.kind!r}")
+    parallelism = int(obj.get("parallelism", 1))
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
 
     return RunConfig(
         provider=provider,
@@ -243,7 +248,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         output_dir=obj.get("output_dir", "out"),
         samples_dir=obj.get("samples_dir"),
         seed=int(obj.get("seed", 0)),
-        parallelism=int(obj.get("parallelism", 1)),
+        parallelism=parallelism,
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
@@ -269,7 +274,9 @@ def build_client(cfg: RunConfig) -> ChatClient:
         if cfg.provider.rate_limit_per_minute
         else None
     )
-    return ChatClient(build_backend(cfg), cache=cache, rate_limiter=limiter)
+    return ChatClient(
+        build_backend(cfg), cache=cache, rate_limiter=limiter, max_inflight=cfg.parallelism
+    )
 
 
 def build_embedder(cfg: RunConfig) -> Embedder:
@@ -327,84 +334,102 @@ def _load_dataset(cfg: RunConfig):
 
 
 def _scored_keys(path: Path) -> tuple[dict | None, set[tuple[str, str, bool]]]:
-    """First meta line (if any) and the (ref, method, kg_used) keys already
-    present in a score stream."""
-    meta: dict | None = None
-    done: set[tuple[str, str, bool]] = set()
+    """The meta line (if the stream starts with one) and the (ref, method,
+    kg_used) keys already present in a score stream."""
+    done = {(r.output_ref, r.method.value, r.kg_used) for r in read_score_records(path)}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj.get("_meta"):
-                if meta is None:
-                    meta = obj
-                continue
-            done.add((obj["output_ref"], obj["method"], bool(obj["kg_used"])))
-    return meta, done
+        first = fh.readline()
+    meta = json.loads(first) if first.strip() else None
+    return (meta if isinstance(meta, dict) and meta.get("_meta") else None), done
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    """Score every (record, detector) pair not already in the score stream.
+
+    The pairs run on ``parallelism`` threads; their ``+kg`` fan-out runs on a
+    second pool of the same size, and the client lets at most ``parallelism``
+    backend calls be in flight. Rows are written in dataset order, so the
+    stream is the same at any parallelism. Once a pair fails, no further pair
+    starts, and the stream keeps the rows before the first failed pair.
+    """
     cfg = load_config(args.config)
     if not cfg.detectors:
         raise ConfigError("config has no detectors")
     records = _load_dataset(cfg)
     client = build_client(cfg)
     embedder = build_embedder(cfg)
-    extractor = KGExtractor(client, cfg.provider.model_id)
-    ctx = DetectorContext(
-        client=client,
-        model_id=cfg.provider.model_id,
-        embedder=embedder,
-        extractor=extractor,
-        parallelism=cfg.parallelism,
-    )
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / "scores.jsonl"
 
     done: set[tuple[str, str, bool]] = set()
-    if scores_path.exists() and not args.fresh:
+    resume = scores_path.exists() and not args.fresh
+    if resume:
+        dropped = drop_torn_tail(scores_path)
+        if dropped:
+            print(
+                f"dropped an unterminated last line ({dropped} bytes) of {scores_path}",
+                file=sys.stderr,
+            )
         meta, done = _scored_keys(scores_path)
         if meta is not None and meta.get("config_digest") != cfg.config_digest:
             raise ConfigError(
                 f"{scores_path} was produced by a different config "
                 f"(digest {meta.get('config_digest')!r}); rerun with --fresh to discard it"
             )
-        mode = "a"
-    else:
-        mode = "w"
 
     needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
     store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
-
-    written = skipped = 0
-    with open(scores_path, mode, encoding="utf-8") as fh:
-        if mode == "w":
-            fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
-        for record in records:
-            ref = make_output_ref(record.paragraph_id, record.sentence_index)
-            samples: Sequence[str] | None = record.samples or None
-            if samples is None and needs_samples:
-                if store is not None and store.has(record.paragraph_id):
-                    samples = store.get(record.paragraph_id)
-                else:
-                    raise ConfigError(
-                        f"paragraph {record.paragraph_id!r} has no samples; generate "
-                        "them first with the 'samples' subcommand (persist_samples)"
-                    )
-            output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
-            for detector in cfg.detectors:
-                if (ref, detector.method.value, detector.use_kg) in done:
-                    skipped += 1
-                    continue
-                score = run_detector(detector, output, ctx, samples=samples)
-                fh.write(
-                    json.dumps(score_record_to_dict(score), ensure_ascii=False, sort_keys=True)
-                    + "\n"
+    units = []
+    for record in records:
+        ref = make_output_ref(record.paragraph_id, record.sentence_index)
+        samples: Sequence[str] | None = record.samples or None
+        if samples is None and needs_samples:
+            if store is not None and store.has(record.paragraph_id):
+                samples = store.get(record.paragraph_id)
+            else:
+                raise ConfigError(
+                    f"paragraph {record.paragraph_id!r} has no samples; generate "
+                    "them first with the 'samples' subcommand (persist_samples)"
                 )
-                fh.flush()
-                written += 1
+        output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
+        units.extend(
+            (detector, output, samples)
+            for detector in cfg.detectors
+            if (ref, detector.method.value, detector.use_kg) not in done
+        )
+    skipped = len(records) * len(cfg.detectors) - len(units)
+
+    failures: list[BaseException] = []
+
+    def score_unit(unit):
+        # Once a pair has failed, the pairs not yet started fail the same way
+        # without running, so no provider calls are spent on them.
+        if failures:
+            raise failures[0]
+        detector, output, samples = unit
+        try:
+            return run_detector(detector, output, ctx, samples=samples)
+        except BaseException as exc:
+            failures.append(exc)
+            raise
+
+    with open(scores_path, "a" if resume else "w", encoding="utf-8") as fh:
+        if fh.tell() == 0:
+            fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
+    with ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-leaf") as leaves:
+        ctx = DetectorContext(
+            client=client,
+            model_id=cfg.provider.model_id,
+            embedder=embedder,
+            extractor=KGExtractor(client, cfg.provider.model_id),
+            executor=leaves,
+        )
+        pool = ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-unit")
+        try:
+            written = write_score_records(pool.map(score_unit, units), scores_path, append=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
     print(
         f"scored {written} (skipped {skipped} already present) -> {scores_path}",
     )

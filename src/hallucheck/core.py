@@ -10,8 +10,13 @@ threads.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Generic, Hashable, TypeVar
+
+V = TypeVar("V")
 
 # Pseudo-triple used when extraction finds no triples: the whole sentence is
 # wrapped as ("statement", "states", sentence) so triple-level detectors still
@@ -214,3 +219,40 @@ class ScoreRecord:
                 raise ValueError(
                     f"score {self.score} is not the mean of its triple scores ({mean})"
                 )
+
+
+class OnceMemo(Generic[V]):
+    """Thread-safe memo that computes each key at most once at a time.
+
+    A caller asking for a key that another thread is computing waits for that
+    result instead of computing it again. A failed computation is not
+    memoized: its waiters get the same exception and the next caller retries.
+    """
+
+    def __init__(self) -> None:
+        self._done: dict[Hashable, V] = {}
+        self._pending: dict[Hashable, Future] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, compute: Callable[[], V]) -> V:
+        with self._lock:
+            if key in self._done:
+                return self._done[key]
+            cell = self._pending.get(key)
+            owner = cell is None
+            if owner:
+                cell = self._pending[key] = Future()
+        if not owner:
+            return cell.result()
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                del self._pending[key]
+            cell.set_exception(exc)
+            raise
+        with self._lock:
+            self._done[key] = value
+            del self._pending[key]
+        cell.set_result(value)
+        return value

@@ -511,31 +511,53 @@ def score_record_from_dict(obj: dict) -> ScoreRecord:
             prompt_version=obj.get("prompt_version", ""),
             model_id=obj.get("model_id", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"score record lacks field {exc}")
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad score record: {exc}")
 
 
 def write_score_records(
     records: Iterable[ScoreRecord], path: str | os.PathLike, append: bool = False
 ) -> int:
+    """Write records as they arrive, one line each, and return their count.
+    Each line is flushed once written, so a crash tears at most the last line."""
     count = 0
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(score_record_to_dict(record), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
+            fh.flush()
             count += 1
     return count
 
 
 def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
+    """The records of a score stream, skipping meta lines. A line that is not
+    a valid record raises SchemaError naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{os.fspath(path)}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{os.fspath(path)}:{lineno}: invalid JSON ({exc.msg})")
+                raise SchemaError(f"{where}: invalid JSON ({exc.msg})")
             if isinstance(obj, dict) and obj.get("_meta"):
                 continue
-            yield score_record_from_dict(obj)
+            try:
+                record = score_record_from_dict(obj)
+            except SchemaError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+            yield record
+
+
+def drop_torn_tail(path: str | os.PathLike) -> int:
+    """Truncate an unterminated last line, as a crash in the middle of a write
+    leaves it, and return the number of bytes dropped."""
+    data = Path(path).read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        os.truncate(path, keep)
+    return len(data) - keep

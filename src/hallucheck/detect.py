@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
@@ -43,6 +43,7 @@ from .provider import (
     ConfigError,
     DETECT_PROFILE,
     GenerationParams,
+    ProviderError,
     ProviderRefusal,
 )
 
@@ -60,6 +61,10 @@ class ScoreParseError(HallucheckError):
 
 class DetectorError(HallucheckError):
     """A detector could not produce a score for an output."""
+
+
+class DetectorProviderError(DetectorError, ProviderError):
+    """A detector failed because a provider call failed."""
 
 
 def parse_score(reply: str) -> float:
@@ -133,7 +138,13 @@ class DetectorConfig:
 
 @dataclass
 class DetectorContext:
-    """Everything a detector call may need, bundled once per run."""
+    """Everything a detector call may need, bundled once per run.
+
+    ``executor``, when given, runs a ``+kg`` detector's per-triple scoring and
+    sample extractions concurrently. The tasks submitted to it never wait on
+    other tasks, so one executor can serve every detector call of a run, even
+    calls that themselves run on pool threads.
+    """
 
     client: ChatClient | None = None
     model_id: str = ""
@@ -141,7 +152,7 @@ class DetectorContext:
     extractor: KGExtractor | None = None
     prompts: DetectorPrompts | None = None
     params: GenerationParams = DETECT_PROFILE
-    parallelism: int = 1
+    executor: Executor | None = None
 
     def __post_init__(self) -> None:
         if self.prompts is None:
@@ -167,11 +178,10 @@ class DetectorContext:
         return client.complete(ChatRequest.user(self.model_id, content, self.params)).content
 
 
-def _map_bounded(fn: Callable[[T], R], items: Sequence[T], parallelism: int) -> list[R]:
-    if parallelism <= 1 or len(items) <= 1:
+def _map_bounded(fn: Callable[[T], R], items: Sequence[T], executor: Executor | None) -> list[R]:
+    if executor is None or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return list(executor.map(fn, items))
 
 
 def verify_statement(ctx: DetectorContext, statement: str) -> QAStep:
@@ -197,7 +207,7 @@ def _triple_statements(kg: KnowledgeGraph) -> list[str]:
 def _score_triples(
     kg: KnowledgeGraph,
     score_one: Callable[[str], float],
-    parallelism: int,
+    executor: Executor | None,
 ) -> tuple[tuple[tuple[Triple, float], ...], int]:
     """Apply a per-triple scorer with the miss policy: parse failures and
     refusals drop the triple; everything failing is a detector error."""
@@ -209,7 +219,7 @@ def _score_triples(
             logger.warning("dropping triple %s: %s", t.normalized, exc)
             return t, None
 
-    results = _map_bounded(attempt, kg.triples, parallelism)
+    results = _map_bounded(attempt, kg.triples, executor)
     kept = tuple((t, c) for t, c in results if c is not None)
     misses = len(results) - len(kept)
     if not kept:
@@ -259,7 +269,7 @@ def self_questioning_kg(output: GeneratedOutput, ctx: DetectorContext) -> ScoreR
     triple_scores, misses = _score_triples(
         kg,
         lambda statement: verify_statement(ctx, statement).consistency,
-        ctx.parallelism,
+        ctx.executor,
     )
     return _record(
         output,
@@ -281,7 +291,7 @@ def self_confidence_kg(output: GeneratedOutput, ctx: DetectorContext) -> ScoreRe
     """One confidence elicitation per extracted triple."""
     kg = ctx.require_extractor().extract(output.text, output.context)
     triple_scores, misses = _score_triples(
-        kg, lambda statement: _elicit_confidence(ctx, statement), ctx.parallelism
+        kg, lambda statement: _elicit_confidence(ctx, statement), ctx.executor
     )
     return _record(
         output,
@@ -342,7 +352,7 @@ def selfcheck_kg(
     extractor = ctx.require_extractor()
     embedder = ctx.require_embedder()
     kg = extractor.extract(output.text, output.context)
-    sample_kgs = _map_bounded(lambda s: extractor.extract(s), samples, ctx.parallelism)
+    sample_kgs = _map_bounded(lambda s: extractor.extract(s), samples, ctx.executor)
     target_vectors = [embedder.embed(s) for s in _triple_statements(kg)]
     sample_vectors = [
         [embedder.embed(s) for s in _triple_statements(sample_kg)] for sample_kg in sample_kgs
@@ -384,7 +394,8 @@ def run_detector(
     except ConfigError:
         raise
     except HallucheckError as exc:
-        raise DetectorError(
+        error = DetectorProviderError if isinstance(exc, ProviderError) else DetectorError
+        raise error(
             f"{config.method.value}{'+kg' if config.use_kg else ''} failed on "
             f"{output.prompt_id}: {exc}"
         ) from exc

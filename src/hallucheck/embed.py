@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import HallucheckError, Triple
+from .core import HallucheckError, OnceMemo, Triple
 
 
 class EmbedBackendError(HallucheckError):
@@ -66,14 +65,14 @@ def triple_text(t: Triple) -> str:
 
 
 class MemoizingEmbedder:
-    """Base embedder: per-text memoization with serialized writes."""
+    """Base embedder: per-text memoization; concurrent callers for one text
+    share a single ``_embed_raw`` call."""
 
     model_id: str
     dim: int
 
     def __init__(self) -> None:
-        self._memo: dict[str, EmbeddingVector] = {}
-        self._lock = threading.Lock()
+        self._memo: OnceMemo[EmbeddingVector] = OnceMemo()
 
     def _embed_raw(self, text: str) -> tuple[float, ...]:
         raise NotImplementedError
@@ -81,19 +80,15 @@ class MemoizingEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-        with self._lock:
-            hit = self._memo.get(text)
-        if hit is not None:
-            return hit
+        return self._memo.get(text, lambda: self._vector(text))
+
+    def _vector(self, text: str) -> EmbeddingVector:
         values = self._embed_raw(text)
         if len(values) != self.dim:
             raise DimensionMismatch(
                 f"backend returned {len(values)} components, expected {self.dim}"
             )
-        vector = EmbeddingVector(values=values, model_id=self.model_id)
-        with self._lock:
-            self._memo[text] = vector
-        return vector
+        return EmbeddingVector(values=values, model_id=self.model_id)
 
 
 class HashEmbedder(MemoizingEmbedder):

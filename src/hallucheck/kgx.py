@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import KnowledgeGraph, Triple
+from .core import KnowledgeGraph, OnceMemo, Triple
 from .provider import ChatClient, ChatRequest, GenerationParams, KG_PROFILE
 
 logger = logging.getLogger(__name__)
@@ -165,17 +165,17 @@ class KGExtractor:
         self.template = template or ExtractionPromptTemplate.default()
         self.params = params
         self.parse_losses = 0
-        self._memo: dict[tuple[str, str | None], KnowledgeGraph] = {}
+        self._memo: OnceMemo[KnowledgeGraph] = OnceMemo()
         self._lock = threading.Lock()
 
     def extract(self, text: str, context: str | None = None) -> KnowledgeGraph:
+        """The graph of ``text``. Concurrent callers for one (text, context)
+        share a single client request."""
         if not text.strip():
             raise ValueError("cannot extract a graph from empty text")
-        key = (text, context)
-        with self._lock:
-            cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        return self._memo.get((text, context), lambda: self._extract_once(text, context))
+
+    def _extract_once(self, text: str, context: str | None) -> KnowledgeGraph:
         request = ChatRequest.user(self.model_id, self.template.render(text, context), self.params)
         reply = self.client.complete(request).content
         result = parse_triples(reply)
@@ -185,11 +185,9 @@ class KGExtractor:
                 result.losses,
                 text,
             )
-        kg = KnowledgeGraph.build(list(result.triples), source_text=text)
         with self._lock:
             self.parse_losses += result.losses
-            self._memo[key] = kg
-        return kg
+        return KnowledgeGraph.build(list(result.triples), source_text=text)
 
 
 def extract_kg(

@@ -4,10 +4,13 @@
 configured. ``sample_n`` deliberately skips the cache-read path (each of the n
 draws must be an independent call) but still records every response under an
 index-distinguished digest, so a batch of samples remains auditable.
+``max_inflight`` caps the backend calls in flight at once over every thread
+that shares the client.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 import time
@@ -83,12 +86,18 @@ class ChatClient:
         retry: RetryPolicy = RetryPolicy(),
         rate_limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        max_inflight: int | None = None,
     ):
+        if max_inflight is not None and max_inflight < 1:
+            raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
         self.backend = backend
         self.cache = cache
         self.retry = retry
         self.rate_limiter = rate_limiter
         self._sleep = sleep
+        self._inflight = (
+            threading.BoundedSemaphore(max_inflight) if max_inflight else contextlib.nullcontext()
+        )
 
     @property
     def backend_name(self) -> str:
@@ -98,10 +107,11 @@ class ChatClient:
         delay = self.retry.backoff_start_s
         last: TransportError | None = None
         for attempt in range(1, self.retry.attempts + 1):
-            if self.rate_limiter is not None:
-                self.rate_limiter.wait()
             try:
-                content = self.backend.complete_once(request)
+                with self._inflight:
+                    if self.rate_limiter is not None:
+                        self.rate_limiter.wait()
+                    content = self.backend.complete_once(request)
             except TransportError as exc:
                 last = exc
                 if attempt < self.retry.attempts:

@@ -6,6 +6,10 @@ and contents joined); the first matching rule wins. A rule may carry a single
 reply or a sequence of replies consumed one per match, sticking on the last.
 Calls can be scripted to fail by 1-based global call index, which exercises
 retry and partial-failure handling without a network.
+
+Reply sequences and failing call indices follow the global order of calls. When
+several threads share the backend (``parallelism`` above 1), that order varies
+from run to run, so only single-reply rules stay deterministic.
 """
 
 from __future__ import annotations

@@ -124,8 +124,9 @@ class GeminiChatBackend:
         }
         if system_parts:
             payload["systemInstruction"] = {"parts": [{"text": "\n".join(system_parts)}]}
-        url = f"{self.base_url}/models/{request.model_id}:generateContent?key={self.api_key}"
-        data = _post_json(self.session, url, {}, payload, self.timeout)
+        # The key goes in a header: the URL is quoted in error messages and logs.
+        url = f"{self.base_url}/models/{request.model_id}:generateContent"
+        data = _post_json(self.session, url, {"x-goog-api-key": self.api_key}, payload, self.timeout)
         candidates = data.get("candidates") or []
         parts = (candidates[0].get("content") or {}).get("parts") if candidates else None
         text = "".join(p.get("text", "") for p in parts) if parts else ""

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,36 @@ def wikibio_file(tmp_path_factory: pytest.TempPathFactory) -> Path:
         return Path(override)
     path = tmp_path_factory.mktemp("wikibio") / "wikibio_gpt4o.jsonl"
     return build_synthetic_wikibio(path)
+
+
+@pytest.fixture()
+def run_together():
+    """``run(fn, n)`` calls ``fn`` from ``n`` threads released at once, with a
+    short interpreter switch interval so that they interleave, and returns
+    their results in thread order."""
+
+    def run(fn, n):
+        barrier = threading.Barrier(n)
+        results = [None] * n
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = fn()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    return run
 
 
 @pytest.fixture()

@@ -1,8 +1,11 @@
 import json
 import shutil
+import threading
+import time
 
 import pytest
 
+from hallucheck import cli
 from hallucheck.cli import main
 from hallucheck.data import SampleStore, read_score_records
 from hallucheck.kgx import kg_from_record
@@ -15,11 +18,22 @@ FIXTURE_FILES = (
 )
 
 
+def copy_fixture(fixture_dir, dest, **config):
+    """Copy the fixture files to ``dest``, overriding top-level config keys."""
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in FIXTURE_FILES:
+        shutil.copy(fixture_dir / name, dest / name)
+    if config:
+        path = dest / "run_config.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj.update(config)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    return dest
+
+
 @pytest.fixture()
 def workdir(tmp_path, fixture_dir):
-    for name in FIXTURE_FILES:
-        shutil.copy(fixture_dir / name, tmp_path / name)
-    return tmp_path
+    return copy_fixture(fixture_dir, tmp_path)
 
 
 @pytest.fixture()
@@ -129,6 +143,11 @@ class TestConfigErrors:
         config_path.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["score", "--config", str(config_path)]) == 2
         assert "vibes" in capsys.readouterr().err
+
+    def test_parallelism_below_one(self, tmp_path, fixture_dir, capsys):
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=0)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, workdir, config_path):
         obj = json.loads(config_path.read_text(encoding="utf-8"))
@@ -307,3 +326,167 @@ class TestEvaluate:
         )
         assert code == 0
         assert report_path.exists()
+
+
+class TestScoreResumeRepair:
+    """A score stream left behind by a crash, or edited by hand."""
+
+    @pytest.fixture()
+    def full(self, workdir, config_path):
+        assert main(["score", "--config", str(config_path)]) == 0
+        return (workdir / "out" / "scores.jsonl").read_bytes()
+
+    def test_torn_last_line_is_dropped_and_rescored(self, workdir, config_path, full, capsys):
+        scores_path = workdir / "out" / "scores.jsonl"
+        scores_path.write_bytes(full[: full.rindex(b"\n", 0, -1) + 1 + 40])
+        capsys.readouterr()
+        assert main(["score", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert "unterminated last line (40 bytes)" in captured.err
+        assert "scored 1 (skipped 59" in captured.out
+        assert scores_path.read_bytes() == full
+
+    def test_torn_meta_line_restarts_the_stream(self, workdir, config_path, full):
+        scores_path = workdir / "out" / "scores.jsonl"
+        scores_path.write_bytes(full[:25])
+        assert main(["score", "--config", str(config_path)]) == 0
+        assert scores_path.read_bytes() == full
+
+    def test_malformed_inner_line_names_file_and_line(self, workdir, config_path, full, capsys):
+        scores_path = workdir / "out" / "scores.jsonl"
+        lines = full.decode("utf-8").splitlines(keepends=True)
+        lines[2] = lines[2][:30] + "\n"
+        scores_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{scores_path}:3: invalid JSON" in err
+        assert "Traceback" not in err
+
+    def test_row_missing_a_field_names_file_line_and_field(
+        self, workdir, config_path, full, capsys
+    ):
+        scores_path = workdir / "out" / "scores.jsonl"
+        lines = full.decode("utf-8").splitlines(keepends=True)
+        row = json.loads(lines[4])
+        del row["score"]
+        lines[4] = json.dumps(row) + "\n"
+        scores_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{scores_path}:5:" in err
+        assert "'score'" in err
+
+
+def slow_backends(monkeypatch, delay_s):
+    """Make every non-empty backend reply of the CLI take ``delay_s``, and
+    record the most live threads seen during a backend call."""
+    build = cli.build_backend
+    seen = {"threads": 0}
+
+    class Slow:
+        def __init__(self, backend):
+            self.backend = backend
+            self.name = backend.name
+
+        def complete_once(self, request):
+            seen["threads"] = max(seen["threads"], threading.active_count())
+            reply = self.backend.complete_once(request)
+            if reply:
+                time.sleep(delay_s)
+            return reply
+
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: Slow(build(cfg)))
+    return seen
+
+
+class TestParallelScore:
+    def run_pipeline(self, directory):
+        config = str(directory / "run_config.json")
+        assert main(["score", "--config", config]) == 0
+        assert main(["evaluate", "--config", config, "--resamples", "200"]) == 0
+        scores = (directory / "out" / "scores.jsonl").read_text(encoding="utf-8")
+        meta, rows = scores.split("\n", 1)
+        report = json.loads((directory / "out" / "report.json").read_text(encoding="utf-8"))
+        return json.loads(meta), rows, report.pop("meta"), report
+
+    def test_parallelism_does_not_change_artifacts(self, tmp_path, fixture_dir, monkeypatch):
+        serial = self.run_pipeline(copy_fixture(fixture_dir, tmp_path / "p1", parallelism=1))
+        seen = slow_backends(monkeypatch, 0.005)
+        baseline = threading.active_count()
+        parallel = self.run_pipeline(copy_fixture(fixture_dir, tmp_path / "p4", parallelism=4))
+        assert parallel[1] == serial[1]
+        assert parallel[3] == serial[3]
+        for serial_meta, parallel_meta in ((serial[0], parallel[0]), (serial[2], parallel[2])):
+            assert parallel_meta.pop("config_digest") != serial_meta.pop("config_digest")
+            assert parallel_meta == serial_meta
+        # A pool of pairs and a pool for their per-triple fan-out, 4 threads each.
+        assert seen["threads"] <= baseline + 2 * 4
+
+    def test_failure_stops_new_pairs_and_resume_completes(
+        self, tmp_path, fixture_dir, monkeypatch, capsys
+    ):
+        detectors = [
+            {"method": m, "use_kg": kg}
+            for m in ("self_questioning", "self_confidence")
+            for kg in (False, True)
+        ]
+        expected_dir = copy_fixture(
+            fixture_dir, tmp_path / "expected", parallelism=4, detectors=detectors
+        )
+        assert main(["score", "--config", str(expected_dir / "run_config.json")]) == 0
+        expected = (expected_dir / "out" / "scores.jsonl").read_text(encoding="utf-8")
+
+        workdir = copy_fixture(fixture_dir, tmp_path / "run", parallelism=4, detectors=detectors)
+        script_path = workdir / "mock_script.json"
+        script = json.loads(script_path.read_text(encoding="utf-8"))
+        refusal = {
+            "match": [
+                "Confidence score:",
+                "Statement: Tomás Urquiza composed the opera Mar Adentro in 1954.",
+            ],
+            "reply": "",
+        }
+        script_path.write_text(
+            json.dumps({**script, "rules": [refusal, *script["rules"]]}), encoding="utf-8"
+        )
+        # Pair 22 (record 5, self_confidence) is refused. Every other pair takes
+        # at least 50 ms, so while it fails each of the 3 other workers can have
+        # started at most one later pair: pairs past 25 may start only if the
+        # failure does not stop new pairs.
+        failing, workers = 5 * 4 + 2, 4
+        slow_backends(monkeypatch, 0.05)
+        started = []
+        run_detector = cli.run_detector
+
+        def record_start(config, output, ctx, samples=None):
+            started.append((output.prompt_id, config.method.value, config.use_kg))
+            return run_detector(config, output, ctx, samples=samples)
+
+        monkeypatch.setattr(cli, "run_detector", record_start)
+        config = str(workdir / "run_config.json")
+        capsys.readouterr()
+        assert main(["score", "--config", config]) == 3
+        assert "provider error: self_confidence failed on p02:0" in capsys.readouterr().err
+
+        order = [
+            (f"p0{1 + i // 5}:{i % 5}", d["method"], d["use_kg"])
+            for i in range(10)
+            for d in detectors
+        ]
+        assert order[failing] in started
+        assert len(started) == len(set(started))
+        assert max(order.index(key) for key in started) < failing + workers
+
+        partial = (workdir / "out" / "scores.jsonl").read_text(encoding="utf-8")
+        rows = [json.loads(line) for line in partial.splitlines()[1:]]
+        keys = [(r["output_ref"], r["method"], r["kg_used"]) for r in rows]
+        assert keys == order[: len(keys)]
+        assert len(keys) <= failing
+        assert expected.startswith(partial)
+
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        monkeypatch.undo()
+        assert main(["score", "--config", config]) == 0
+        assert (workdir / "out" / "scores.jsonl").read_text(encoding="utf-8") == expected

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from hallucheck.core import (
     KnowledgeGraph,
     Label,
     DetectorMethod,
+    OnceMemo,
     ScoreRecord,
     Triple,
     dedupe_triples,
@@ -187,3 +189,31 @@ def test_labels_and_methods_are_strings():
     assert Label("accurate") is Label.ACCURATE
     assert Label.HALLUCINATED.value == "hallucinated"
     assert DetectorMethod("selfcheck") is DetectorMethod.SELFCHECK
+
+
+class TestOnceMemo:
+    def test_computes_once_and_memoizes(self):
+        memo = OnceMemo()
+        calls = []
+        assert memo.get("k", lambda: calls.append(1) or "v") == "v"
+        assert memo.get("k", lambda: calls.append(1) or "other") == "v"
+        assert calls == [1]
+
+    def test_a_failure_reaches_every_waiter_and_is_not_memoized(self, run_together):
+        memo = OnceMemo()
+        calls = []
+
+        def failing():
+            calls.append(1)
+            time.sleep(0.2)
+            raise RuntimeError("boom")
+
+        def call():
+            try:
+                return memo.get("k", failing)
+            except RuntimeError as exc:
+                return str(exc)
+
+        assert run_together(call, 8) == ["boom"] * 8
+        assert calls == [1]
+        assert memo.get("k", lambda: "fresh") == "fresh"

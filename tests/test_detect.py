@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,12 @@ from hallucheck.embed import EmbeddingVector, HashEmbedder, clamp0, cosine_sim, 
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
 
-def make_ctx(script=None, embedder=None, parallelism=1, fail_calls=None):
+def make_ctx(script=None, embedder=None, executor=None, fail_calls=None):
     backend = MockChatBackend.from_script(script or {"default": "0.5"})
     if fail_calls:
         backend.fail_calls = fail_calls
     client = ChatClient(backend, sleep=lambda s: None)
-    ctx = DetectorContext(
-        client=client, model_id="m", embedder=embedder, parallelism=parallelism
-    )
+    ctx = DetectorContext(client=client, model_id="m", embedder=embedder, executor=executor)
     return ctx, backend
 
 
@@ -275,11 +275,9 @@ SELFCHECK_KG_SCRIPT = {
 
 
 class TestSelfcheckKG:
-    def build(self, parallelism=1):
+    def build(self, executor=None):
         embedder = HashEmbedder(dim=32)
-        ctx, backend = make_ctx(
-            SELFCHECK_KG_SCRIPT, embedder=embedder, parallelism=parallelism
-        )
+        ctx, backend = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder, executor=executor)
         out = GeneratedOutput("p", "Alan Turing was born in London and studied there.")
         samples = [
             "Turing was born in London.",
@@ -313,15 +311,13 @@ class TestSelfcheckKG:
         assert record.score == mean_score(expected)
 
     def test_parallel_equals_serial(self):
-        serial_record = None
-        for parallelism in (1, 4):
-            ctx, _, out, samples = self.build(parallelism)
+        ctx, _, out, samples = self.build()
+        serial_record = selfcheck_kg(out, samples, ctx)
+        with ThreadPoolExecutor(4) as pool:
+            ctx, _, out, samples = self.build(executor=pool)
             record = selfcheck_kg(out, samples, ctx)
-            if serial_record is None:
-                serial_record = record
-            else:
-                assert record.score == serial_record.score
-                assert record.triple_scores == serial_record.triple_scores
+        assert record.score == serial_record.score
+        assert record.triple_scores == serial_record.triple_scores
 
     def test_sample_order_invariant(self):
         ctx, _, out, samples = self.build()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestHashEmbedder:
     def test_memoization_returns_same_object(self):
         e = HashEmbedder(dim=8)
         assert e.embed("memo") is e.embed("memo")
+
+    def test_concurrent_embeds_of_one_text_compute_once(self, run_together):
+        class SlowEmbedder(HashEmbedder):
+            raw_calls = 0
+
+            def _embed_raw(self, text):
+                SlowEmbedder.raw_calls += 1
+                time.sleep(0.2)
+                return super()._embed_raw(text)
+
+        e = SlowEmbedder(dim=8)
+        vectors = run_together(lambda: e.embed("shared"), 8)
+        assert SlowEmbedder.raw_calls == 1
+        assert all(v is vectors[0] for v in vectors)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):

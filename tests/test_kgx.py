@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -131,6 +132,19 @@ class TestExtractor:
         assert backend.calls == 1
         extractor.extract("same text", context="other context")
         assert backend.calls == 2
+
+    def test_concurrent_extractions_of_one_text_make_one_call(self, run_together):
+        class SlowBackend(MockChatBackend):
+            def complete_once(self, request):
+                time.sleep(0.2)
+                return super().complete_once(request)
+
+        backend = SlowBackend(default_reply='[["a", "r", "b"], ["bad"]]')
+        extractor = KGExtractor(ChatClient(backend), "m")
+        graphs = run_together(lambda: extractor.extract("same text", "ctx"), 8)
+        assert backend.calls == 1
+        assert all(kg is graphs[0] for kg in graphs)
+        assert extractor.parse_losses == 1
 
     def test_parse_losses_accumulate(self):
         extractor = KGExtractor(client_replying('[["a", "r", "b"], ["bad"]]'), "m")

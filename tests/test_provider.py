@@ -1,7 +1,10 @@
 import json
 import logging
+import threading
+import time
 
 import pytest
+import requests
 
 from hallucheck.provider import (
     DETECT_PROFILE,
@@ -353,3 +356,82 @@ class TestGeminiBackend:
         assert roles == ["model", "user"]
         assert sent["generationConfig"]["temperature"] == 0.0
         assert sent["generationConfig"]["maxOutputTokens"] == 8096
+
+    def test_key_sent_in_header_not_url(self):
+        body = {"candidates": [{"content": {"parts": [{"text": "out"}]}}]}
+        session = FakeSession([FakeResponse(200, body)])
+        GeminiChatBackend(api_key="secret-key-123", session=session).complete_once(req())
+        sent = session.requests[0]
+        assert sent["headers"] == {"x-goog-api-key": "secret-key-123"}
+        assert "secret-key-123" not in sent["url"]
+
+    def test_key_absent_from_errors_and_logs(self, caplog):
+        key = "secret-key-123"
+
+        def url_error():
+            url = session.requests[-1]["url"]
+            return requests.ConnectionError(f"connection refused for url: {url}")
+
+        class EchoingSession(FakeSession):
+            def post(self, url, headers=None, json=None, timeout=None):
+                self.requests.append({"url": url, "headers": headers, "json": json})
+                item = self.responses.pop(0)
+                if item is None:
+                    raise url_error()
+                return item
+
+        session = EchoingSession(
+            [None, FakeResponse(503, {}), None, FakeResponse(401, {}), FakeResponse(404, {})]
+        )
+        client = ChatClient(
+            GeminiChatBackend(api_key=key, session=session), sleep=lambda s: None
+        )
+        errors = []
+        with caplog.at_level(logging.DEBUG):
+            for expected in (TransportError, ConfigError, ConfigError):
+                with pytest.raises(expected) as info:
+                    client.complete(req())
+                errors.append(str(info.value))
+        assert len(session.requests) == 5
+        assert any("generateContent" in text for text in errors)
+        assert caplog.records
+        for text in errors + [r.getMessage() for r in caplog.records]:
+            assert key not in text
+
+
+class TestInflightBound:
+    def test_backend_calls_in_flight_never_exceed_the_bound(self):
+        class SlowBackend:
+            name = "slow"
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.inflight = self.most = self.calls = 0
+
+            def complete_once(self, request):
+                with self.lock:
+                    self.inflight += 1
+                    self.calls += 1
+                    self.most = max(self.most, self.inflight)
+                time.sleep(0.002)
+                with self.lock:
+                    self.inflight -= 1
+                return "ok"
+
+        backend = SlowBackend()
+        client = ChatClient(backend, max_inflight=3)
+        threads = [
+            threading.Thread(target=lambda i=i: [client.complete(req(f"q{i}-{k}")) for k in range(5)])
+            for i in range(12)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert backend.calls == 60
+        assert backend.most == 3
+
+    def test_rejects_a_bound_below_one(self):
+        with pytest.raises(ConfigError):
+            ChatClient(MockChatBackend(), max_inflight=0)
