@@ -140,6 +140,23 @@ def _take(obj: object, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", (int, float): "a number"}
+
+
+def _typed(obj: dict, key: str, default, kind, where: str = "", minimum: int | None = None):
+    """``obj[key]``, or ``default`` when the key is absent, checked to be a
+    JSON value of ``kind``; JSON true and false are not numbers here. A key
+    whose default is None may also be null."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _detector_from_obj(obj: dict, index: int) -> DetectorConfig:
     _take(obj, {"method", "use_kg", "n_samples"}, f"detectors[{index}]")
     try:
@@ -151,10 +168,11 @@ def _detector_from_obj(obj: dict, index: int) -> DetectorConfig:
             f"detectors[{index}]: unknown method {obj['method']!r}; expected one of "
             f"{[m.value for m in DetectorMethod]}"
         )
+    where = f"detectors[{index}]."
     return DetectorConfig(
         method=method,
-        use_kg=bool(obj.get("use_kg", False)),
-        n_samples=int(obj.get("n_samples", 20)),
+        use_kg=_typed(obj, "use_kg", False, bool, where),
+        n_samples=_typed(obj, "n_samples", 20, int, where, minimum=1),
     )
 
 
@@ -201,22 +219,28 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     )
     provider = ProviderConfig(
         backend=provider_obj.get("backend", "mock"),
-        model_id=provider_obj.get("model_id", "mock-model"),
-        script=provider_obj.get("script"),
-        base_url=provider_obj.get("base_url"),
-        rate_limit_per_minute=provider_obj.get("rate_limit_per_minute"),
+        model_id=_typed(provider_obj, "model_id", "mock-model", str, "provider."),
+        script=_typed(provider_obj, "script", None, str, "provider."),
+        base_url=_typed(provider_obj, "base_url", None, str, "provider."),
+        rate_limit_per_minute=_typed(
+            provider_obj, "rate_limit_per_minute", None, (int, float), "provider."
+        ),
     )
     if provider.backend not in ("mock", "openai", "gemini"):
         raise ConfigError(f"unknown provider backend {provider.backend!r}")
+    if provider.rate_limit_per_minute is not None and provider.rate_limit_per_minute <= 0:
+        raise ConfigError(
+            f"provider.rate_limit_per_minute must be > 0, got {provider.rate_limit_per_minute}"
+        )
 
     embedding_obj = obj.get("embedding", {})
     _take(embedding_obj, {"backend", "model_id", "dim", "seed", "spec_file"}, "embedding")
     embedding = EmbeddingConfig(
         backend=embedding_obj.get("backend", "hash"),
-        model_id=embedding_obj.get("model_id", ""),
-        dim=int(embedding_obj.get("dim", 384)),
-        seed=int(embedding_obj.get("seed", 0)),
-        spec_file=embedding_obj.get("spec_file"),
+        model_id=_typed(embedding_obj, "model_id", "", str, "embedding."),
+        dim=_typed(embedding_obj, "dim", 384, int, "embedding.", minimum=1),
+        seed=_typed(embedding_obj, "seed", 0, int, "embedding."),
+        spec_file=_typed(embedding_obj, "spec_file", None, str, "embedding."),
     )
     if embedding.backend not in ("hash", "specfile", "sbert"):
         raise ConfigError(f"unknown embedding backend {embedding.backend!r}")
@@ -228,26 +252,29 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
     dataset_obj = obj.get("dataset", {})
     _take(dataset_obj, {"path", "kind", "expected_samples"}, "dataset")
+    expected_samples = dataset_obj.get("expected_samples", 20)
     dataset = DatasetConfig(
-        path=dataset_obj.get("path", ""),
+        path=_typed(dataset_obj, "path", "", str, "dataset."),
         kind=dataset_obj.get("kind", "wikibio"),
-        expected_samples=dataset_obj.get("expected_samples", 20),
+        expected_samples=(
+            None
+            if expected_samples is None
+            else _typed(dataset_obj, "expected_samples", 20, int, "dataset.", minimum=0)
+        ),
     )
     if dataset.kind not in ("wikibio",):
         raise ConfigError(f"unknown dataset kind {dataset.kind!r}")
-    parallelism = int(obj.get("parallelism", 1))
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    parallelism = _typed(obj, "parallelism", 1, int, minimum=1)
 
     return RunConfig(
         provider=provider,
         embedding=embedding,
         detectors=detectors,
         dataset=dataset,
-        cache_dir=obj.get("cache_dir"),
-        output_dir=obj.get("output_dir", "out"),
-        samples_dir=obj.get("samples_dir"),
-        seed=int(obj.get("seed", 0)),
+        cache_dir=_typed(obj, "cache_dir", None, str),
+        output_dir=_typed(obj, "output_dir", "out", str),
+        samples_dir=_typed(obj, "samples_dir", None, str),
+        seed=_typed(obj, "seed", 0, int),
         parallelism=parallelism,
         config_digest=digest,
         base_dir=Path(path).resolve().parent,

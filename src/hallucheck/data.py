@@ -534,7 +534,9 @@ def write_score_records(
 
 def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
     """The records of a score stream, skipping meta lines. A line that is not
-    a valid record raises SchemaError naming the file and the line."""
+    a valid record, or that repeats the (output_ref, method, kg_used) key of
+    an earlier line, raises SchemaError naming the file and the line."""
+    seen: set[tuple[str, str, bool]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -550,6 +552,10 @@ def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
                 record = score_record_from_dict(obj)
             except SchemaError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
+            key = (record.output_ref, record.method.value, record.kg_used)
+            if key in seen:
+                raise SchemaError(f"{where}: duplicate row for {key}")
+            seen.add(key)
             yield record
 
 

@@ -26,6 +26,8 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 from .core import (
     DetectorMethod,
     GeneratedOutput,
@@ -35,7 +37,13 @@ from .core import (
     Triple,
     mean_score,
 )
-from .embed import Embedder, EmbeddingVector, clamp0, cosine_sim, triple_text
+from .embed import (
+    DimensionMismatch,
+    Embedder,
+    ZeroVector,
+    cosine_sim,  # noqa: F401  (unused; bench/tracing.py wraps detect.cosine_sim by name)
+    triple_text,
+)
 from .kgx import KGExtractor, load_prompt_resource, prompt_version
 from .provider import (
     ChatClient,
@@ -309,37 +317,56 @@ def selfcheck(output: GeneratedOutput, samples: Sequence[str], ctx: DetectorCont
     if not samples:
         raise ConfigError("selfcheck needs at least one sample")
     embedder = ctx.require_embedder()
-    target = embedder.embed(output.text)
-    sims = [clamp0(cosine_sim(target, embedder.embed(s))) for s in samples]
-    return _record(
-        output, DetectorMethod.SELFCHECK, ctx, score=mean_score(sims), kg_used=False
-    )
+    target = embedder.embed_many([output.text])
+    rows = embedder.embed_many(samples)
+    (score,) = _best_match_means(target, [rows[i : i + 1] for i in range(len(rows))])
+    return _record(output, DetectorMethod.SELFCHECK, ctx, score=score, kg_used=False)
 
 
 def graph_consistency_scores(
-    target_vectors: Sequence[EmbeddingVector],
-    sample_graphs: Sequence[Sequence[EmbeddingVector]],
+    targets: np.ndarray, sample_graphs: Sequence[np.ndarray]
 ) -> list[float]:
     """Per-triple consistency against sampled graphs.
 
-    For each target triple vector: average, over the sample graphs, of the
-    best zero-floored similarity to any triple in that graph; a graph with no
-    triples contributes zero. Exactly-rounded summation keeps the result
-    independent of sample order.
+    ``targets`` is a ``(t, d)`` matrix of target triple vectors and each
+    sample graph a ``(k, d)`` matrix of its triple vectors. For each target:
+    average, over the sample graphs, of the best zero-floored cosine
+    similarity to any triple in that graph; a graph with no triples
+    contributes zero. Exactly-rounded summation keeps the result independent
+    of sample order.
     """
-    if not sample_graphs:
+    if len(sample_graphs) == 0:
         raise ConfigError("consistency needs at least one sample graph")
-    n = len(sample_graphs)
-    scores: list[float] = []
-    for v in target_vectors:
-        contributions = []
-        for graph in sample_graphs:
-            if graph:
-                contributions.append(max(clamp0(cosine_sim(v, u)) for u in graph))
-            else:
-                contributions.append(0.0)
-        scores.append(mean_score(contributions) if contributions else 0.0)
-    return scores
+    return _best_match_means(targets, sample_graphs)
+
+
+def _best_match_means(targets: np.ndarray, sample_graphs: Sequence[np.ndarray]) -> list[float]:
+    # Every similarity is the same float ``clamp0(cosine_sim(a, b))`` gives:
+    # ``np.vecdot`` computes each dot product as ``np.dot`` does and the norms
+    # as ``np.linalg.norm`` does. Pre-normalised rows or a matrix product
+    # would round differently.
+    target_norms = _norms(targets)
+    best = np.zeros((len(sample_graphs), len(targets)))
+    for g, graph in enumerate(sample_graphs):
+        if len(graph) == 0 or len(targets) == 0:
+            continue
+        if graph.shape[1] != targets.shape[1]:
+            raise DimensionMismatch(
+                f"vector lengths differ: {targets.shape[1]} vs {graph.shape[1]}"
+            )
+        norms = _norms(graph)
+        if not (target_norms.all() and norms.all()):
+            raise ZeroVector("cosine similarity with a zero vector")
+        sims = np.vecdot(targets[:, None, :], graph[None, :, :]) / (
+            target_norms[:, None] * norms[None, :]
+        )
+        sims = np.clip(sims, -1.0, 1.0)
+        best[g] = np.where(sims > 0.0, sims, 0.0).max(axis=1)
+    return [mean_score(column) for column in best.T.tolist()]
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(matrix, matrix))
 
 
 def selfcheck_kg(
@@ -353,11 +380,9 @@ def selfcheck_kg(
     embedder = ctx.require_embedder()
     kg = extractor.extract(output.text, output.context)
     sample_kgs = _map_bounded(lambda s: extractor.extract(s), samples, ctx.executor)
-    target_vectors = [embedder.embed(s) for s in _triple_statements(kg)]
-    sample_vectors = [
-        [embedder.embed(s) for s in _triple_statements(sample_kg)] for sample_kg in sample_kgs
-    ]
-    per_triple = graph_consistency_scores(target_vectors, sample_vectors)
+    targets = embedder.embed_many(_triple_statements(kg))
+    graphs = [embedder.embed_many(_triple_statements(sample_kg)) for sample_kg in sample_kgs]
+    per_triple = graph_consistency_scores(targets, graphs)
     triple_scores = tuple(zip(kg.triples, per_triple))
     return _record(
         output, DetectorMethod.SELFCHECK, ctx, triple_scores=triple_scores, kg_used=True

@@ -2,9 +2,11 @@
 
 The backend is pluggable: a deterministic hash-to-vector embedder for offline
 runs, a spec-file embedder that pins exact vectors for chosen texts, and a
-sentence-transformer wrapper for production. Every backend memoizes by text
-and returns fixed-dimension vectors. Similarities feeding detector scores are
-clamped at zero so a score never leaves [0, 1].
+sentence-transformer wrapper for production. Every backend returns
+fixed-dimension float64 vectors, memoized per text (``embed``) and as
+``(k, d)`` matrices per tuple of texts (``embed_many``, which the detectors
+use). Similarities feeding detector scores are clamped at zero so a score
+never leaves [0, 1].
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -65,30 +68,48 @@ def triple_text(t: Triple) -> str:
 
 
 class MemoizingEmbedder:
-    """Base embedder: per-text memoization; concurrent callers for one text
-    share a single ``_embed_raw`` call."""
+    """Base embedder: memoizes a vector per text and a matrix per tuple of
+    texts; concurrent callers for one key share a single computation."""
 
     model_id: str
     dim: int
 
     def __init__(self) -> None:
         self._memo: OnceMemo[EmbeddingVector] = OnceMemo()
+        self._matrices: OnceMemo[np.ndarray] = OnceMemo()
 
-    def _embed_raw(self, text: str) -> tuple[float, ...]:
+    def _embed_raw(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
     def embed(self, text: str) -> EmbeddingVector:
+        return self._memo.get(
+            text,
+            lambda: EmbeddingVector(values=tuple(self._row(text).tolist()), model_id=self.model_id),
+        )
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """A read-only ``(len(texts), dim)`` float64 matrix, one row per text
+        in order, with the same values as ``embed``. Memoized per tuple of
+        texts; no per-text vector is kept."""
+        key = tuple(texts)
+        return self._matrices.get(key, lambda: self._matrix(key))
+
+    def _matrix(self, texts: tuple[str, ...]) -> np.ndarray:
+        matrix = np.empty((len(texts), self.dim))
+        for i, text in enumerate(texts):
+            matrix[i] = self._row(text)
+        matrix.flags.writeable = False
+        return matrix
+
+    def _row(self, text: str) -> np.ndarray:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-        return self._memo.get(text, lambda: self._vector(text))
-
-    def _vector(self, text: str) -> EmbeddingVector:
-        values = self._embed_raw(text)
-        if len(values) != self.dim:
+        values = np.asarray(self._embed_raw(text), dtype=np.float64)
+        if values.shape != (self.dim,):
             raise DimensionMismatch(
-                f"backend returned {len(values)} components, expected {self.dim}"
+                f"backend returned {values.size} components, expected {self.dim}"
             )
-        return EmbeddingVector(values=values, model_id=self.model_id)
+        return values
 
 
 class HashEmbedder(MemoizingEmbedder):
@@ -107,20 +128,18 @@ class HashEmbedder(MemoizingEmbedder):
         self.seed = seed
         self.model_id = model_id or f"hash-{dim}"
 
-    def _embed_raw(self, text: str) -> tuple[float, ...]:
-        values: list[float] = []
-        block = 0
-        while len(values) < self.dim:
-            digest = hashlib.sha256(f"{self.seed}:{block}:{text}".encode("utf-8")).digest()
-            for i in range(0, 32, 8):
-                if len(values) >= self.dim:
-                    break
-                u = int.from_bytes(digest[i : i + 8], "big")
-                values.append(u / 2**63 - 1.0)
-            block += 1
-        if not any(values):
+    def _embed_raw(self, text: str) -> np.ndarray:
+        blocks = (self.dim + 3) // 4
+        buf = b"".join(
+            hashlib.sha256(f"{self.seed}:{block}:{text}".encode("utf-8")).digest()
+            for block in range(blocks)
+        )
+        # Each big-endian 8-byte word u maps to u / 2**63 - 1; the uint64 to
+        # float64 conversion rounds exactly as Python's int / int division.
+        values = np.frombuffer(buf, ">u8", count=self.dim) / 2**63 - 1.0
+        if not values.any():
             values[0] = 1.0
-        return tuple(values)
+        return values
 
 
 class SpecFileEmbedder(MemoizingEmbedder):
@@ -157,14 +176,14 @@ class SpecFileEmbedder(MemoizingEmbedder):
             fallback_seed=int(spec.get("fallback_seed", 0)),
         )
 
-    def _embed_raw(self, text: str) -> tuple[float, ...]:
+    def _embed_raw(self, text: str) -> np.ndarray:
         pinned = self._vectors.get(text)
         if pinned is not None:
             if len(pinned) != self.dim:
                 raise DimensionMismatch(
                     f"pinned vector for {text!r} has {len(pinned)} components, expected {self.dim}"
                 )
-            return tuple(float(v) for v in pinned)
+            return np.array(pinned, dtype=np.float64)
         return self._fallback._embed_raw(text)
 
 
@@ -186,12 +205,14 @@ class SbertEmbedder(MemoizingEmbedder):
         self.model_id = model_id
         self.dim = int(self._model.get_sentence_embedding_dimension())
 
-    def _embed_raw(self, text: str) -> tuple[float, ...]:
+    def _embed_raw(self, text: str) -> np.ndarray:
+        # One text per call: a batched encode pads its inputs, which changes
+        # the floats.
         try:
             encoded = self._model.encode([text], convert_to_numpy=True, show_progress_bar=False)
         except Exception as exc:
             raise EmbedBackendError(f"embedding failed: {exc}") from exc
-        return tuple(float(v) for v in encoded[0])
+        return encoded[0]
 
 
 Embedder = MemoizingEmbedder

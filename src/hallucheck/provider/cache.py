@@ -8,12 +8,15 @@ never see a partial record; in-process writers are serialized with a lock.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
 import threading
 from pathlib import Path
 
 MANIFEST_NAME = "MANIFEST"
+
+logger = logging.getLogger(__name__)
 
 
 class ResponseCache:
@@ -26,13 +29,20 @@ class ResponseCache:
         return self.directory / f"{digest}.json"
 
     def get(self, digest: str) -> str | None:
-        """Return the cached response content, or None on a miss."""
+        """Return the cached response content, or None on a miss. An entry
+        that is not a valid record is a miss too; the next ``put`` rewrites it."""
         path = self._path(digest)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        return record["response"]
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            record = None
+        response = record.get("response") if isinstance(record, dict) else None
+        if not isinstance(response, str):
+            logger.warning("ignoring corrupt response cache entry %s", path)
+            return None
+        return response
 
     def put(self, digest: str, request_canonical: str, content: str) -> None:
         record = {

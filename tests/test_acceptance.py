@@ -70,17 +70,19 @@ def vec(rng, dim=8):
     return EmbeddingVector(values=tuple(rng.normal(size=dim)), model_id="t")
 
 
+def rows(rng, count, dim=8):
+    return rng.normal(size=(count, dim))
+
+
 def np_max_then_mean(targets, graphs):
     """Brute-force enumeration of the triple-consistency aggregation."""
-    raw_t = np.array([t.values for t in targets])
-    tn = raw_t / np.linalg.norm(raw_t, axis=1, keepdims=True)
+    tn = targets / np.linalg.norm(targets, axis=1, keepdims=True)
     per_sample = []
     for g in graphs:
-        if not g:
+        if not len(g):
             per_sample.append(np.zeros(len(targets)))
             continue
-        raw_g = np.array([u.values for u in g])
-        gn = raw_g / np.linalg.norm(raw_g, axis=1, keepdims=True)
+        gn = g / np.linalg.norm(g, axis=1, keepdims=True)
         sims = np.clip(tn @ gn.T, -1.0, 1.0)
         per_sample.append(np.clip(sims, 0.0, None).max(axis=1))
     per_triple = np.stack(per_sample).mean(axis=0)
@@ -92,11 +94,8 @@ def test_a01_aggregation_oracle():
     started = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        targets = [vec(rng) for _ in range(rng.integers(1, 6))]
-        graphs = [
-            [vec(rng) for _ in range(rng.integers(0, 6))]
-            for _ in range(rng.integers(1, 6))
-        ]
+        targets = rows(rng, rng.integers(1, 6))
+        graphs = [rows(rng, rng.integers(0, 6)) for _ in range(rng.integers(1, 6))]
         got_per_triple = graph_consistency_scores(targets, graphs)
         got_score = mean_score(got_per_triple)
         want_per_triple, want_score = np_max_then_mean(targets, graphs)
@@ -405,8 +404,8 @@ def test_a10_permutation_invariance():
     samples = [f"sample text number {i} with drift" for i in range(8)]
     base_selfcheck = selfcheck(output, samples, ctx).score
 
-    targets = [vec(rng, dim=16) for _ in range(4)]
-    graphs = [[vec(rng, dim=16) for _ in range(3)] for _ in range(6)]
+    targets = rows(rng, 4, dim=16)
+    graphs = [rows(rng, 3, dim=16) for _ in range(6)]
     base_scores = graph_consistency_scores(targets, graphs)
     base_overall = mean_score(base_scores)
 
@@ -419,8 +418,7 @@ def test_a10_permutation_invariance():
         graph_order = rng.permutation(len(graphs))
         target_order = rng.permutation(len(targets))
         shuffled_scores = graph_consistency_scores(
-            [targets[i] for i in target_order],
-            [graphs[i] for i in graph_order],
+            targets[target_order], [graphs[i] for i in graph_order]
         )
         worst = max(
             worst,

@@ -149,6 +149,34 @@ class TestConfigErrors:
         assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
         assert "parallelism must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (["parallelism"], "two", "parallelism must be an integer"),
+            (["parallelism"], 1.5, "parallelism must be an integer"),
+            (["seed"], "7", "seed must be an integer"),
+            (["embedding", "dim"], 0, "embedding.dim must be >= 1"),
+            (["embedding", "dim"], "64", "embedding.dim must be an integer"),
+            (["embedding", "seed"], True, "embedding.seed must be an integer"),
+            (["detectors", 4, "n_samples"], "3", "detectors[4].n_samples must be an integer"),
+            (["detectors", 1, "use_kg"], "false", "detectors[1].use_kg must be true or false"),
+            (["provider", "rate_limit_per_minute"], "fast", "rate_limit_per_minute must be a number"),
+            (["provider", "rate_limit_per_minute"], 0, "rate_limit_per_minute must be > 0"),
+            (["output_dir"], 3, "output_dir must be a string"),
+            (["dataset", "expected_samples"], "two", "dataset.expected_samples must be an integer"),
+        ],
+    )
+    def test_bad_value_is_one_line(self, config_path, capsys, path, value, message):
+        obj = json.loads(config_path.read_text(encoding="utf-8"))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config_path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["score", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
     def test_unknown_top_level_key(self, workdir, config_path):
         obj = json.loads(config_path.read_text(encoding="utf-8"))
         obj["extra"] = 1
@@ -217,6 +245,19 @@ class TestScore:
         first = scores_path.read_bytes()
         assert self.run_score(config_path, "--fresh") == 0
         assert scores_path.read_bytes() == first
+
+    @pytest.mark.parametrize("body", ['{"resp', '{"digest": "d"}'])
+    def test_corrupt_cache_entry_is_a_miss(self, workdir, config_path, caplog, body):
+        assert self.run_score(config_path) == 0
+        scores_path = workdir / "out" / "scores.jsonl"
+        clean = scores_path.read_bytes()
+        entry = sorted((workdir / "cache").glob("*.json"))[0]
+        entry.write_text(body, encoding="utf-8")
+        assert self.run_score(config_path, "--fresh") == 0
+        assert scores_path.read_bytes() == clean
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [str(entry) in r.getMessage() for r in warnings] == [True]
+        assert json.loads(entry.read_text(encoding="utf-8"))["response"] is not None
 
     def test_selfcheck_without_samples_names_subcommand(self, workdir, capsys):
         config = no_sample_config(workdir, with_store=False)
@@ -311,6 +352,18 @@ class TestEvaluate:
             )
         assert self.evaluate(config_path) == 4
         assert "zzz:0" in capsys.readouterr().err
+
+    def test_duplicate_row_is_data_error(self, scored, config_path, capsys):
+        scores_path = scored / "out" / "scores.jsonl"
+        lines = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        scores_path.write_text("".join(lines + [lines[3]]), encoding="utf-8")
+        row = json.loads(lines[3])
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        err = capsys.readouterr().err
+        assert f"{scores_path}:{len(lines) + 1}: duplicate row" in err
+        assert repr((row["output_ref"], row["method"], row["kg_used"])) in err
+        assert err.count("\n") == 1
 
     def test_missing_scores_is_data_error(self, workdir, config_path):
         assert self.evaluate(config_path) == 4

@@ -21,7 +21,15 @@ from hallucheck.detect import (
     self_questioning_kg,
     verify_statement,
 )
-from hallucheck.embed import EmbeddingVector, HashEmbedder, clamp0, cosine_sim, triple_text
+from hallucheck.embed import (
+    DimensionMismatch,
+    EmbeddingVector,
+    HashEmbedder,
+    ZeroVector,
+    clamp0,
+    cosine_sim,
+    triple_text,
+)
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
 
@@ -205,28 +213,37 @@ class TestSelfcheck:
 
 
 def random_vectors(rng, count, dim=6):
-    return [
-        EmbeddingVector(values=tuple(rng.normal(size=dim)), model_id="t")
-        for _ in range(count)
-    ]
+    return rng.normal(size=(count, dim))
 
 
 def brute_force_consistency(target_vecs, sample_graphs):
     """Independent oracle: plain max-then-mean with numpy cosines."""
     out = []
-    for v in target_vecs:
+    for a in target_vecs:
         per_sample = []
         for graph in sample_graphs:
             best = 0.0
-            for u in graph:
-                a = np.asarray(v.values)
-                b = np.asarray(u.values)
+            for b in graph:
                 c = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
                 c = max(-1.0, min(1.0, c))
                 best = max(best, max(0.0, c))
             per_sample.append(best)
         out.append(sum(per_sample) / len(per_sample))
     return out
+
+
+def as_vectors(matrix):
+    return [EmbeddingVector(values=tuple(row.tolist()), model_id="t") for row in matrix]
+
+
+def scalar_consistency(target_vecs, sample_graphs):
+    """The per-pair definition: clamp0(cosine_sim), max per graph, mean_score."""
+    return [
+        mean_score(
+            [max((clamp0(cosine_sim(a, b)) for b in graph), default=0.0) for graph in sample_graphs]
+        )
+        for a in target_vecs
+    ]
 
 
 class TestGraphConsistency:
@@ -243,15 +260,57 @@ class TestGraphConsistency:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-9
 
+    def test_bit_identical_to_scalar_path_on_hash_vectors(self):
+        embedder = HashEmbedder(dim=384)
+        target_texts = [f"Person {i} born in City {i % 3}" for i in range(4)]
+        graph_texts = [
+            [f"Person {j} born in City {(i + j) % 3}" for j in range(i % 4)] for i in range(7)
+        ]
+        got = graph_consistency_scores(
+            embedder.embed_many(target_texts),
+            [embedder.embed_many(texts) for texts in graph_texts],
+        )
+        want = scalar_consistency(
+            [embedder.embed(t) for t in target_texts],
+            [[embedder.embed(s) for s in texts] for texts in graph_texts],
+        )
+        assert got == want
+
+    def test_bit_identical_to_scalar_path_with_negative_similarities(self):
+        rng = np.random.default_rng(12)
+        negatives = 0
+        for _ in range(200):
+            dim = int(rng.choice([2, 3, 7, 64]))
+            targets = random_vectors(rng, rng.integers(0, 5), dim)
+            graphs = [
+                random_vectors(rng, rng.integers(0, 6), dim) for _ in range(rng.integers(1, 5))
+            ]
+            negatives += sum(int((targets @ g.T < 0).sum()) for g in graphs)
+            want = scalar_consistency(as_vectors(targets), [as_vectors(g) for g in graphs])
+            assert graph_consistency_scores(targets, graphs) == want
+        assert negatives > 1000
+
     def test_empty_sample_graph_contributes_zero(self):
         target = random_vectors(np.random.default_rng(1), 1)
-        scores = graph_consistency_scores(target, [[], [target[0]]])
-        assert scores[0] == pytest.approx(0.5, abs=1e-12)
+        scores = graph_consistency_scores(target, [np.empty((0, 6)), target])
+        assert scores == [0.5]
 
     def test_no_sample_graphs_rejected(self):
         target = random_vectors(np.random.default_rng(1), 1)
         with pytest.raises(ConfigError):
             graph_consistency_scores(target, [])
+
+    def test_zero_vector_rejected(self):
+        target = random_vectors(np.random.default_rng(1), 2)
+        with pytest.raises(ZeroVector):
+            graph_consistency_scores(target, [np.zeros((1, 6))])
+        with pytest.raises(ZeroVector):
+            graph_consistency_scores(np.zeros((1, 6)), [target])
+
+    def test_dimension_mismatch_rejected(self):
+        target = random_vectors(np.random.default_rng(1), 2)
+        with pytest.raises(DimensionMismatch):
+            graph_consistency_scores(target, [random_vectors(np.random.default_rng(2), 1, 5)])
 
 
 SELFCHECK_KG_SCRIPT = {

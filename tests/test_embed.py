@@ -68,7 +68,45 @@ def test_triple_text():
     assert triple_text(Triple("Alan Turing", "born in", "London")) == "Alan Turing born in London"
 
 
+def scalar_hash_vector(text, dim, seed):
+    """The original component-by-component HashEmbedder loop."""
+    values = []
+    block = 0
+    while len(values) < dim:
+        digest = hashlib.sha256(f"{seed}:{block}:{text}".encode("utf-8")).digest()
+        for i in range(0, 32, 8):
+            if len(values) >= dim:
+                break
+            values.append(int.from_bytes(digest[i : i + 8], "big") / 2**63 - 1.0)
+        block += 1
+    if not any(values):
+        values[0] = 1.0
+    return tuple(values)
+
+
+class SlowEmbedder(HashEmbedder):
+    """Counts ``_embed_raw`` calls, each held long enough for threads to meet."""
+
+    raw_calls = 0
+
+    def _embed_raw(self, text):
+        self.raw_calls += 1
+        time.sleep(0.2)
+        return super()._embed_raw(text)
+
+
 class TestHashEmbedder:
+    @pytest.mark.parametrize("dim", [1, 3, 4, 5, 384, 385])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_bit_identical_to_scalar_loop(self, dim, seed):
+        texts = [f"text {i} \u00e9" for i in range(40)] + ["abc", "x"]
+        e = HashEmbedder(dim=dim, seed=seed)
+        matrix = e.embed_many(texts)
+        for text, row in zip(texts, matrix):
+            want = scalar_hash_vector(text, dim, seed)
+            assert e.embed(text).values == want
+            assert tuple(row.tolist()) == want
+
     def test_deterministic_and_sized(self):
         a = HashEmbedder(dim=16).embed("some text")
         b = HashEmbedder(dim=16).embed("some text")
@@ -100,22 +138,31 @@ class TestHashEmbedder:
         assert e.embed("memo") is e.embed("memo")
 
     def test_concurrent_embeds_of_one_text_compute_once(self, run_together):
-        class SlowEmbedder(HashEmbedder):
-            raw_calls = 0
-
-            def _embed_raw(self, text):
-                SlowEmbedder.raw_calls += 1
-                time.sleep(0.2)
-                return super()._embed_raw(text)
-
         e = SlowEmbedder(dim=8)
         vectors = run_together(lambda: e.embed("shared"), 8)
-        assert SlowEmbedder.raw_calls == 1
+        assert e.raw_calls == 1
         assert all(v is vectors[0] for v in vectors)
+
+    def test_concurrent_embed_many_of_one_tuple_computes_once(self, run_together):
+        e = SlowEmbedder(dim=8)
+        matrices = run_together(lambda: e.embed_many(["a", "b"]), 8)
+        assert e.raw_calls == 2
+        assert all(m is matrices[0] for m in matrices)
+
+    def test_embed_many_shape_and_read_only(self):
+        e = HashEmbedder(dim=8)
+        matrix = e.embed_many(["one", "two", "one"])
+        assert matrix.shape == (3, 8) and matrix.dtype == np.float64
+        assert (matrix[0] == matrix[2]).all()
+        assert e.embed_many([]).shape == (0, 8)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             HashEmbedder(dim=8).embed("  ")
+        with pytest.raises(ValueError):
+            HashEmbedder(dim=8).embed_many(["fine", "  "])
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -138,6 +185,15 @@ class TestSpecFileEmbedder:
         e = SpecFileEmbedder(vectors={"bad": [1.0, 2.0, 3.0]}, dim=2)
         with pytest.raises(DimensionMismatch):
             e.embed("bad")
+        with pytest.raises(DimensionMismatch):
+            e.embed_many(["bad"])
+
+    def test_embed_many_uses_pinned_rows(self):
+        e = SpecFileEmbedder(vectors={"known": [1.0, 0.0]}, dim=2)
+        assert e.embed_many(["known", "other"]).tolist() == [
+            [1.0, 0.0],
+            list(e.embed("other").values),
+        ]
 
     def test_from_file(self, tmp_path):
         spec = {"model_id": "pinned", "dim": 3, "vectors": {"t": [0.1, 0.2, 0.3]}}
