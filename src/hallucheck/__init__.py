@@ -5,11 +5,12 @@ score factuality with one of three detector families (verification-question
 rounds, direct confidence elicitation, or multi-sample consistency), each
 available sentence-level or triple-level, then evaluate score streams against
 labels with threshold search, average precision, and bootstrap intervals.
+
+The root package exports the quick-start API, the types a caller constructs
+and the error bases; everything else is importable from its submodule.
 """
 
 from .core import (
-    DEGENERATE_RELATION,
-    DEGENERATE_SUBJECT,
     DetectorMethod,
     GeneratedOutput,
     HallucheckError,
@@ -17,100 +18,34 @@ from .core import (
     Label,
     ScoreRecord,
     Triple,
-    dedupe_triples,
-    make_output_ref,
-    mean_score,
-    normalize_text,
 )
-from .detect import (
-    DetectorConfig,
-    DetectorContext,
-    DetectorError,
-    DetectorPrompts,
-    QAStep,
-    ScoreParseError,
-    parse_score,
-    run_detector,
-    selfcheck,
-    selfcheck_kg,
-    self_confidence,
-    self_confidence_kg,
-    self_questioning,
-    self_questioning_kg,
-    verify_statement,
-)
-from .embed import (
-    Embedder,
-    EmbeddingVector,
-    HashEmbedder,
-    SbertEmbedder,
-    SpecFileEmbedder,
-    clamp0,
-    cosine_sim,
-    triple_text,
-)
-from .evaluation import (
-    BootstrapCI,
-    Confusion,
-    EvalReport,
-    LabeledScore,
-    MethodComparison,
-    auc_pr,
-    balance_dataset,
-    bootstrap_ci,
-    classify,
-    compare_methods,
-    evaluate_method,
-    metrics_at,
-    threshold_search,
-)
-from .kgx import (
-    ExtractionPromptTemplate,
-    KGExtractor,
-    extract_kg,
-    kg_from_record,
-    kg_to_record,
-    parse_triples,
-    prompt_version,
-    serialize_kg,
-)
+from .detect import DetectorConfig, DetectorContext, DetectorError, DetectorPrompts, run_detector
+from .embed import HashEmbedder, SbertEmbedder, SpecFileEmbedder
+from .evaluation import LabeledScore, compare_methods, evaluate_method
+from .kgx import ExtractionPromptTemplate, KGExtractor
 from .provider import (
     ChatClient,
     ChatRequest,
-    ChatResponse,
     ConfigError,
-    DETECT_PROFILE,
     GeminiChatBackend,
     GenerationParams,
-    KG_PROFILE,
     MockChatBackend,
     OpenAIChatBackend,
     ProviderError,
-    ProviderRefusal,
     ResponseCache,
-    TransportError,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BootstrapCI",
     "ChatClient",
     "ChatRequest",
-    "ChatResponse",
     "ConfigError",
-    "Confusion",
-    "DEGENERATE_RELATION",
-    "DEGENERATE_SUBJECT",
-    "DETECT_PROFILE",
     "DetectorConfig",
     "DetectorContext",
     "DetectorError",
     "DetectorMethod",
     "DetectorPrompts",
-    "Embedder",
-    "EmbeddingVector",
-    "EvalReport",
     "ExtractionPromptTemplate",
     "GeminiChatBackend",
     "GeneratedOutput",
@@ -118,51 +53,18 @@ __all__ = [
     "HallucheckError",
     "HashEmbedder",
     "KGExtractor",
-    "KG_PROFILE",
     "KnowledgeGraph",
     "Label",
     "LabeledScore",
-    "MethodComparison",
     "MockChatBackend",
     "OpenAIChatBackend",
     "ProviderError",
-    "ProviderRefusal",
-    "QAStep",
     "ResponseCache",
     "SbertEmbedder",
-    "ScoreParseError",
     "ScoreRecord",
     "SpecFileEmbedder",
-    "TransportError",
     "Triple",
-    "auc_pr",
-    "balance_dataset",
-    "bootstrap_ci",
-    "clamp0",
-    "classify",
     "compare_methods",
-    "cosine_sim",
-    "dedupe_triples",
     "evaluate_method",
-    "extract_kg",
-    "kg_from_record",
-    "kg_to_record",
-    "make_output_ref",
-    "mean_score",
-    "metrics_at",
-    "normalize_text",
-    "parse_score",
-    "parse_triples",
-    "prompt_version",
     "run_detector",
-    "selfcheck",
-    "selfcheck_kg",
-    "self_confidence",
-    "self_confidence_kg",
-    "self_questioning",
-    "self_questioning_kg",
-    "serialize_kg",
-    "threshold_search",
-    "triple_text",
-    "verify_statement",
 ]

@@ -43,12 +43,7 @@ from .data import (
     write_score_records,
 )
 from .detect import DetectorConfig, DetectorContext, run_detector
-from .embed import (
-    Embedder,
-    HashEmbedder,
-    SbertEmbedder,
-    SpecFileEmbedder,
-)
+from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder, SpecFileEmbedder
 from .evaluation import (
     DEFAULT_RESAMPLES,
     LabeledScore,
@@ -249,6 +244,12 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     if not isinstance(detectors_obj, list):
         raise ConfigError("'detectors' must be a list")
     detectors = tuple(_detector_from_obj(d, i) for i, d in enumerate(detectors_obj))
+    first_of: dict[tuple[DetectorMethod, bool], int] = {}
+    for i, d in enumerate(detectors):
+        first = first_of.setdefault((d.method, d.use_kg), i)
+        if first != i:
+            name = _method_name(d.method.value, d.use_kg)
+            raise ConfigError(f"detectors[{i}] repeats detectors[{first}] ({name})")
 
     dataset_obj = obj.get("dataset", {})
     _take(dataset_obj, {"path", "kind", "expected_samples"}, "dataset")
@@ -306,7 +307,7 @@ def build_client(cfg: RunConfig) -> ChatClient:
     )
 
 
-def build_embedder(cfg: RunConfig) -> Embedder:
+def build_embedder(cfg: RunConfig) -> MemoizingEmbedder:
     e = cfg.embedding
     if e.backend == "hash":
         return HashEmbedder(dim=e.dim, seed=e.seed)
@@ -319,7 +320,7 @@ def build_embedder(cfg: RunConfig) -> Embedder:
     raise ConfigError(f"unknown embedding backend {e.backend!r}")
 
 
-def _meta_record(cfg: RunConfig, embedder: Embedder | None) -> dict:
+def _meta_record(cfg: RunConfig, embedder: MemoizingEmbedder | None) -> dict:
     return {
         "_meta": True,
         "config_digest": cfg.config_digest,
@@ -417,7 +418,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             else:
                 raise ConfigError(
                     f"paragraph {record.paragraph_id!r} has no samples; generate "
-                    "them first with the 'samples' subcommand (persist_samples)"
+                    "them first with the 'samples' subcommand"
                 )
         output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
         units.extend(
@@ -469,6 +470,8 @@ def _method_name(method: str, kg_used: bool) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    if args.resamples < 1:
+        raise ConfigError(f"--resamples must be >= 1, got {args.resamples}")
     out_dir = cfg.resolve(cfg.output_dir)
     scores_path = Path(args.scores) if args.scores else out_dir / "scores.jsonl"
     positive = Label(args.positive)

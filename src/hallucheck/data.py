@@ -27,10 +27,8 @@ from math import fsum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .core import DetectorMethod, HallucheckError, Label, ScoreRecord, Triple
-from .embed import Embedder, EmbeddingVector, cosine_sim
+from .embed import MemoizingEmbedder, cosine_sim
 from .kgx import load_prompt_resource
 from .provider import ChatClient, ChatRequest, DETECT_PROFILE
 
@@ -348,12 +346,7 @@ def _mean(values: Sequence[float]) -> float:
     return fsum(values) / len(values) if values else 0.0
 
 
-def _centroid(vectors: Sequence[EmbeddingVector], model_id: str) -> EmbeddingVector:
-    stacked = np.array([v.values for v in vectors], dtype=np.float64)
-    return EmbeddingVector(values=tuple(stacked.mean(axis=0)), model_id=model_id)
-
-
-def compute_stats(records: Sequence[WikiBioRecord], embedder: Embedder) -> DatasetStats:
+def compute_stats(records: Sequence[WikiBioRecord], embedder: MemoizingEmbedder) -> DatasetStats:
     """Counts, whitespace word-length averages, and the class-separation
     similarity: cosine between the centroid embeddings of the two classes.
 
@@ -378,8 +371,8 @@ def compute_stats(records: Sequence[WikiBioRecord], embedder: Embedder) -> Datas
     accurate = [r.sentence for r in records if r.label == Label.ACCURATE]
     if not hallucinated or not accurate:
         raise DegenerateLabels("need sentences in both classes to compute similarity")
-    centroid_h = _centroid([embedder.embed(s) for s in hallucinated], embedder.model_id)
-    centroid_a = _centroid([embedder.embed(s) for s in accurate], embedder.model_id)
+    centroid_h = embedder.embed_many(hallucinated).mean(axis=0)
+    centroid_a = embedder.embed_many(accurate).mean(axis=0)
     return DatasetStats(
         sentence_count=len(records),
         paragraph_count=len(by_paragraph),
@@ -429,8 +422,7 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         with self._lock:
             if path.exists():
-                existing = json.loads(path.read_text(encoding="utf-8"))
-                if existing["digest"] == digest:
+                if self._read(path, "digest", str) == digest:
                     return StoreReceipt(paragraph_id, digest, duplicate=True)
                 raise StoreConflict(
                     f"paragraph {paragraph_id!r} already stored with different samples"
@@ -455,8 +447,22 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         if not path.exists():
             raise NotFound(f"no samples stored for paragraph {paragraph_id!r}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return list(payload["samples"])
+        samples = self._read(path, "samples", list)
+        if not all(isinstance(s, str) for s in samples):
+            raise SchemaError(f"{path}: 'samples' must be a list of strings")
+        return samples
+
+    @staticmethod
+    def _read(path: Path, key: str, kind: type):
+        """``key`` of a stored file, checked to be a ``kind``; an unreadable
+        file is a SchemaError naming it."""
+        try:
+            value = json.loads(path.read_text(encoding="utf-8"))[key]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SchemaError(f"{path}: not a sample-store file ({exc})") from exc
+        if not isinstance(value, kind):
+            raise SchemaError(f"{path}: {key!r} must be a JSON {kind.__name__}")
+        return value
 
     def has(self, paragraph_id: str) -> bool:
         return self._path_for(paragraph_id).exists()
@@ -464,14 +470,8 @@ class SampleStore:
     def paragraph_ids(self) -> list[str]:
         ids = []
         for path in sorted(self.directory.glob("*.json")):
-            ids.append(json.loads(path.read_text(encoding="utf-8"))["paragraph_id"])
+            ids.append(self._read(path, "paragraph_id", str))
         return sorted(ids)
-
-
-def persist_samples(
-    paragraph_id: str, samples: Sequence[str], path: str | os.PathLike
-) -> StoreReceipt:
-    return SampleStore(path).put(paragraph_id, samples)
 
 
 def score_record_to_dict(record: ScoreRecord) -> dict:

@@ -1,6 +1,6 @@
-"""The six hallucination self-detectors.
+"""Hallucination self-detection: three strategies, one dispatch.
 
-Three strategies, each in a sentence-level and a triple-level variant:
+Each strategy has a sentence-level and a triple-level (``+kg``) variant:
 
 * self-questioning: the model writes a verification question about the claim,
   answers it from its own knowledge, then rates the agreement between claim
@@ -11,10 +11,11 @@ Three strategies, each in a sentence-level and a triple-level variant:
   regenerations by embedding similarity.
 
 The triple-level variants first extract a knowledge graph from the output and
-score each triple separately; the output score is the arithmetic mean of the
-triple scores. All scores live in [0, 1]; lower means more likely
-hallucinated. Aggregation uses exactly-rounded summation, so triple or sample
-order never changes a score, which also makes bounded parallel execution safe.
+run the same strategy on each triple; the output score is the arithmetic mean
+of the triple scores. ``run_detector`` is the one entry point. All scores live
+in [0, 1]; lower means more likely hallucinated. Aggregation uses
+exactly-rounded summation, so triple or sample order never changes a score,
+which also makes bounded parallel execution safe.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import logging
 import re
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -39,7 +40,7 @@ from .core import (
 )
 from .embed import (
     DimensionMismatch,
-    Embedder,
+    MemoizingEmbedder,
     ZeroVector,
     cosine_sim,  # noqa: F401  (unused; bench/tracing.py wraps detect.cosine_sim by name)
     triple_text,
@@ -50,7 +51,6 @@ from .provider import (
     ChatRequest,
     ConfigError,
     DETECT_PROFILE,
-    GenerationParams,
     ProviderError,
     ProviderRefusal,
 )
@@ -134,14 +134,10 @@ class DetectorConfig:
     method: DetectorMethod
     use_kg: bool = False
     n_samples: int = 20
-    prompt_version: str = ""
-    score_parse_policy: str = "first_float_clamped"
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.score_parse_policy != "first_float_clamped":
-            raise ConfigError(f"unknown score parse policy {self.score_parse_policy!r}")
 
 
 @dataclass
@@ -156,10 +152,9 @@ class DetectorContext:
 
     client: ChatClient | None = None
     model_id: str = ""
-    embedder: Embedder | None = None
+    embedder: MemoizingEmbedder | None = None
     extractor: KGExtractor | None = None
     prompts: DetectorPrompts | None = None
-    params: GenerationParams = DETECT_PROFILE
     executor: Executor | None = None
 
     def __post_init__(self) -> None:
@@ -171,7 +166,7 @@ class DetectorContext:
             raise ConfigError("detector needs a chat client and a model_id")
         return self.client
 
-    def require_embedder(self) -> Embedder:
+    def require_embedder(self) -> MemoizingEmbedder:
         if self.embedder is None:
             raise ConfigError("detector needs an embedder")
         return self.embedder
@@ -183,7 +178,7 @@ class DetectorContext:
 
     def _complete(self, content: str) -> str:
         client = self.require_client()
-        return client.complete(ChatRequest.user(self.model_id, content, self.params)).content
+        return client.complete(ChatRequest.user(self.model_id, content, DETECT_PROFILE)).content
 
 
 def _map_bounded(fn: Callable[[T], R], items: Sequence[T], executor: Executor | None) -> list[R]:
@@ -235,94 +230,6 @@ def _score_triples(
     return kept, misses
 
 
-def _record(
-    output: GeneratedOutput,
-    method: DetectorMethod,
-    ctx: DetectorContext,
-    *,
-    score: float | None = None,
-    triple_scores: tuple[tuple[Triple, float], ...] | None = None,
-    misses: int = 0,
-    kg_used: bool,
-) -> ScoreRecord:
-    if triple_scores is not None:
-        score = mean_score([c for _, c in triple_scores])
-    assert score is not None
-    prompts = ctx.prompts
-    assert prompts is not None
-    return ScoreRecord(
-        output_ref=output.prompt_id,
-        method=method,
-        score=score,
-        kg_used=kg_used,
-        triple_scores=triple_scores,
-        misses=misses,
-        prompt_version=prompts.version,
-        model_id=ctx.model_id or (ctx.embedder.model_id if ctx.embedder else ""),
-    )
-
-
-def self_questioning(output: GeneratedOutput, ctx: DetectorContext) -> ScoreRecord:
-    """Sentence-level verification question round; the agreement score is the
-    consistency estimate."""
-    step = verify_statement(ctx, output.text)
-    return _record(
-        output, DetectorMethod.SELF_QUESTIONING, ctx, score=step.consistency, kg_used=False
-    )
-
-
-def self_questioning_kg(output: GeneratedOutput, ctx: DetectorContext) -> ScoreRecord:
-    """Per-triple verification rounds over the output's knowledge graph."""
-    kg = ctx.require_extractor().extract(output.text, output.context)
-    triple_scores, misses = _score_triples(
-        kg,
-        lambda statement: verify_statement(ctx, statement).consistency,
-        ctx.executor,
-    )
-    return _record(
-        output,
-        DetectorMethod.SELF_QUESTIONING,
-        ctx,
-        triple_scores=triple_scores,
-        misses=misses,
-        kg_used=True,
-    )
-
-
-def self_confidence(output: GeneratedOutput, ctx: DetectorContext) -> ScoreRecord:
-    """One confidence elicitation for the whole sentence."""
-    score = _elicit_confidence(ctx, output.text)
-    return _record(output, DetectorMethod.SELF_CONFIDENCE, ctx, score=score, kg_used=False)
-
-
-def self_confidence_kg(output: GeneratedOutput, ctx: DetectorContext) -> ScoreRecord:
-    """One confidence elicitation per extracted triple."""
-    kg = ctx.require_extractor().extract(output.text, output.context)
-    triple_scores, misses = _score_triples(
-        kg, lambda statement: _elicit_confidence(ctx, statement), ctx.executor
-    )
-    return _record(
-        output,
-        DetectorMethod.SELF_CONFIDENCE,
-        ctx,
-        triple_scores=triple_scores,
-        misses=misses,
-        kg_used=True,
-    )
-
-
-def selfcheck(output: GeneratedOutput, samples: Sequence[str], ctx: DetectorContext) -> ScoreRecord:
-    """Mean embedding similarity between the output and each sampled
-    regeneration, negatives floored at zero."""
-    if not samples:
-        raise ConfigError("selfcheck needs at least one sample")
-    embedder = ctx.require_embedder()
-    target = embedder.embed_many([output.text])
-    rows = embedder.embed_many(samples)
-    (score,) = _best_match_means(target, [rows[i : i + 1] for i in range(len(rows))])
-    return _record(output, DetectorMethod.SELFCHECK, ctx, score=score, kg_used=False)
-
-
 def graph_consistency_scores(
     targets: np.ndarray, sample_graphs: Sequence[np.ndarray]
 ) -> list[float]:
@@ -369,24 +276,20 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(matrix, matrix))
 
 
-def selfcheck_kg(
-    output: GeneratedOutput, samples: Sequence[str], ctx: DetectorContext
-) -> ScoreRecord:
-    """Triple-level selfcheck: extract graphs from the output and every
-    sample, then score each output triple by its best match per sample graph."""
+
+
+_STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]] = {
+    DetectorMethod.SELF_QUESTIONING: lambda ctx, s: verify_statement(ctx, s).consistency,
+    DetectorMethod.SELF_CONFIDENCE: _elicit_confidence,
+}
+
+
+def _chosen_samples(config: DetectorConfig, samples: Sequence[str] | None) -> list[str]:
     if not samples:
-        raise ConfigError("selfcheck needs at least one sample")
-    extractor = ctx.require_extractor()
-    embedder = ctx.require_embedder()
-    kg = extractor.extract(output.text, output.context)
-    sample_kgs = _map_bounded(lambda s: extractor.extract(s), samples, ctx.executor)
-    targets = embedder.embed_many(_triple_statements(kg))
-    graphs = [embedder.embed_many(_triple_statements(sample_kg)) for sample_kg in sample_kgs]
-    per_triple = graph_consistency_scores(targets, graphs)
-    triple_scores = tuple(zip(kg.triples, per_triple))
-    return _record(
-        output, DetectorMethod.SELFCHECK, ctx, triple_scores=triple_scores, kg_used=True
-    )
+        raise ConfigError("selfcheck configured but no samples provided")
+    if len(samples) < config.n_samples:
+        raise ConfigError(f"selfcheck needs {config.n_samples} samples, got {len(samples)}")
+    return list(samples[: config.n_samples])
 
 
 def run_detector(
@@ -395,27 +298,47 @@ def run_detector(
     ctx: DetectorContext,
     samples: Sequence[str] | None = None,
 ) -> ScoreRecord:
-    """Dispatch to the configured detector and stamp provenance and timing."""
+    """Score one output with the configured detector.
+
+    self-questioning and self-confidence score the sentence with one
+    per-statement scorer; their ``+kg`` variants run it on every triple of the
+    output's graph under the miss policy. selfcheck compares the sentence, or
+    each triple with the sample graphs, against the first ``n_samples``
+    samples by embedding similarity. The samples are checked before any
+    backend call.
+    """
     started = time.perf_counter()
+    triple_scores = None
+    misses = 0
     try:
         if config.method is DetectorMethod.SELFCHECK:
-            if not samples:
-                raise ConfigError("selfcheck configured but no samples provided")
-            if len(samples) < config.n_samples:
-                raise ConfigError(
-                    f"selfcheck needs {config.n_samples} samples, got {len(samples)}"
-                )
-            chosen = list(samples[: config.n_samples])
+            chosen = _chosen_samples(config, samples)
+            embedder = ctx.require_embedder()
             if config.use_kg:
-                record = selfcheck_kg(output, chosen, ctx)
+                extractor = ctx.require_extractor()
+                kg = extractor.extract(output.text, output.context)
+                sample_kgs = _map_bounded(extractor.extract, chosen, ctx.executor)
+                per_triple = graph_consistency_scores(
+                    embedder.embed_many(_triple_statements(kg)),
+                    [embedder.embed_many(_triple_statements(g)) for g in sample_kgs],
+                )
+                triple_scores = tuple(zip(kg.triples, per_triple))
             else:
-                record = selfcheck(output, chosen, ctx)
-        elif config.method is DetectorMethod.SELF_QUESTIONING:
-            record = self_questioning_kg(output, ctx) if config.use_kg else self_questioning(output, ctx)
-        elif config.method is DetectorMethod.SELF_CONFIDENCE:
-            record = self_confidence_kg(output, ctx) if config.use_kg else self_confidence(output, ctx)
+                rows = embedder.embed_many(chosen)
+                (score,) = _best_match_means(
+                    embedder.embed_many([output.text]), [rows[i : i + 1] for i in range(len(rows))]
+                )
         else:
-            raise ConfigError(f"unknown detector method {config.method!r}")
+            score_one = _STATEMENT_SCORERS.get(config.method)
+            if score_one is None:
+                raise ConfigError(f"unknown detector method {config.method!r}")
+            if config.use_kg:
+                kg = ctx.require_extractor().extract(output.text, output.context)
+                triple_scores, misses = _score_triples(
+                    kg, lambda statement: score_one(ctx, statement), ctx.executor
+                )
+            else:
+                score = score_one(ctx, output.text)
     except ConfigError:
         raise
     except HallucheckError as exc:
@@ -424,7 +347,17 @@ def run_detector(
             f"{config.method.value}{'+kg' if config.use_kg else ''} failed on "
             f"{output.prompt_id}: {exc}"
         ) from exc
-    stamps = {"elapsed_s": time.perf_counter() - started}
-    if config.prompt_version:
-        stamps["prompt_version"] = config.prompt_version
-    return replace(record, **stamps)
+    if triple_scores is not None:
+        score = mean_score([c for _, c in triple_scores])
+    assert ctx.prompts is not None
+    return ScoreRecord(
+        output_ref=output.prompt_id,
+        method=config.method,
+        score=score,
+        kg_used=config.use_kg,
+        triple_scores=triple_scores,
+        misses=misses,
+        prompt_version=ctx.prompts.version,
+        model_id=ctx.model_id or (ctx.embedder.model_id if ctx.embedder else ""),
+        elapsed_s=time.perf_counter() - started,
+    )

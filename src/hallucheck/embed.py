@@ -3,9 +3,9 @@
 The backend is pluggable: a deterministic hash-to-vector embedder for offline
 runs, a spec-file embedder that pins exact vectors for chosen texts, and a
 sentence-transformer wrapper for production. Every backend returns
-fixed-dimension float64 vectors, memoized per text (``embed``) and as
-``(k, d)`` matrices per tuple of texts (``embed_many``, which the detectors
-use). Similarities feeding detector scores are clamped at zero so a score
+read-only float64 arrays: ``(k, d)`` matrices memoized per tuple of texts
+(``embed_many``, which the detectors use) and single rows (``embed``).
+Similarities feeding detector scores are clamped at zero so a score
 never leaves [0, 1].
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,21 +33,13 @@ class ZeroVector(HallucheckError):
     """Cosine similarity is undefined for an all-zero vector."""
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    model_id: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def cosine_sim(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (|a| * |b|), clamped into [-1, 1] against float round-off."""
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """dot(a, b) / (|a| * |b|) of two 1-D arrays, clamped into [-1, 1] against
+    float round-off."""
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    va = np.asarray(a.values, dtype=np.float64)
-    vb = np.asarray(b.values, dtype=np.float64)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     norm_a = float(np.linalg.norm(va))
     norm_b = float(np.linalg.norm(vb))
     if norm_a == 0.0 or norm_b == 0.0:
@@ -68,29 +59,26 @@ def triple_text(t: Triple) -> str:
 
 
 class MemoizingEmbedder:
-    """Base embedder: memoizes a vector per text and a matrix per tuple of
-    texts; concurrent callers for one key share a single computation."""
+    """Base embedder: memoizes a matrix per tuple of texts; concurrent
+    callers for one tuple share a single computation."""
 
     model_id: str
     dim: int
 
     def __init__(self) -> None:
-        self._memo: OnceMemo[EmbeddingVector] = OnceMemo()
         self._matrices: OnceMemo[np.ndarray] = OnceMemo()
 
     def _embed_raw(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
-    def embed(self, text: str) -> EmbeddingVector:
-        return self._memo.get(
-            text,
-            lambda: EmbeddingVector(values=tuple(self._row(text).tolist()), model_id=self.model_id),
-        )
+    def embed(self, text: str) -> np.ndarray:
+        """The read-only ``(dim,)`` vector of one text: the single row of
+        ``embed_many((text,))``."""
+        return self.embed_many((text,))[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """A read-only ``(len(texts), dim)`` float64 matrix, one row per text
-        in order, with the same values as ``embed``. Memoized per tuple of
-        texts; no per-text vector is kept."""
+        in order. Memoized per tuple of texts."""
         key = tuple(texts)
         return self._matrices.get(key, lambda: self._matrix(key))
 
@@ -213,6 +201,3 @@ class SbertEmbedder(MemoizingEmbedder):
         except Exception as exc:
             raise EmbedBackendError(f"embedding failed: {exc}") from exc
         return encoded[0]
-
-
-Embedder = MemoizingEmbedder

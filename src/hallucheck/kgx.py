@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import KnowledgeGraph, OnceMemo, Triple
-from .provider import ChatClient, ChatRequest, GenerationParams, KG_PROFILE
+from .provider import ChatClient, ChatRequest, KG_PROFILE
 
 logger = logging.getLogger(__name__)
 
@@ -153,17 +153,10 @@ class KGExtractor:
     run telemetry; losses never abort an extraction.
     """
 
-    def __init__(
-        self,
-        client: ChatClient,
-        model_id: str,
-        template: ExtractionPromptTemplate | None = None,
-        params: GenerationParams = KG_PROFILE,
-    ):
+    def __init__(self, client: ChatClient, model_id: str):
         self.client = client
         self.model_id = model_id
-        self.template = template or ExtractionPromptTemplate.default()
-        self.params = params
+        self.template = ExtractionPromptTemplate.default()
         self.parse_losses = 0
         self._memo: OnceMemo[KnowledgeGraph] = OnceMemo()
         self._lock = threading.Lock()
@@ -176,7 +169,7 @@ class KGExtractor:
         return self._memo.get((text, context), lambda: self._extract_once(text, context))
 
     def _extract_once(self, text: str, context: str | None) -> KnowledgeGraph:
-        request = ChatRequest.user(self.model_id, self.template.render(text, context), self.params)
+        request = ChatRequest.user(self.model_id, self.template.render(text, context), KG_PROFILE)
         reply = self.client.complete(request).content
         result = parse_triples(reply)
         if result.losses:
@@ -188,14 +181,3 @@ class KGExtractor:
         with self._lock:
             self.parse_losses += result.losses
         return KnowledgeGraph.build(list(result.triples), source_text=text)
-
-
-def extract_kg(
-    text: str,
-    client: ChatClient,
-    model_id: str,
-    context: str | None = None,
-    template: ExtractionPromptTemplate | None = None,
-) -> KnowledgeGraph:
-    """One-shot extraction without keeping an extractor around."""
-    return KGExtractor(client, model_id, template=template).extract(text, context)

@@ -177,6 +177,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("resamples", ["0", "-5"])
+    def test_resamples_below_one(self, config_path, capsys, resamples):
+        code = main(["evaluate", "--config", str(config_path), "--resamples", resamples])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--resamples must be >= 1, got {resamples}" in err and err.count("\n") == 1
+
+    def test_repeated_detector(self, workdir, config_path, capsys):
+        obj = json.loads(config_path.read_text(encoding="utf-8"))
+        obj["detectors"].append({"method": "self_confidence", "use_kg": False})
+        config_path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["score", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "detectors[6] repeats detectors[2] (self_confidence)" in err
+        assert err.count("\n") == 1
+        assert not (workdir / "out" / "scores.jsonl").exists()
+
     def test_unknown_top_level_key(self, workdir, config_path):
         obj = json.loads(config_path.read_text(encoding="utf-8"))
         obj["extra"] = 1
@@ -287,6 +304,17 @@ class TestSamples:
         assert "scored 20" in capsys.readouterr().out
         records = list(read_score_records(workdir / "out" / "scores.jsonl"))
         assert len(records) == 20
+
+    @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]'])
+    def test_corrupt_store_file_is_data_error(self, workdir, capsys, body):
+        config = no_sample_config(workdir, with_store=True)
+        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        entry = sorted((workdir / "samples").glob("*.json"))[0]
+        entry.write_text(body, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert str(entry) in err and err.count("\n") == 1
 
     def test_zero_samples_rejected(self, workdir):
         config = no_sample_config(workdir, with_store=True)

@@ -18,7 +18,6 @@ from hallucheck.data import (
     load_simpleqa,
     load_wikibio,
     parse_judge_verdict,
-    persist_samples,
     read_score_records,
     save_simpleqa,
     save_wikibio,
@@ -433,15 +432,38 @@ class TestSampleStore:
         assert store.get("../weird/id") == ["s"]
         assert (tmp_path / "store").is_dir()
 
+    def test_non_string_sample_is_a_schema_error(self, tmp_path):
+        store = SampleStore(tmp_path / "store")
+        store.put("bio-001", ["x"])
+        (path,) = (tmp_path / "store").glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["samples"] = ["x", 7]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match=path.name):
+            store.get("bio-001")
+
     def test_empty_samples_rejected(self, tmp_path):
         store = SampleStore(tmp_path / "store")
         with pytest.raises(ValueError):
             store.put("bio-001", [])
 
-    def test_persist_samples(self, tmp_path):
-        receipt = persist_samples("bio-002", ["a"], tmp_path / "store")
+    def test_put_creates_the_directory(self, tmp_path):
+        receipt = SampleStore(tmp_path / "store").put("bio-002", ["a"])
         assert not receipt.duplicate
         assert SampleStore(tmp_path / "store").get("bio-002") == ["a"]
+
+    @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]', '{"samples": "ab", "digest": 3}'])
+    def test_corrupt_file_is_a_schema_error_naming_it(self, tmp_path, body):
+        store = SampleStore(tmp_path / "store")
+        store.put("bio-001", ["x"])
+        (path,) = (tmp_path / "store").glob("*.json")
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(SchemaError, match=path.name):
+            store.get("bio-001")
+        with pytest.raises(SchemaError, match=path.name):
+            store.put("bio-001", ["x"])
+        with pytest.raises(SchemaError, match=path.name):
+            store.paragraph_ids()
 
 
 def sample_record(with_triples=True):

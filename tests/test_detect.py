@@ -1,34 +1,30 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hallucheck.core import DetectorMethod, GeneratedOutput, Triple, mean_score
+from hallucheck.core import DetectorMethod, GeneratedOutput, mean_score
 from hallucheck.detect import (
     DetectorConfig,
     DetectorContext,
     DetectorError,
+    DetectorPrompts,
+    DetectorProviderError,
     QAStep,
     ScoreParseError,
     graph_consistency_scores,
     parse_score,
     run_detector,
-    selfcheck,
-    selfcheck_kg,
-    self_confidence,
-    self_confidence_kg,
-    self_questioning,
-    self_questioning_kg,
     verify_statement,
 )
 from hallucheck.embed import (
     DimensionMismatch,
-    EmbeddingVector,
     HashEmbedder,
     ZeroVector,
     clamp0,
     cosine_sim,
-    triple_text,
 )
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
@@ -89,15 +85,15 @@ class TestConfigAndSteps:
         with pytest.raises(ConfigError):
             DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=0)
 
-    def test_bad_parse_policy(self):
-        with pytest.raises(ConfigError):
-            DetectorConfig(
-                method=DetectorMethod.SELF_CONFIDENCE, score_parse_policy="strict"
-            )
-
     def test_qastep_bounds(self):
         with pytest.raises(ValueError):
             QAStep(question="q", answer="a", consistency=1.3)
+
+
+def detect(ctx, method, text, use_kg=False, samples=None):
+    """``run_detector`` on one output; selfcheck uses every given sample."""
+    config = DetectorConfig(method=method, use_kg=use_kg, n_samples=max(1, len(samples or ())))
+    return run_detector(config, GeneratedOutput("p", text), ctx, samples=samples)
 
 
 class TestQuestioning:
@@ -111,7 +107,7 @@ class TestQuestioning:
 
     def test_sentence_level(self):
         ctx, _ = make_ctx(QA_SCRIPT)
-        record = self_questioning(GeneratedOutput("p", "Paris is in France."), ctx)
+        record = detect(ctx, DetectorMethod.SELF_QUESTIONING, "Paris is in France.")
         assert record.method is DetectorMethod.SELF_QUESTIONING
         assert not record.kg_used
         assert record.triple_scores is None
@@ -121,8 +117,8 @@ class TestQuestioning:
 
     def test_triple_level_averages(self):
         ctx, _ = make_ctx(QA_SCRIPT)
-        record = self_questioning_kg(
-            GeneratedOutput("p", "A sentence with two facts."), ctx
+        record = detect(
+            ctx, DetectorMethod.SELF_QUESTIONING, "A sentence with two facts.", use_kg=True
         )
         assert record.kg_used
         assert [c for _, c in record.triple_scores] == [0.9, 0.1]
@@ -133,13 +129,15 @@ class TestQuestioning:
 class TestConfidence:
     def test_sentence_level(self):
         ctx, backend = make_ctx(QA_SCRIPT)
-        record = self_confidence(GeneratedOutput("p", "Paris is in France."), ctx)
+        record = detect(ctx, DetectorMethod.SELF_CONFIDENCE, "Paris is in France.")
         assert record.score == 0.8
         assert backend.calls == 1
 
     def test_triple_level(self):
         ctx, _ = make_ctx(QA_SCRIPT)
-        record = self_confidence_kg(GeneratedOutput("p", "A sentence with two facts."), ctx)
+        record = detect(
+            ctx, DetectorMethod.SELF_CONFIDENCE, "A sentence with two facts.", use_kg=True
+        )
         assert [c for _, c in record.triple_scores] == [0.8, 0.2]
         assert record.score == 0.5
 
@@ -155,7 +153,7 @@ class TestConfidence:
             "default": "cannot answer that",
         }
         ctx, _ = make_ctx(script)
-        record = self_confidence_kg(GeneratedOutput("p", "text"), ctx)
+        record = detect(ctx, DetectorMethod.SELF_CONFIDENCE, "text", use_kg=True)
         assert record.misses == 1
         assert len(record.triple_scores) == 1
         assert record.score == 0.8
@@ -169,14 +167,14 @@ class TestConfidence:
         }
         ctx, _ = make_ctx(script)
         with pytest.raises(DetectorError):
-            self_confidence_kg(GeneratedOutput("p", "text"), ctx)
+            detect(ctx, DetectorMethod.SELF_CONFIDENCE, "text", use_kg=True)
 
 
 class TestSelfcheck:
     def test_identical_samples_give_one(self):
         ctx = DetectorContext(embedder=HashEmbedder(dim=32))
-        out = GeneratedOutput("p", "The same sentence.")
-        record = selfcheck(out, ["The same sentence.", "The same sentence."], ctx)
+        samples = ["The same sentence.", "The same sentence."]
+        record = detect(ctx, DetectorMethod.SELFCHECK, "The same sentence.", samples=samples)
         assert record.score == pytest.approx(1.0, abs=1e-9)
         assert record.method is DetectorMethod.SELFCHECK
         assert not record.kg_used
@@ -185,31 +183,32 @@ class TestSelfcheck:
         embedder = HashEmbedder(dim=32)
         ctx = DetectorContext(embedder=embedder)
         samples = ["First regeneration.", "Second regeneration.", "Third one."]
-        out = GeneratedOutput("p", "The original output.")
-        target = embedder.embed(out.text)
+        target = embedder.embed("The original output.")
         expected = mean_score(
             [clamp0(cosine_sim(target, embedder.embed(s))) for s in samples]
         )
-        assert selfcheck(out, samples, ctx).score == expected
+        record = detect(ctx, DetectorMethod.SELFCHECK, "The original output.", samples=samples)
+        assert record.score == expected
 
     def test_order_does_not_matter(self):
         ctx = DetectorContext(embedder=HashEmbedder(dim=32))
-        out = GeneratedOutput("p", "Order check.")
         samples = ["alpha text", "beta text", "gamma text"]
-        forward = selfcheck(out, samples, ctx).score
-        backward = selfcheck(out, list(reversed(samples)), ctx).score
+        forward = detect(ctx, DetectorMethod.SELFCHECK, "Order check.", samples=samples).score
+        backward = detect(
+            ctx, DetectorMethod.SELFCHECK, "Order check.", samples=list(reversed(samples))
+        ).score
         assert forward == backward
 
     def test_zero_samples_rejected(self):
         ctx = DetectorContext(embedder=HashEmbedder(dim=8))
         with pytest.raises(ConfigError):
-            selfcheck(GeneratedOutput("p", "t"), [], ctx)
+            detect(ctx, DetectorMethod.SELFCHECK, "t", samples=[])
 
     def test_needs_embedder(self):
         ctx, _ = make_ctx()
         ctx.embedder = None
         with pytest.raises(ConfigError):
-            selfcheck(GeneratedOutput("p", "t"), ["s"], ctx)
+            detect(ctx, DetectorMethod.SELFCHECK, "t", samples=["s"])
 
 
 def random_vectors(rng, count, dim=6):
@@ -230,10 +229,6 @@ def brute_force_consistency(target_vecs, sample_graphs):
             per_sample.append(best)
         out.append(sum(per_sample) / len(per_sample))
     return out
-
-
-def as_vectors(matrix):
-    return [EmbeddingVector(values=tuple(row.tolist()), model_id="t") for row in matrix]
 
 
 def scalar_consistency(target_vecs, sample_graphs):
@@ -286,7 +281,7 @@ class TestGraphConsistency:
                 random_vectors(rng, rng.integers(0, 6), dim) for _ in range(rng.integers(1, 5))
             ]
             negatives += sum(int((targets @ g.T < 0).sum()) for g in graphs)
-            want = scalar_consistency(as_vectors(targets), [as_vectors(g) for g in graphs])
+            want = scalar_consistency(targets, graphs)
             assert graph_consistency_scores(targets, graphs) == want
         assert negatives > 1000
 
@@ -337,17 +332,17 @@ class TestSelfcheckKG:
     def build(self, executor=None):
         embedder = HashEmbedder(dim=32)
         ctx, backend = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder, executor=executor)
-        out = GeneratedOutput("p", "Alan Turing was born in London and studied there.")
+        text = "Alan Turing was born in London and studied there."
         samples = [
             "Turing was born in London.",
             "Turing lived in Cambridge for a while.",
             "No facts at all.",
         ]
-        return ctx, backend, out, samples
+        return ctx, backend, text, samples
 
     def test_score_matches_componentwise_computation(self):
-        ctx, _, out, samples = self.build()
-        record = selfcheck_kg(out, samples, ctx)
+        ctx, _, text, samples = self.build()
+        record = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
         assert record.kg_used
         assert len(record.triple_scores) == 2
 
@@ -370,20 +365,22 @@ class TestSelfcheckKG:
         assert record.score == mean_score(expected)
 
     def test_parallel_equals_serial(self):
-        ctx, _, out, samples = self.build()
-        serial_record = selfcheck_kg(out, samples, ctx)
+        ctx, _, text, samples = self.build()
+        serial_record = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
         with ThreadPoolExecutor(4) as pool:
-            ctx, _, out, samples = self.build(executor=pool)
-            record = selfcheck_kg(out, samples, ctx)
+            ctx, _, text, samples = self.build(executor=pool)
+            record = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
         assert record.score == serial_record.score
         assert record.triple_scores == serial_record.triple_scores
 
     def test_sample_order_invariant(self):
-        ctx, _, out, samples = self.build()
-        forward = selfcheck_kg(out, samples, ctx).score
-        ctx2, _, out2, _ = self.build()
-        backward = selfcheck_kg(out2, list(reversed(samples)), ctx2).score
-        assert forward == backward
+        ctx, _, text, samples = self.build()
+        forward = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
+        ctx2, _, text2, _ = self.build()
+        backward = detect(
+            ctx2, DetectorMethod.SELFCHECK, text2, use_kg=True, samples=list(reversed(samples))
+        )
+        assert forward.score == backward.score
 
 
 class TestRunDetector:
@@ -393,51 +390,94 @@ class TestRunDetector:
             (DetectorMethod.SELF_QUESTIONING, True),
             (DetectorMethod.SELF_CONFIDENCE, False),
             (DetectorMethod.SELF_CONFIDENCE, True),
+            (DetectorMethod.SELFCHECK, False),
+            (DetectorMethod.SELFCHECK, True),
         ]:
-            ctx, _ = make_ctx(QA_SCRIPT)
-            config = DetectorConfig(method=method, use_kg=use_kg)
+            ctx, _ = make_ctx(QA_SCRIPT, embedder=HashEmbedder(dim=8))
+            config = DetectorConfig(method=method, use_kg=use_kg, n_samples=1)
             record = run_detector(
-                config, GeneratedOutput("p", "A sentence with two facts."), ctx
+                config, GeneratedOutput("p", "A sentence with two facts."), ctx, samples=["s"]
             )
             assert record.method is method
             assert record.kg_used is use_kg
+            assert (record.triple_scores is not None) is use_kg
             assert record.elapsed_s is not None
 
     def test_selfcheck_dispatch_uses_first_n_samples(self):
-        embedder = HashEmbedder(dim=32)
-        ctx = DetectorContext(embedder=embedder)
-        config = DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=2)
-        out = GeneratedOutput("p", "Output text.")
         samples = ["s one", "s two", "s three ignored"]
-        record = run_detector(config, out, ctx, samples=samples)
+        out = GeneratedOutput("p", "Output text.")
+        for use_kg in (False, True):
+            embedder = HashEmbedder(dim=32)
+            ctx, backend = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder)
+            config = DetectorConfig(method=DetectorMethod.SELFCHECK, use_kg=use_kg, n_samples=2)
+            record = run_detector(config, out, ctx, samples=samples)
+            first_two = detect(
+                make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder)[0],
+                DetectorMethod.SELFCHECK, out.text, use_kg=use_kg, samples=samples[:2],
+            )
+            assert record == first_two
+            # One extraction for the output and one for each chosen sample.
+            assert backend.calls == (3 if use_kg else 0)
         target = embedder.embed(out.text)
         expected = mean_score(
             [clamp0(cosine_sim(target, embedder.embed(s))) for s in samples[:2]]
         )
-        assert record.score == expected
+        ctx = DetectorContext(embedder=embedder)
+        config = DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=2)
+        assert run_detector(config, out, ctx, samples=samples).score == expected
 
     def test_selfcheck_without_samples(self):
-        ctx = DetectorContext(embedder=HashEmbedder(dim=8))
-        config = DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=2)
-        with pytest.raises(ConfigError):
-            run_detector(config, GeneratedOutput("p", "t"), ctx)
+        for use_kg in (False, True):
+            for samples in (None, []):
+                ctx, backend = make_ctx(QA_SCRIPT, embedder=HashEmbedder(dim=8))
+                config = DetectorConfig(method=DetectorMethod.SELFCHECK, use_kg=use_kg, n_samples=2)
+                with pytest.raises(ConfigError):
+                    run_detector(config, GeneratedOutput("p", "t"), ctx, samples=samples)
+                assert backend.calls == 0
 
     def test_selfcheck_with_too_few_samples(self):
-        ctx = DetectorContext(embedder=HashEmbedder(dim=8))
-        config = DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=5)
-        with pytest.raises(ConfigError):
-            run_detector(config, GeneratedOutput("p", "t"), ctx, samples=["a", "b"])
+        for use_kg in (False, True):
+            ctx, backend = make_ctx(QA_SCRIPT, embedder=HashEmbedder(dim=8))
+            config = DetectorConfig(method=DetectorMethod.SELFCHECK, use_kg=use_kg, n_samples=5)
+            with pytest.raises(ConfigError):
+                run_detector(config, GeneratedOutput("p", "t"), ctx, samples=["a", "b"])
+            assert backend.calls == 0
 
     def test_provider_failure_wrapped_with_method_name(self):
-        ctx, _ = make_ctx(fail_calls={1, 2, 3})
-        config = DetectorConfig(method=DetectorMethod.SELF_CONFIDENCE)
-        with pytest.raises(DetectorError, match="self_confidence"):
-            run_detector(config, GeneratedOutput("p", "t"), ctx)
+        for use_kg in (False, True):
+            ctx, _ = make_ctx(fail_calls={1, 2, 3})
+            config = DetectorConfig(method=DetectorMethod.SELF_CONFIDENCE, use_kg=use_kg)
+            name = "self_confidence+kg failed" if use_kg else "self_confidence failed"
+            with pytest.raises(DetectorProviderError, match=re.escape(name)):
+                run_detector(config, GeneratedOutput("p", "t"), ctx)
 
-    def test_config_prompt_version_override(self):
-        ctx, _ = make_ctx(QA_SCRIPT)
-        config = DetectorConfig(
-            method=DetectorMethod.SELF_CONFIDENCE, prompt_version="pinned-v9"
-        )
-        record = run_detector(config, GeneratedOutput("p", "Paris."), ctx)
-        assert record.prompt_version == "pinned-v9"
+    def test_refusal_is_a_provider_error_at_sentence_level_and_a_miss_per_triple(self):
+        script = {
+            "rules": [
+                {
+                    "match": ["knowledge-graph triples"],
+                    "reply": '[["France", "capital", "Paris"], ["mystery", "is", "thing"]]',
+                },
+                {"match": ["Confidence score:", "Paris"], "reply": "0.8"},
+                {"match": ["Agreement score:", "Paris"], "reply": "0.9"},
+                {"match": ["Write one question"], "reply": "Is it?"},
+                {"match": ["your own knowledge"], "reply": "Yes."},
+            ],
+            "default": "",
+        }
+        for method in (DetectorMethod.SELF_QUESTIONING, DetectorMethod.SELF_CONFIDENCE):
+            ctx, _ = make_ctx(script)
+            with pytest.raises(DetectorProviderError, match=method.value):
+                detect(ctx, method, "The mystery is a thing.")
+            record = detect(ctx, method, "France has Paris and a mystery.", use_kg=True)
+            assert record.misses == 1
+            assert len(record.triple_scores) == 1
+
+    def test_context_prompts_set_the_version(self):
+        prompts = replace(DetectorPrompts.default(), version="pinned-v9")
+        for use_kg in (False, True):
+            ctx, _ = make_ctx(QA_SCRIPT)
+            ctx.prompts = prompts
+            config = DetectorConfig(method=DetectorMethod.SELF_CONFIDENCE, use_kg=use_kg)
+            record = run_detector(config, GeneratedOutput("p", "Paris."), ctx)
+            assert record.prompt_version == "pinned-v9"

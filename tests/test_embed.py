@@ -9,7 +9,6 @@ from hallucheck.core import Triple
 from hallucheck.embed import (
     DimensionMismatch,
     EmbedBackendError,
-    EmbeddingVector,
     HashEmbedder,
     SpecFileEmbedder,
     ZeroVector,
@@ -19,8 +18,8 @@ from hallucheck.embed import (
 )
 
 
-def vec(*values, model="t"):
-    return EmbeddingVector(values=tuple(float(v) for v in values), model_id=model)
+def vec(*values):
+    return np.array(values, dtype=np.float64)
 
 
 class TestCosine:
@@ -104,18 +103,18 @@ class TestHashEmbedder:
         matrix = e.embed_many(texts)
         for text, row in zip(texts, matrix):
             want = scalar_hash_vector(text, dim, seed)
-            assert e.embed(text).values == want
+            assert tuple(e.embed(text).tolist()) == want
             assert tuple(row.tolist()) == want
 
     def test_deterministic_and_sized(self):
         a = HashEmbedder(dim=16).embed("some text")
         b = HashEmbedder(dim=16).embed("some text")
-        assert a == b
-        assert len(a) == 16
+        assert np.array_equal(a, b)
+        assert a.shape == (16,) and a.dtype == np.float64
 
     def test_component_range(self):
         v = HashEmbedder(dim=100).embed("range check")
-        assert all(-1.0 <= c < 1.0 for c in v.values)
+        assert all(-1.0 <= c < 1.0 for c in v.tolist())
 
     def test_known_value_matches_direct_construction(self):
         # Recompute the first block by hand; guards the exact bit layout.
@@ -124,24 +123,31 @@ class TestHashEmbedder:
             int.from_bytes(digest[i : i + 8], "big") / 2**63 - 1.0 for i in range(0, 32, 8)
         ]
         got = HashEmbedder(dim=4, seed=0).embed("abc")
-        assert list(got.values) == expected
+        assert got.tolist() == expected
 
     def test_seed_changes_vectors(self):
-        assert HashEmbedder(dim=8, seed=0).embed("x") != HashEmbedder(dim=8, seed=1).embed("x")
+        assert not np.array_equal(
+            HashEmbedder(dim=8, seed=0).embed("x"), HashEmbedder(dim=8, seed=1).embed("x")
+        )
 
     def test_distinct_texts_distinct_vectors(self):
         e = HashEmbedder(dim=8)
-        assert e.embed("one") != e.embed("two")
+        assert not np.array_equal(e.embed("one"), e.embed("two"))
 
     def test_memoization_returns_same_object(self):
+        # ``embed`` returns a row view of one memoized matrix.
         e = HashEmbedder(dim=8)
-        assert e.embed("memo") is e.embed("memo")
+        first = e.embed("memo")
+        assert first.base is not None and first.base is e.embed("memo").base
+        assert e.embed_many(["memo"]) is first.base
+        with pytest.raises(ValueError):
+            first[0] = 0.0
 
     def test_concurrent_embeds_of_one_text_compute_once(self, run_together):
         e = SlowEmbedder(dim=8)
         vectors = run_together(lambda: e.embed("shared"), 8)
         assert e.raw_calls == 1
-        assert all(v is vectors[0] for v in vectors)
+        assert all(v.base is vectors[0].base for v in vectors)
 
     def test_concurrent_embed_many_of_one_tuple_computes_once(self, run_together):
         e = SlowEmbedder(dim=8)
@@ -175,11 +181,11 @@ class TestHashEmbedder:
 class TestSpecFileEmbedder:
     def test_pinned_vector_used(self):
         e = SpecFileEmbedder(vectors={"known": [1.0, 0.0]}, dim=2)
-        assert e.embed("known").values == (1.0, 0.0)
+        assert e.embed("known").tolist() == [1.0, 0.0]
 
     def test_fallback_for_unknown_text(self):
         e = SpecFileEmbedder(vectors={}, dim=4, fallback_seed=9)
-        assert e.embed("other").values == HashEmbedder(dim=4, seed=9).embed("other").values
+        assert e.embed("other").tolist() == HashEmbedder(dim=4, seed=9).embed("other").tolist()
 
     def test_pinned_dim_mismatch(self):
         e = SpecFileEmbedder(vectors={"bad": [1.0, 2.0, 3.0]}, dim=2)
@@ -192,7 +198,7 @@ class TestSpecFileEmbedder:
         e = SpecFileEmbedder(vectors={"known": [1.0, 0.0]}, dim=2)
         assert e.embed_many(["known", "other"]).tolist() == [
             [1.0, 0.0],
-            list(e.embed("other").values),
+            e.embed("other").tolist(),
         ]
 
     def test_from_file(self, tmp_path):
@@ -201,7 +207,7 @@ class TestSpecFileEmbedder:
         path.write_text(json.dumps(spec))
         e = SpecFileEmbedder.from_file(path)
         assert e.model_id == "pinned"
-        assert e.embed("t").values == (0.1, 0.2, 0.3)
+        assert e.embed("t").tolist() == [0.1, 0.2, 0.3]
 
     def test_from_file_missing(self, tmp_path):
         with pytest.raises(EmbedBackendError):

@@ -9,7 +9,6 @@ from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.kgx import (
     ExtractionPromptTemplate,
     KGExtractor,
-    extract_kg,
     kg_from_record,
     kg_to_record,
     parse_triples,
@@ -109,18 +108,18 @@ class TestParseTriples:
 class TestExtractor:
     def test_extracts_graph(self):
         client = client_replying('[["Alan Turing", "born in", "London"]]')
-        kg = extract_kg("Alan Turing was born in London.", client, "m")
+        kg = KGExtractor(client, "m").extract("Alan Turing was born in London.")
         assert kg.triples == (Triple("Alan Turing", "born in", "London"),)
         assert not kg.degenerate
 
     def test_empty_reply_gives_degenerate_graph(self):
-        kg = extract_kg("Nothing factual here!", client_replying("[]"), "m")
+        kg = KGExtractor(client_replying("[]"), "m").extract("Nothing factual here!")
         assert kg.degenerate
         assert kg.triples[0].obj == "Nothing factual here!"
 
     def test_deduplicates(self):
         client = client_replying('[["a", "r", "b"], ["A", "r", "b"]]')
-        kg = extract_kg("text", client, "m")
+        kg = KGExtractor(client, "m").extract("text")
         assert len(kg) == 1
 
     def test_memoizes_per_text_and_context(self):
