@@ -17,6 +17,8 @@ inputs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -24,7 +26,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DetectorMethod,
@@ -48,7 +50,8 @@ from .evaluation import (
     DEFAULT_RESAMPLES,
     LabeledScore,
     RefMismatch,
-    auc_pr,
+    auc_pr,  # noqa: F401  (unused; bench/tracing.py wraps cli.auc_pr by name)
+    auc_pr_metric,
     compare_methods,
     evaluate_method,
     render_report_table,
@@ -71,6 +74,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
 EXIT_SCHEMA = 4
+
+SCORE_LOCK = ".score.lock"
 
 _EXIT_TABLE = """\
 exit codes:
@@ -371,6 +376,22 @@ def _scored_keys(path: Path) -> tuple[dict | None, set[tuple[str, str, bool]]]:
     return (meta if isinstance(meta, dict) and meta.get("_meta") else None), done
 
 
+@contextlib.contextmanager
+def _score_lock(out_dir: Path) -> Iterator[None]:
+    """Hold an exclusive lock on the output directory for one ``score`` run.
+
+    A second run on the same directory fails at once instead of interleaving
+    rows with the first. The OS releases the lock when the process ends,
+    however it ends, so a crashed run can still be resumed.
+    """
+    with open(out_dir / SCORE_LOCK, "a", encoding="utf-8") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise HallucheckError(f"{out_dir} is in use by another score run") from None
+        yield
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every (record, detector) pair not already in the score stream.
 
@@ -388,80 +409,81 @@ def cmd_score(args: argparse.Namespace) -> int:
     embedder = build_embedder(cfg)
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scores_path = out_dir / "scores.jsonl"
+    with _score_lock(out_dir):
+        scores_path = out_dir / "scores.jsonl"
 
-    done: set[tuple[str, str, bool]] = set()
-    resume = scores_path.exists() and not args.fresh
-    if resume:
-        dropped = drop_torn_tail(scores_path)
-        if dropped:
-            print(
-                f"dropped an unterminated last line ({dropped} bytes) of {scores_path}",
-                file=sys.stderr,
-            )
-        meta, done = _scored_keys(scores_path)
-        if meta is not None and meta.get("config_digest") != cfg.config_digest:
-            raise ConfigError(
-                f"{scores_path} was produced by a different config "
-                f"(digest {meta.get('config_digest')!r}); rerun with --fresh to discard it"
-            )
-
-    needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
-    store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
-    units = []
-    for record in records:
-        ref = make_output_ref(record.paragraph_id, record.sentence_index)
-        samples: Sequence[str] | None = record.samples or None
-        if samples is None and needs_samples:
-            if store is not None and store.has(record.paragraph_id):
-                samples = store.get(record.paragraph_id)
-            else:
-                raise ConfigError(
-                    f"paragraph {record.paragraph_id!r} has no samples; generate "
-                    "them first with the 'samples' subcommand"
+        done: set[tuple[str, str, bool]] = set()
+        resume = scores_path.exists() and not args.fresh
+        if resume:
+            dropped = drop_torn_tail(scores_path)
+            if dropped:
+                print(
+                    f"dropped an unterminated last line ({dropped} bytes) of {scores_path}",
+                    file=sys.stderr,
                 )
-        output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
-        units.extend(
-            (detector, output, samples)
-            for detector in cfg.detectors
-            if (ref, detector.method.value, detector.use_kg) not in done
+            meta, done = _scored_keys(scores_path)
+            if meta is not None and meta.get("config_digest") != cfg.config_digest:
+                raise ConfigError(
+                    f"{scores_path} was produced by a different config "
+                    f"(digest {meta.get('config_digest')!r}); rerun with --fresh to discard it"
+                )
+
+        needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
+        store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
+        units = []
+        for record in records:
+            ref = make_output_ref(record.paragraph_id, record.sentence_index)
+            samples: Sequence[str] | None = record.samples or None
+            if samples is None and needs_samples:
+                if store is not None and store.has(record.paragraph_id):
+                    samples = store.get(record.paragraph_id)
+                else:
+                    raise ConfigError(
+                        f"paragraph {record.paragraph_id!r} has no samples; generate "
+                        "them first with the 'samples' subcommand"
+                    )
+            output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
+            units.extend(
+                (detector, output, samples)
+                for detector in cfg.detectors
+                if (ref, detector.method.value, detector.use_kg) not in done
+            )
+        skipped = len(records) * len(cfg.detectors) - len(units)
+
+        failures: list[BaseException] = []
+
+        def score_unit(unit):
+            # Once a pair has failed, the pairs not yet started fail the same way
+            # without running, so no provider calls are spent on them.
+            if failures:
+                raise failures[0]
+            detector, output, samples = unit
+            try:
+                return run_detector(detector, output, ctx, samples=samples)
+            except BaseException as exc:
+                failures.append(exc)
+                raise
+
+        with open(scores_path, "a" if resume else "w", encoding="utf-8") as fh:
+            if fh.tell() == 0:
+                fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
+        with ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-leaf") as leaves:
+            ctx = DetectorContext(
+                client=client,
+                model_id=cfg.provider.model_id,
+                embedder=embedder,
+                extractor=KGExtractor(client, cfg.provider.model_id),
+                executor=leaves,
+            )
+            pool = ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-unit")
+            try:
+                written = write_score_records(pool.map(score_unit, units), scores_path, append=True)
+            finally:
+                pool.shutdown(cancel_futures=True)
+        print(
+            f"scored {written} (skipped {skipped} already present) -> {scores_path}",
         )
-    skipped = len(records) * len(cfg.detectors) - len(units)
-
-    failures: list[BaseException] = []
-
-    def score_unit(unit):
-        # Once a pair has failed, the pairs not yet started fail the same way
-        # without running, so no provider calls are spent on them.
-        if failures:
-            raise failures[0]
-        detector, output, samples = unit
-        try:
-            return run_detector(detector, output, ctx, samples=samples)
-        except BaseException as exc:
-            failures.append(exc)
-            raise
-
-    with open(scores_path, "a" if resume else "w", encoding="utf-8") as fh:
-        if fh.tell() == 0:
-            fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
-    with ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-leaf") as leaves:
-        ctx = DetectorContext(
-            client=client,
-            model_id=cfg.provider.model_id,
-            embedder=embedder,
-            extractor=KGExtractor(client, cfg.provider.model_id),
-            executor=leaves,
-        )
-        pool = ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-unit")
-        try:
-            written = write_score_records(pool.map(score_unit, units), scores_path, append=True)
-        finally:
-            pool.shutdown(cancel_futures=True)
-    print(
-        f"scored {written} (skipped {skipped} already present) -> {scores_path}",
-    )
-    return EXIT_OK
+        return EXIT_OK
 
 
 def _method_name(method: str, kg_used: bool) -> str:
@@ -475,9 +497,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = cfg.resolve(cfg.output_dir)
     scores_path = Path(args.scores) if args.scores else out_dir / "scores.jsonl"
     positive = Label(args.positive)
-    records = _load_dataset(cfg)
     labels: dict[str, Label] = {
-        make_output_ref(r.paragraph_id, r.sentence_index): r.label for r in records
+        make_output_ref(r.paragraph_id, r.sentence_index): r.label for r in _load_dataset(cfg)
     }
 
     groups: dict[str, list[LabeledScore]] = {}
@@ -514,7 +535,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         result = compare_methods(
             groups[name],
             groups[kg_name],
-            lambda s: auc_pr(s, positive),
+            auc_pr_metric(positive),
             args.resamples,
             cfg.seed,
         )

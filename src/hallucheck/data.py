@@ -493,21 +493,35 @@ def score_record_to_dict(record: ScoreRecord) -> dict:
     return obj
 
 
+def _typed_field(value: object, name: str, kinds: tuple[type, ...], what: str):
+    """``value`` if its JSON type is one of ``kinds``; a bool is only a bool."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise SchemaError(f"field {name!r} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def score_record_from_dict(obj: dict) -> ScoreRecord:
+    """The record a score row holds. Each field must have its JSON type
+    (``kg_used`` a boolean, scores numbers, ``misses`` an integer), so a row
+    is never silently coerced into another record."""
+    number = (int, float)
     try:
         triple_scores = None
         if "triple_scores" in obj and obj["triple_scores"] is not None:
             triple_scores = tuple(
-                (Triple(subject=s, relation=r, obj=o), float(c))
+                (
+                    Triple(subject=s, relation=r, obj=o),
+                    float(_typed_field(c, "triple_scores", number, "a number")),
+                )
                 for (s, r, o), c in obj["triple_scores"]
             )
         return ScoreRecord(
             output_ref=obj["output_ref"],
             method=DetectorMethod(obj["method"]),
-            score=float(obj["score"]),
-            kg_used=bool(obj["kg_used"]),
+            score=float(_typed_field(obj["score"], "score", number, "a number")),
+            kg_used=_typed_field(obj["kg_used"], "kg_used", (bool,), "a boolean"),
             triple_scores=triple_scores,
-            misses=int(obj.get("misses", 0)),
+            misses=_typed_field(obj.get("misses", 0), "misses", (int,), "an integer"),
             prompt_version=obj.get("prompt_version", ""),
             model_id=obj.get("model_id", ""),
         )

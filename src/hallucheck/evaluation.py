@@ -6,7 +6,10 @@ otherwise. The threshold is chosen by exhaustive search over the hundredth
 grid {0.00, 0.01, ..., 1.00}, separately for accuracy and F1. Ranking quality
 is summarized threshold-free as average precision with deterministic tie
 grouping. Uncertainty comes from a seeded percentile bootstrap over examples,
-reported as mean plus or minus the interval half-width.
+reported as mean plus or minus the interval half-width. The bootstrap draws
+its resamples as blocks of index rows, and the built-in metrics score a whole
+block at once (``RowMetric``) with the same floats as scoring each resample
+on its own.
 
 The positive class defaults to hallucinated (detection framing) and is
 configurable everywhere; reports always state which one they used.
@@ -52,35 +55,50 @@ class LabeledScore:
         object.__setattr__(self, "label", Label(self.label))
 
 
+def _ratio(num, den):
+    """``num / den``, and 0.0 where ``den`` is 0; elementwise on arrays.
+
+    Counts are converted to floats exactly, so each quotient is the float
+    Python's ``int / int`` gives.
+    """
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    out = np.zeros(den.shape)
+    nonzero = den != 0
+    out[nonzero] = num[nonzero] / den[nonzero]
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class Confusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    """Confusion counts: ints for one labelled set, or equal-shaped int arrays
+    with one entry per resample or per threshold. The metrics take the same
+    shape."""
+
+    tp: int | np.ndarray
+    fp: int | np.ndarray
+    tn: int | np.ndarray
+    fn: int | np.ndarray
 
     @property
-    def total(self) -> int:
+    def total(self) -> int | np.ndarray:
         return self.tp + self.fp + self.tn + self.fn
 
     @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.total if self.total else 0.0
+    def accuracy(self) -> float | np.ndarray:
+        return _ratio(self.tp + self.tn, self.total)
 
     @property
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        return self.tp / denom if denom else 0.0
+    def precision(self) -> float | np.ndarray:
+        return _ratio(self.tp, self.tp + self.fp)
 
     @property
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
+    def recall(self) -> float | np.ndarray:
+        return _ratio(self.tp, self.tp + self.fn)
 
     @property
-    def f1(self) -> float:
+    def f1(self) -> float | np.ndarray:
         p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
+        return _ratio(2 * p * r, p + r)
 
 
 class Metrics(NamedTuple):
@@ -96,28 +114,35 @@ def _require_both_labels(scores: Sequence[LabeledScore]) -> None:
         raise DegenerateLabels(f"need both labels, saw {sorted(l.value for l in labels)}")
 
 
+def _values(scores: Sequence[LabeledScore]) -> np.ndarray:
+    return np.array([s.score for s in scores], dtype=float)
+
+
+def _is_positive(scores: Sequence[LabeledScore], positive: Label) -> np.ndarray:
+    return np.array([s.label == positive for s in scores], dtype=bool)
+
+
+def _outcomes(
+    scores: Sequence[LabeledScore], threshold: float, positive: Label
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-example true-positive, false-positive and false-negative flags at a
+    cut-off: an example is predicted accurate iff its score > threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    accurate = _values(scores) > threshold
+    predicted = accurate if positive == Label.ACCURATE else ~accurate
+    actual = _is_positive(scores, positive)
+    return predicted & actual, predicted & ~actual, ~predicted & actual
+
+
 def classify(
     scores: Sequence[LabeledScore],
     threshold: float,
     positive: Label = DEFAULT_POSITIVE,
 ) -> Confusion:
     """Confusion counts at a cut-off: predicted accurate iff score > threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    tp = fp = tn = fn = 0
-    for s in scores:
-        predicted = Label.ACCURATE if s.score > threshold else Label.HALLUCINATED
-        if predicted == positive:
-            if s.label == positive:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if s.label == positive:
-                fn += 1
-            else:
-                tn += 1
-    return Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
+    tp, fp, fn = (int(flags.sum()) for flags in _outcomes(scores, threshold, positive))
+    return Confusion(tp=tp, fp=fp, tn=len(scores) - tp - fp - fn, fn=fn)
 
 
 def metrics_at(
@@ -129,10 +154,15 @@ def metrics_at(
     return Metrics(accuracy=c.accuracy, precision=c.precision, recall=c.recall, f1=c.f1)
 
 
-_OBJECTIVES: dict[str, Callable[[Confusion], float]] = {
+_OBJECTIVES: dict[str, Callable[[Confusion], float | np.ndarray]] = {
     "accuracy": lambda c: c.accuracy,
     "f1": lambda c: c.f1,
 }
+
+
+def _check_objective(objective: str) -> None:
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
 
 
 def threshold_search(
@@ -142,22 +172,112 @@ def threshold_search(
 ) -> tuple[float, float]:
     """Best grid threshold for the objective; ties go to the lowest threshold.
 
-    The grid is walked in ascending order with a strict improvement test, so
-    the first threshold reaching the best value wins.
+    Sorted scores give, by binary search, the confusion counts at every grid
+    threshold at once; the first threshold reaching the best value wins.
     """
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
+    _check_objective(objective)
     if not scores:
         raise DegenerateLabels("no scores to search over")
     _require_both_labels(scores)
+    values = _values(scores)
+    actual = _is_positive(scores, positive)
+    # Examples at or below a threshold are the ones predicted hallucinated.
+    below = np.searchsorted(np.sort(values), THRESHOLD_GRID, side="right")
+    pos_below = np.searchsorted(np.sort(values[actual]), THRESHOLD_GRID, side="right")
+    neg_below = below - pos_below
+    n_pos = int(actual.sum())
+    n_neg = len(scores) - n_pos
+    if positive == Label.HALLUCINATED:
+        c = Confusion(tp=pos_below, fp=neg_below, tn=n_neg - neg_below, fn=n_pos - pos_below)
+    else:
+        c = Confusion(tp=n_pos - pos_below, fp=n_neg - neg_below, tn=neg_below, fn=pos_below)
+    objective_values = _OBJECTIVES[objective](c)
+    best = int(np.argmax(objective_values))
+    return THRESHOLD_GRID[best], float(objective_values[best])
+
+
+# A row metric's kernel: from a (rows, n) matrix of indices into the scores
+# it was bound to, one value per row and a mask of the degenerate rows.
+RowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class RowMetric:
+    """A metric that scores many resamples at once.
+
+    ``bind(scores)`` does the work that depends only on the scores, once, and
+    returns the kernel (see ``RowFn``). A row is degenerate where the
+    per-sample form of the metric would raise ``DegenerateLabels``.
+    """
+
+    bind: Callable[[Sequence[LabeledScore]], RowFn]
+
+
+def threshold_metric(
+    objective: str, threshold: float, positive: Label = DEFAULT_POSITIVE
+) -> RowMetric:
+    """The objective ("accuracy" or "f1") at a fixed threshold; the row form
+    of ``getattr(metrics_at(s, threshold, positive), objective)``. It never
+    degenerates."""
+    _check_objective(objective)
     score_fn = _OBJECTIVES[objective]
-    best_threshold = THRESHOLD_GRID[0]
-    best_value = score_fn(classify(scores, best_threshold, positive))
-    for threshold in THRESHOLD_GRID[1:]:
-        value = score_fn(classify(scores, threshold, positive))
-        if value > best_value:
-            best_threshold, best_value = threshold, value
-    return best_threshold, best_value
+
+    def bind(scores: Sequence[LabeledScore]) -> RowFn:
+        tp, fp, fn = _outcomes(scores, threshold, positive)
+
+        def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n_tp, n_fp, n_fn = (flags[idx].sum(axis=1) for flags in (tp, fp, fn))
+            n_tn = idx.shape[1] - n_tp - n_fp - n_fn
+            values = score_fn(Confusion(tp=n_tp, fp=n_fp, tn=n_tn, fn=n_fn))
+            return values, np.zeros(len(idx), dtype=bool)
+
+        return rows
+
+    return RowMetric(bind)
+
+
+def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
+    """Average precision (see ``auc_pr``) as a row metric. A row with no
+    positive or no negative example is degenerate."""
+
+    def bind(scores: Sequence[LabeledScore]) -> RowFn:
+        sign = 1.0 if positive == Label.HALLUCINATED else -1.0
+        # Tie groups, numbered most-positive-first.
+        keys = sign * _values(scores)
+        ranks = np.unique(keys)
+        group = np.searchsorted(ranks, keys)
+        n_groups = len(ranks)
+        is_pos = _is_positive(scores, positive)
+
+        def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n_rows, n = idx.shape
+            cells = group[idx]
+            cells += n_groups * np.arange(n_rows)[:, None]
+            shape = (n_rows, n_groups)
+            pos = np.bincount(cells[is_pos[idx]], minlength=n_rows * n_groups).reshape(shape)
+            size = np.bincount(cells.ravel(), minlength=n_rows * n_groups).reshape(shape)
+            # Counts are exact as floats, so each term is the float that
+            # ``int * (int / int)`` gives.
+            seen = size.cumsum(axis=1, dtype=float)
+            seen_pos = pos.cumsum(axis=1, dtype=float)
+            # Each group holding a positive adds group_positives * precision
+            # at the group's end; flattened row by row.
+            has = pos > 0
+            terms = (pos[has] * (seen_pos[has] / seen[has])).tolist()
+            ends = np.cumsum(has.sum(axis=1)).tolist()
+            total_pos = pos.sum(axis=1)
+            degenerate = (total_pos == 0) | (total_pos == n)
+            values = [
+                0.0 if skip else fsum(terms[start:end]) / count
+                for start, end, count, skip in zip(
+                    [0, *ends], ends, total_pos.tolist(), degenerate.tolist()
+                )
+            ]
+            return np.array(values), degenerate
+
+        return rows
+
+    return RowMetric(bind)
 
 
 def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -> float:
@@ -169,26 +289,8 @@ def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -
     the group's end, which makes the value independent of input order.
     """
     _require_both_labels(scores)
-    sign = 1.0 if positive == Label.HALLUCINATED else -1.0
-    ordered = sorted(scores, key=lambda s: sign * s.score)
-    total_positives = sum(1 for s in scores if s.label == positive)
-    ap_terms: list[float] = []
-    seen = 0
-    seen_positives = 0
-    i = 0
-    while i < len(ordered):
-        j = i
-        group_positives = 0
-        while j < len(ordered) and ordered[j].score == ordered[i].score:
-            if ordered[j].label == positive:
-                group_positives += 1
-            j += 1
-        seen += j - i
-        seen_positives += group_positives
-        if group_positives:
-            ap_terms.append(group_positives * (seen_positives / seen))
-        i = j
-    return fsum(ap_terms) / total_positives
+    values, _ = auc_pr_metric(positive).bind(scores)(np.arange(len(scores))[None, :])
+    return float(values[0])
 
 
 class BootstrapCI(NamedTuple):
@@ -204,41 +306,78 @@ class BootstrapCI(NamedTuple):
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
 
 
-def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, n, n)
+# Indices drawn per block of resamples, which bounds a bootstrap's memory at
+# any resample count.
+BLOCK = 8192
+
+
+def _row_fn(
+    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
+    scores: Sequence[LabeledScore],
+) -> RowFn:
+    """The kernel of a row metric, or a per-sample metric applied row by row."""
+    if isinstance(metric_fn, RowMetric):
+        return metric_fn.bind(scores)
+
+    def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.zeros(len(idx))
+        degenerate = np.zeros(len(idx), dtype=bool)
+        for i, row in enumerate(idx.tolist()):
+            try:
+                values[i] = metric_fn([scores[j] for j in row])
+            except DegenerateLabels:
+                degenerate[i] = True
+        return values, degenerate
+
+    return rows
+
+
+def _resample(n: int, rows: RowFn, resamples: int, seed: int) -> tuple[list[float], int]:
+    """The values of the non-degenerate resamples, in draw order, and the
+    number of degenerate ones.
+
+    Resamples are drawn in blocks of ``BLOCK // n`` rows; the blocks yield
+    exactly the indices of one ``rng.integers(0, n, n)`` call per resample.
+    """
+    rng = np.random.default_rng(seed)
+    block = max(1, BLOCK // max(n, 1))
+    kept: list[float] = []
+    skipped = 0
+    for start in range(0, resamples, block):
+        values, degenerate = rows(rng.integers(0, n, (min(block, resamples - start), n)))
+        kept.extend(values[~degenerate].tolist())
+        skipped += int(degenerate.sum())
+    return kept, skipped
+
+
+def _percentile_interval(replicates: list[float]) -> tuple[float, float, float]:
+    mean = fsum(replicates) / len(replicates)
+    low, high = (float(v) for v in np.percentile(replicates, [2.5, 97.5]))
+    return mean, low, high
 
 
 def bootstrap_ci(
     scores: Sequence[LabeledScore],
-    metric_fn: Callable[[Sequence[LabeledScore]], float],
+    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> BootstrapCI:
     """Resample examples with replacement and take empirical 2.5/97.5 quantiles.
 
-    Resamples on which the metric degenerates (one label class) are skipped
-    and counted. Deterministic for a given seed: the generator draws one
-    length-n index vector per resample, in order.
+    ``metric_fn`` is a function of a list of scores, or a ``RowMetric`` that
+    scores a block of resamples at once with the same result. Resamples on
+    which the metric degenerates (one label class) are skipped and counted.
+    Deterministic for a given seed: the generator draws one length-n index
+    vector per resample, in order.
     """
     if not scores:
         raise DegenerateLabels("no scores to resample")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = len(scores)
-    replicates: list[float] = []
-    skipped = 0
-    for _ in range(resamples):
-        idx = _resample_indices(rng, n)
-        sample = [scores[i] for i in idx]
-        try:
-            replicates.append(metric_fn(sample))
-        except DegenerateLabels:
-            skipped += 1
+    replicates, skipped = _resample(len(scores), _row_fn(metric_fn, scores), resamples, seed)
     if not replicates:
         raise DegenerateLabels("every bootstrap resample was degenerate")
-    mean = fsum(replicates) / len(replicates)
-    low, high = (float(v) for v in np.percentile(replicates, [2.5, 97.5]))
+    mean, low, high = _percentile_interval(replicates)
     return BootstrapCI(
         mean=mean, half_width=(high - low) / 2, low=low, high=high, skipped=skipped
     )
@@ -269,15 +408,16 @@ def _by_ref(scores: Sequence[LabeledScore]) -> list[LabeledScore]:
 def compare_methods(
     a: Sequence[LabeledScore],
     b: Sequence[LabeledScore],
-    metric_fn: Callable[[Sequence[LabeledScore]], float],
+    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> MethodComparison:
     """Is method b better than method a? Paired bootstrap over shared examples.
 
     Each resample draws one index vector applied to both methods, so the same
-    examples are picked on both sides. Significant at the 95% level iff the
-    percentile interval of the difference excludes zero.
+    examples are picked on both sides; a resample on which either side
+    degenerates is skipped. Significant at the 95% level iff the percentile
+    interval of the difference excludes zero.
     """
     refs_a = sorted(s.example_ref for s in a)
     refs_b = sorted(s.example_ref for s in b)
@@ -293,22 +433,17 @@ def compare_methods(
     for sa, sb in zip(paired_a, paired_b):
         if sa.label != sb.label:
             raise RefMismatch(f"labels disagree for example {sa.example_ref!r}")
-    rng = np.random.default_rng(seed)
-    n = len(paired_a)
-    diffs: list[float] = []
-    skipped = 0
-    for _ in range(resamples):
-        idx = _resample_indices(rng, n)
-        sample_a = [paired_a[i] for i in idx]
-        sample_b = [paired_b[i] for i in idx]
-        try:
-            diffs.append(metric_fn(sample_b) - metric_fn(sample_a))
-        except DegenerateLabels:
-            skipped += 1
+    rows_a, rows_b = _row_fn(metric_fn, paired_a), _row_fn(metric_fn, paired_b)
+
+    def differences(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values_b, degenerate_b = rows_b(idx)
+        values_a, degenerate_a = rows_a(idx)
+        return values_b - values_a, degenerate_a | degenerate_b
+
+    diffs, skipped = _resample(len(paired_a), differences, resamples, seed)
     if not diffs:
         raise DegenerateLabels("every paired resample was degenerate")
-    mean = fsum(diffs) / len(diffs)
-    low, high = (float(v) for v in np.percentile(diffs, [2.5, 97.5]))
+    mean, low, high = _percentile_interval(diffs)
     significant = low > 0.0 or high < 0.0
     return MethodComparison(
         difference_mean=mean, low=low, high=high, significant=significant, skipped=skipped
@@ -392,15 +527,10 @@ def evaluate_method(
     threshold_accuracy, _ = threshold_search(scores, "accuracy", positive)
     threshold_f1, _ = threshold_search(scores, "f1", positive)
     accuracy_ci = bootstrap_ci(
-        scores,
-        lambda s: metrics_at(s, threshold_accuracy, positive).accuracy,
-        resamples,
-        seed,
+        scores, threshold_metric("accuracy", threshold_accuracy, positive), resamples, seed
     )
-    f1_ci = bootstrap_ci(
-        scores, lambda s: metrics_at(s, threshold_f1, positive).f1, resamples, seed
-    )
-    auc_ci = bootstrap_ci(scores, lambda s: auc_pr(s, positive), resamples, seed)
+    f1_ci = bootstrap_ci(scores, threshold_metric("f1", threshold_f1, positive), resamples, seed)
+    auc_ci = bootstrap_ci(scores, auc_pr_metric(positive), resamples, seed)
     return EvalReport(
         method=method,
         positive_class=positive,

@@ -3,6 +3,8 @@
 One JSON file per digest plus an append-only MANIFEST listing known digests.
 Writes go through a temp file and an atomic rename, so concurrent readers
 never see a partial record; in-process writers are serialized with a lock.
+Entries carry no timestamp: one request and response always give the same
+bytes. Entries written with a ``stored_at`` field still read as hits.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class ResponseCache:
             "digest": digest,
             "request": request_canonical,
             "response": content,
-            "stored_at": _now_iso(),
         }
         body = json.dumps(record, ensure_ascii=False, indent=2)
         with self._lock:
@@ -72,8 +73,3 @@ class ResponseCache:
             return []
         return [line for line in manifest.read_text(encoding="utf-8").splitlines() if line]
 
-
-def _now_iso() -> str:
-    import datetime
-
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import shutil
 import threading
@@ -276,6 +277,23 @@ class TestScore:
         assert [str(entry) in r.getMessage() for r in warnings] == [True]
         assert json.loads(entry.read_text(encoding="utf-8"))["response"] is not None
 
+    def test_second_run_on_a_locked_directory_is_refused(self, workdir, config_path, capsys):
+        assert self.run_score(config_path) == 0
+        out_dir = workdir / "out"
+        scores_path = out_dir / "scores.jsonl"
+        first = scores_path.read_bytes()
+        capsys.readouterr()
+        with open(out_dir / cli.SCORE_LOCK, "a", encoding="utf-8") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert self.run_score(config_path, "--fresh") == 4
+            err = capsys.readouterr().err
+            assert str(out_dir) in err and err.count("\n") == 1
+            assert scores_path.read_bytes() == first
+            # evaluate only reads the directory, so it takes no lock.
+            assert main(["evaluate", "--config", str(config_path), "--resamples", "20"]) == 0
+        assert self.run_score(config_path, "--fresh") == 0
+        assert scores_path.read_bytes() == first
+
     def test_selfcheck_without_samples_names_subcommand(self, workdir, capsys):
         config = no_sample_config(workdir, with_store=False)
         assert main(["score", "--config", str(config)]) == 2
@@ -391,6 +409,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{scores_path}:{len(lines) + 1}: duplicate row" in err
         assert repr((row["output_ref"], row["method"], row["kg_used"])) in err
+        assert err.count("\n") == 1
+
+    def test_wrongly_typed_row_is_data_error(self, scored, config_path, capsys):
+        scores_path = scored / "out" / "scores.jsonl"
+        lines = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[3])
+        row["kg_used"] = "false" if row["kg_used"] else "true"
+        lines[3] = json.dumps(row) + "\n"
+        scores_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        err = capsys.readouterr().err
+        assert f"{scores_path}:4: field 'kg_used' must be a boolean" in err
         assert err.count("\n") == 1
 
     def test_missing_scores_is_data_error(self, workdir, config_path):

@@ -516,6 +516,47 @@ class TestScoreRecordIO:
         with pytest.raises(SchemaError):
             score_record_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("kg_used", "false", "'kg_used' must be a boolean, got str"),
+            ("kg_used", 0, "'kg_used' must be a boolean, got int"),
+            ("score", "0.5", "'score' must be a number, got str"),
+            ("score", True, "'score' must be a number, got bool"),
+            ("misses", 1.9, "'misses' must be an integer, got float"),
+            ("misses", True, "'misses' must be an integer, got bool"),
+            ("misses", "1", "'misses' must be an integer, got str"),
+        ],
+    )
+    def test_wrongly_typed_field_is_rejected(self, field, value, message):
+        obj = score_record_to_dict(sample_record())
+        obj[field] = value
+        with pytest.raises(SchemaError, match=message):
+            score_record_from_dict(obj)
+
+    @pytest.mark.parametrize("value", ["0.2", False, None])
+    def test_wrongly_typed_triple_score_is_rejected(self, value):
+        obj = score_record_to_dict(sample_record())
+        obj["triple_scores"][0][1] = value
+        with pytest.raises(SchemaError, match="'triple_scores' must be a number"):
+            score_record_from_dict(obj)
+
+    def test_integer_scores_are_numbers(self):
+        obj = score_record_to_dict(sample_record(with_triples=False))
+        obj["score"] = 1
+        record = score_record_from_dict(obj)
+        assert record.score == 1.0 and isinstance(record.score, float)
+
+    def test_reader_names_file_and_line_of_a_wrongly_typed_row(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_score_records([sample_record(with_triples=False)], path)
+        obj = score_record_to_dict(sample_record())
+        obj["kg_used"] = "false"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError, match=r"scores\.jsonl:2: field 'kg_used'"):
+            list(read_score_records(path))
+
     def test_jsonl_roundtrip_skips_meta(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         with open(path, "w", encoding="utf-8") as fh:

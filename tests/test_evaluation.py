@@ -1,8 +1,13 @@
+import math
+import tracemalloc
 from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hallucheck import evaluation
 from hallucheck.core import Label
 from hallucheck.evaluation import (
     BootstrapCI,
@@ -10,9 +15,11 @@ from hallucheck.evaluation import (
     DegenerateLabels,
     EvalReport,
     LabeledScore,
+    MethodComparison,
     RefMismatch,
     THRESHOLD_GRID,
     auc_pr,
+    auc_pr_metric,
     balance_dataset,
     bootstrap_ci,
     classify,
@@ -20,6 +27,7 @@ from hallucheck.evaluation import (
     evaluate_method,
     metrics_at,
     render_report_table,
+    threshold_metric,
     threshold_search,
 )
 
@@ -317,7 +325,59 @@ def paired_sets():
     return worst, best
 
 
+def sequential_bootstrap(n, replicate, resamples, seed):
+    """(mean, low, high, skipped) of a bootstrap that draws one index vector
+    per resample, in order, and skips the resamples whose ``replicate``
+    raises DegenerateLabels."""
+    rng = np.random.default_rng(seed)
+    values, skipped = [], 0
+    for _ in range(resamples):
+        idx = rng.integers(0, n, n)
+        try:
+            values.append(replicate(idx))
+        except DegenerateLabels:
+            skipped += 1
+    if not values:
+        raise DegenerateLabels("every resample was degenerate")
+    low, high = np.percentile(values, [2.5, 97.5])
+    return fsum(values) / len(values), float(low), float(high), skipped
+
+
+def reference_compare(a, b, metric, resamples, seed):
+    a = sorted(a, key=lambda s: s.example_ref)
+    b = sorted(b, key=lambda s: s.example_ref)
+    return sequential_bootstrap(
+        len(a),
+        lambda idx: metric([b[i] for i in idx]) - metric([a[i] for i in idx]),
+        resamples,
+        seed,
+    )
+
+
+def summary(result):
+    """(mean, low, high, skipped) of a bootstrap result; DegenerateLabels as is."""
+    if isinstance(result, BootstrapCI):
+        return result.mean, result.low, result.high, result.skipped
+    if isinstance(result, MethodComparison):
+        return result.difference_mean, result.low, result.high, result.skipped
+    return result
+
+
 class TestCompareMethods:
+    def test_resample_skipped_when_either_side_degenerates(self):
+        worst, best = paired_sets()
+
+        def metric(sample):
+            # Picking x0 first is degenerate for b only (its x0 scores 0.1),
+            # picking x7 first for a only.
+            if sample[0].example_ref in ("x0", "x7") and sample[0].score == 0.1:
+                raise DegenerateLabels("forced")
+            return fsum(s.score for s in sample) / len(sample)
+
+        cmp = compare_methods(worst, best, metric, resamples=300, seed=3)
+        assert summary(cmp) == reference_compare(worst, best, metric, 300, 3)
+        assert cmp.skipped > 0
+
     def test_identical_methods_not_significant(self):
         worst, _ = paired_sets()
         cmp = compare_methods(
@@ -436,3 +496,139 @@ class TestEvaluateMethod:
 
     def test_render_empty(self):
         assert "no methods" in render_report_table([])
+
+
+# Kernels against the per-sample path: scores on the hundredth grid (so tie
+# groups and exact threshold hits occur), both classes and both positives.
+grid_sets = st.lists(
+    st.tuples(st.integers(0, 100), st.sampled_from([H, A])), min_size=1, max_size=60
+).map(lambda rows: [ls(v / 100, l, ref=f"x{i:02d}") for i, (v, l) in enumerate(rows)])
+positives = st.sampled_from([H, A])
+
+
+def per_sample_metrics(threshold, positive):
+    """(kernel, matching per-sample metric) pairs."""
+    return [
+        (threshold_metric("accuracy", threshold, positive),
+         lambda s: metrics_at(s, threshold, positive).accuracy),
+        (threshold_metric("f1", threshold, positive),
+         lambda s: metrics_at(s, threshold, positive).f1),
+        (auc_pr_metric(positive), lambda s: auc_pr(s, positive)),
+    ]
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the DegenerateLabels it raised."""
+    try:
+        return fn(*args)
+    except DegenerateLabels:
+        return DegenerateLabels
+
+
+class TestKernelsEqualPerSamplePath:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_sets, positives, st.integers(0, 100), st.integers(1, 80), st.integers(0, 2**16))
+    def test_bootstrap_ci(self, scores, positive, cut, resamples, seed):
+        for kernel, metric in per_sample_metrics(cut / 100, positive):
+            got = outcome(bootstrap_ci, scores, kernel, resamples, seed)
+            assert got == outcome(bootstrap_ci, scores, metric, resamples, seed)
+            reference = outcome(
+                sequential_bootstrap, len(scores),
+                lambda idx: metric([scores[i] for i in idx]), resamples, seed,
+            )
+            assert summary(got) == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid_sets, st.randoms(use_true_random=False), positives, st.integers(0, 100),
+        st.integers(1, 80), st.integers(0, 2**16),
+    )
+    def test_compare_methods(self, a, random, positive, cut, resamples, seed):
+        b = [ls(random.randrange(101) / 100, s.label, ref=s.example_ref) for s in a]
+        random.shuffle(b)
+        for kernel, metric in per_sample_metrics(cut / 100, positive):
+            got = outcome(compare_methods, a, b, kernel, resamples, seed)
+            assert got == outcome(compare_methods, a, b, metric, resamples, seed)
+            assert summary(got) == outcome(reference_compare, a, b, metric, resamples, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_sets, positives)
+    def test_threshold_search_equals_per_threshold_classify(self, scores, positive):
+        for objective in ("accuracy", "f1"):
+            expected = DegenerateLabels
+            if len({s.label for s in scores}) == 2:
+                values = [getattr(classify(scores, t, positive), objective) for t in THRESHOLD_GRID]
+                best = values.index(max(values))
+                expected = (THRESHOLD_GRID[best], values[best])
+            assert outcome(threshold_search, scores, objective, positive) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_sets, positives)
+    def test_auc_pr_equals_tie_group_walk(self, scores, positive):
+        assert outcome(auc_pr, scores, positive) == outcome(tie_group_walk, scores, positive)
+
+
+def tie_group_walk(scores, positive):
+    """Average precision by walking the sorted list one tie group at a time."""
+    if len({s.label for s in scores}) < 2:
+        raise DegenerateLabels("one class")
+    sign = 1.0 if positive == H else -1.0
+    ordered = sorted(scores, key=lambda s: sign * s.score)
+    terms = []
+    seen = seen_positives = i = 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and ordered[j].score == ordered[i].score:
+            j += 1
+        group_positives = sum(s.label == positive for s in ordered[i:j])
+        seen += j - i
+        seen_positives += group_positives
+        if group_positives:
+            terms.append(group_positives * (seen_positives / seen))
+        i = j
+    return fsum(terms) / seen_positives
+
+
+class TestBlockedResampling:
+    @pytest.mark.parametrize("block", [1, 20, 60, 61, evaluation.BLOCK])
+    @pytest.mark.parametrize("resamples", [1, 7, 300])
+    def test_blocks_reproduce_sequential_draws(self, monkeypatch, block, resamples):
+        # n = 20: a block of 60 or 61 indices holds 3 rows, so 7 and 300
+        # resamples end in a partial block; a block of 1 or 20 holds one row.
+        monkeypatch.setattr(evaluation, "BLOCK", block)
+        mean, low, high = reference_bootstrap(FIXTURE_20, 0.5, resamples, 9)
+        for metric in (
+            threshold_metric("accuracy", 0.5),
+            lambda s: metrics_at(s, 0.5).accuracy,
+        ):
+            ci = bootstrap_ci(FIXTURE_20, metric, resamples=resamples, seed=9)
+            assert (ci.mean, ci.low, ci.high, ci.skipped) == (mean, low, high, 0)
+
+    def test_nan_metric_propagates_as_before(self):
+        # Samples starting with a hallucinated example give NaN, samples
+        # starting with "e00" are degenerate; the rest give 0.5.
+        def metric(sample):
+            if sample[0].example_ref == "e00":
+                raise DegenerateLabels("forced")
+            return math.nan if sample[0].label == H else 0.5
+
+        rng = np.random.default_rng(4)
+        skipped = 0
+        for _ in range(200):
+            first = FIXTURE_20[rng.integers(0, 20, 20)[0]]
+            skipped += first.example_ref == "e00"
+        ci = bootstrap_ci(FIXTURE_20, metric, resamples=200, seed=4)
+        assert ci.skipped == skipped > 0
+        assert all(math.isnan(v) for v in (ci.mean, ci.half_width, ci.low, ci.high))
+
+    def test_memory_stays_bounded_at_many_resamples(self):
+        rng = np.random.default_rng(8)
+        scores = random_scores(rng, 501, on_grid=True)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(scores, threshold_metric("f1", 0.5), resamples=100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One unblocked (100000, 501) int64 draw alone would take 400 MB.
+        assert peak < 16 * 2**20

@@ -131,6 +131,24 @@ class TestResponseCache:
         ResponseCache(tmp_path).put(digest, "{}", "persisted")
         assert ResponseCache(tmp_path).get(digest) == "persisted"
 
+    def test_entry_bytes_depend_only_on_the_request(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        digest = cache_key(req(), "mock")
+        path = tmp_path / f"{digest}.json"
+        cache.put(digest, canonical_request(req(), "mock"), "reply")
+        first = path.read_bytes()
+        time.sleep(0.01)
+        cache.put(digest, canonical_request(req(), "mock"), "reply")
+        assert path.read_bytes() == first
+        assert "stored_at" not in json.loads(first)
+
+    def test_entry_with_a_timestamp_is_still_a_hit(self, tmp_path):
+        digest = cache_key(req(), "mock")
+        record = {"digest": digest, "request": "{}", "response": "old reply",
+                  "stored_at": "2024-01-01T00:00:00+00:00"}
+        (tmp_path / f"{digest}.json").write_text(json.dumps(record), encoding="utf-8")
+        assert ResponseCache(tmp_path).get(digest) == "old reply"
+
 
 class TestMockBackend:
     def test_first_matching_rule_wins(self):
