@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -41,6 +41,7 @@ from .data import (
     SchemaError,
     drop_torn_tail,
     load_wikibio,
+    open_text,
     read_score_records,
     write_score_records,
 )
@@ -132,48 +133,89 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _take(obj: object, allowed: set[str], where: str) -> None:
+# One table per config section: each key's JSON kind, then its least value or
+# its allowed values. Defaults come from the section's dataclass.
+_NUMBER = (int, float)
+_INT_OR_NULL = (int, type(None))
+_INF = float("inf")
+_KIND_NAMES = {
+    int: "an integer",
+    _INT_OR_NULL: "an integer",
+    bool: "true or false",
+    str: "a string",
+    _NUMBER: "a number",
+    list: "a list",
+}
+_PROVIDER = {
+    "backend": (str, ("mock", "openai", "gemini")),
+    "model_id": (str, None),
+    "script": (str, None),
+    "base_url": (str, None),
+    "rate_limit_per_minute": (_NUMBER, None),
+}
+_EMBEDDING = {
+    "backend": (str, ("hash", "specfile", "sbert")),
+    "model_id": (str, None),
+    "dim": (int, 1),
+    "seed": (int, None),
+    "spec_file": (str, None),
+}
+_DATASET = {"path": (str, None), "kind": (str, ("wikibio",)), "expected_samples": (_INT_OR_NULL, 0)}
+_DETECTOR = {
+    "method": (str, tuple(m.value for m in DetectorMethod)),
+    "use_kg": (bool, None),
+    "n_samples": (int, 1),
+}
+_ROOT = {
+    "provider": (ProviderConfig, _PROVIDER),
+    "embedding": (EmbeddingConfig, _EMBEDDING),
+    "dataset": (DatasetConfig, _DATASET),
+    "detectors": (list, None),
+    "cache_dir": (str, None),
+    "output_dir": (str, None),
+    "samples_dir": (str, None),
+    "seed": (int, None),
+    "parallelism": (int, 1),
+}
+
+
+def _section(obj: object, cls: type, table: dict, where: str) -> dict:
+    """The keys of the config section ``obj`` as ``cls`` arguments, each
+    checked against ``table``: no unknown key, the key's JSON kind (true and
+    false are not numbers, and numbers are finite), then its least or allowed
+    value. A key whose default is None also takes null. A key whose kind is a
+    dataclass is a nested section, built from its own table."""
+    name = where.rstrip(".") or "config"
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(obj) - set(table)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, value in obj.items():
+        kind, limit = table[key]
+        if isinstance(limit, dict):
+            value = kind(**_section(value, kind, limit, f"{where}{key}."))
+        elif value is None and (defaults[key] is None or kind is _INT_OR_NULL):
+            pass
+        elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        elif kind is _NUMBER and not -_INF < value < _INF:
+            raise ConfigError(f"{where}{key} must be a finite number, got {value}")
+        elif isinstance(limit, tuple) and value not in limit:
+            raise ConfigError(f"{where}{key} must be one of {list(limit)}, got {value!r}")
+        elif isinstance(limit, int) and value < limit:
+            raise ConfigError(f"{where}{key} must be >= {limit}, got {value}")
+        values[key] = value
+    return values
 
 
-_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", (int, float): "a number"}
-
-
-def _typed(obj: dict, key: str, default, kind, where: str = "", minimum: int | None = None):
-    """``obj[key]``, or ``default`` when the key is absent, checked to be a
-    JSON value of ``kind``; JSON true and false are not numbers here. A key
-    whose default is None may also be null."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _detector_from_obj(obj: dict, index: int) -> DetectorConfig:
-    _take(obj, {"method", "use_kg", "n_samples"}, f"detectors[{index}]")
-    try:
-        method = DetectorMethod(obj["method"])
-    except KeyError:
+def _detector_from_obj(obj: object, index: int) -> DetectorConfig:
+    values = _section(obj, DetectorConfig, _DETECTOR, f"detectors[{index}].")
+    if "method" not in values:
         raise ConfigError(f"detectors[{index}]: missing 'method'")
-    except ValueError:
-        raise ConfigError(
-            f"detectors[{index}]: unknown method {obj['method']!r}; expected one of "
-            f"{[m.value for m in DetectorMethod]}"
-        )
-    where = f"detectors[{index}]."
-    return DetectorConfig(
-        method=method,
-        use_kg=_typed(obj, "use_kg", False, bool, where),
-        n_samples=_typed(obj, "n_samples", 20, int, where, minimum=1),
-    )
+    return DetectorConfig(**{**values, "method": DetectorMethod(values["method"])})
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -184,107 +226,36 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {os.fspath(path)}: {exc}")
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {os.fspath(path)} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    _take(
-        obj,
-        {
-            "provider",
-            "embedding",
-            "detectors",
-            "dataset",
-            "cache_dir",
-            "output_dir",
-            "samples_dir",
-            "seed",
-            "parallelism",
-        },
-        "config",
-    )
+    values = _section(obj, RunConfig, _ROOT, "")
     digest = hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
 
-    provider_obj = obj.get("provider", {})
-    _take(
-        provider_obj,
-        {"backend", "model_id", "script", "base_url", "rate_limit_per_minute"},
-        "provider",
+    detectors = tuple(
+        _detector_from_obj(d, i) for i, d in enumerate(values.pop("detectors", []))
     )
-    provider = ProviderConfig(
-        backend=provider_obj.get("backend", "mock"),
-        model_id=_typed(provider_obj, "model_id", "mock-model", str, "provider."),
-        script=_typed(provider_obj, "script", None, str, "provider."),
-        base_url=_typed(provider_obj, "base_url", None, str, "provider."),
-        rate_limit_per_minute=_typed(
-            provider_obj, "rate_limit_per_minute", None, (int, float), "provider."
-        ),
-    )
-    if provider.backend not in ("mock", "openai", "gemini"):
-        raise ConfigError(f"unknown provider backend {provider.backend!r}")
-    if provider.rate_limit_per_minute is not None and provider.rate_limit_per_minute <= 0:
-        raise ConfigError(
-            f"provider.rate_limit_per_minute must be > 0, got {provider.rate_limit_per_minute}"
-        )
-
-    embedding_obj = obj.get("embedding", {})
-    _take(embedding_obj, {"backend", "model_id", "dim", "seed", "spec_file"}, "embedding")
-    embedding = EmbeddingConfig(
-        backend=embedding_obj.get("backend", "hash"),
-        model_id=_typed(embedding_obj, "model_id", "", str, "embedding."),
-        dim=_typed(embedding_obj, "dim", 384, int, "embedding.", minimum=1),
-        seed=_typed(embedding_obj, "seed", 0, int, "embedding."),
-        spec_file=_typed(embedding_obj, "spec_file", None, str, "embedding."),
-    )
-    if embedding.backend not in ("hash", "specfile", "sbert"):
-        raise ConfigError(f"unknown embedding backend {embedding.backend!r}")
-
-    detectors_obj = obj.get("detectors", [])
-    if not isinstance(detectors_obj, list):
-        raise ConfigError("'detectors' must be a list")
-    detectors = tuple(_detector_from_obj(d, i) for i, d in enumerate(detectors_obj))
     first_of: dict[tuple[DetectorMethod, bool], int] = {}
     for i, d in enumerate(detectors):
         first = first_of.setdefault((d.method, d.use_kg), i)
         if first != i:
             name = _method_name(d.method.value, d.use_kg)
             raise ConfigError(f"detectors[{i}] repeats detectors[{first}] ({name})")
-
-    dataset_obj = obj.get("dataset", {})
-    _take(dataset_obj, {"path", "kind", "expected_samples"}, "dataset")
-    expected_samples = dataset_obj.get("expected_samples", 20)
-    dataset = DatasetConfig(
-        path=_typed(dataset_obj, "path", "", str, "dataset."),
-        kind=dataset_obj.get("kind", "wikibio"),
-        expected_samples=(
-            None
-            if expected_samples is None
-            else _typed(dataset_obj, "expected_samples", 20, int, "dataset.", minimum=0)
-        ),
-    )
-    if dataset.kind not in ("wikibio",):
-        raise ConfigError(f"unknown dataset kind {dataset.kind!r}")
-    parallelism = _typed(obj, "parallelism", 1, int, minimum=1)
-
-    return RunConfig(
-        provider=provider,
-        embedding=embedding,
+    cfg = RunConfig(
+        **values,
         detectors=detectors,
-        dataset=dataset,
-        cache_dir=_typed(obj, "cache_dir", None, str),
-        output_dir=_typed(obj, "output_dir", "out", str),
-        samples_dir=_typed(obj, "samples_dir", None, str),
-        seed=_typed(obj, "seed", 0, int),
-        parallelism=parallelism,
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
+    rate = cfg.provider.rate_limit_per_minute
+    if rate is not None and rate <= 0:
+        raise ConfigError(f"provider.rate_limit_per_minute must be > 0, got {rate}")
+    return cfg
 
 
 def build_backend(cfg: RunConfig):
@@ -337,7 +308,8 @@ def _meta_record(cfg: RunConfig, embedder: MemoizingEmbedder | None) -> dict:
 
 
 def _read_sentences(path: Path) -> list[str]:
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    with open_text(path) as fh:
+        lines = [line.strip() for line in fh.read().splitlines()]
     sentences = [line for line in lines if line]
     if not sentences:
         raise SchemaError(f"{path}: no sentences")
@@ -540,16 +512,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             cfg.seed,
         )
         comparisons.append(
-            {
-                "baseline": name,
-                "variant": kg_name,
-                "metric": "auc_pr",
-                "difference_mean": result.difference_mean,
-                "low": result.low,
-                "high": result.high,
-                "significant": result.significant,
-                "skipped": result.skipped,
-            }
+            {"baseline": name, "variant": kg_name, "metric": "auc_pr", **asdict(result)}
         )
         comparison_lines.append(f"{kg_name} vs {name}: {result}")
 

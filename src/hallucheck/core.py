@@ -151,8 +151,7 @@ class KnowledgeGraph:
 class GeneratedOutput:
     """One sentence under evaluation, with an optional surrounding paragraph.
 
-    Multi-sentence text is accepted (the single-sentence check is advisory)
-    but is scored as one unit.
+    Multi-sentence text is accepted but is scored as one unit.
     """
 
     prompt_id: str
@@ -162,13 +161,6 @@ class GeneratedOutput:
     def __post_init__(self) -> None:
         if not self.text.strip():
             raise ValueError("generated output text is empty")
-
-    @property
-    def is_single_sentence(self) -> bool:
-        """Advisory: true when the text contains at most one terminal
-        punctuation run (ignoring a trailing one)."""
-        stripped = self.text.strip().rstrip(".!?")
-        return not any(ch in ".!?" for ch in stripped)
 
 
 def make_output_ref(prompt_id: str, sentence_index: int | None = None) -> str:

@@ -15,6 +15,7 @@ so artifact bytes depend only on inputs and configuration.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -25,7 +26,7 @@ import threading
 from dataclasses import dataclass, replace
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .core import DetectorMethod, HallucheckError, Label, ScoreRecord, Triple
 from .embed import MemoizingEmbedder, cosine_sim
@@ -51,6 +52,17 @@ class StoreConflict(HallucheckError):
 
 class JudgeParseError(HallucheckError):
     """A grading reply contained no recognizable verdict token."""
+
+
+@contextlib.contextmanager
+def open_text(path: str | os.PathLike) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; bytes that do not decode raise a
+    SchemaError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
 
 
 def word_count(text: str) -> int:
@@ -137,7 +149,7 @@ def load_wikibio(
     Pass ``expected_samples=None`` to accept any per-paragraph sample count.
     """
     records: list[WikiBioRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -150,26 +162,6 @@ def load_wikibio(
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records
-
-
-def save_wikibio(records: Iterable[WikiBioRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "paragraph_id": r.paragraph_id,
-                        "concept": r.concept,
-                        "sentence_index": r.sentence_index,
-                        "sentence": r.sentence,
-                        "label": r.label.value,
-                        "samples": list(r.samples),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
 
 
 @dataclass(frozen=True)
@@ -391,19 +383,12 @@ def _samples_digest(samples: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class StoreReceipt:
-    paragraph_id: str
-    digest: str
-    duplicate: bool
-
-
 class SampleStore:
     """One JSON file per paragraph, keyed by the id's digest.
 
-    Rewriting identical content is a flagged no-op; rewriting different
-    content raises, because silently replacing samples would invalidate any
-    scores already derived from them.
+    Rewriting identical content is a no-op; rewriting different content
+    raises, because silently replacing samples would invalidate any scores
+    already derived from them.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -415,7 +400,7 @@ class SampleStore:
         name = hashlib.sha256(paragraph_id.encode("utf-8")).hexdigest()[:24]
         return self.directory / f"{name}.json"
 
-    def put(self, paragraph_id: str, samples: Sequence[str]) -> StoreReceipt:
+    def put(self, paragraph_id: str, samples: Sequence[str]) -> None:
         if not samples:
             raise ValueError("samples must be non-empty")
         digest = _samples_digest(samples)
@@ -423,7 +408,7 @@ class SampleStore:
         with self._lock:
             if path.exists():
                 if self._read(path, "digest", str) == digest:
-                    return StoreReceipt(paragraph_id, digest, duplicate=True)
+                    return
                 raise StoreConflict(
                     f"paragraph {paragraph_id!r} already stored with different samples"
                 )
@@ -441,7 +426,6 @@ class SampleStore:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
                 raise
-        return StoreReceipt(paragraph_id, digest, duplicate=False)
 
     def get(self, paragraph_id: str) -> list[str]:
         path = self._path_for(paragraph_id)
@@ -466,12 +450,6 @@ class SampleStore:
 
     def has(self, paragraph_id: str) -> bool:
         return self._path_for(paragraph_id).exists()
-
-    def paragraph_ids(self) -> list[str]:
-        ids = []
-        for path in sorted(self.directory.glob("*.json")):
-            ids.append(self._read(path, "paragraph_id", str))
-        return sorted(ids)
 
 
 def score_record_to_dict(record: ScoreRecord) -> dict:
@@ -551,7 +529,7 @@ def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
     a valid record, or that repeats the (output_ref, method, kg_used) key of
     an earlier line, raises SchemaError naming the file and the line."""
     seen: set[tuple[str, str, bool]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

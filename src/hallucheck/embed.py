@@ -21,6 +21,9 @@ import numpy as np
 from .core import HallucheckError, OnceMemo, Triple
 
 
+_INF = float("inf")
+
+
 class EmbedBackendError(HallucheckError):
     """The embedding backend is unavailable or failed to produce a vector."""
 
@@ -153,26 +156,39 @@ class SpecFileEmbedder(MemoizingEmbedder):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SpecFileEmbedder":
+        """The embedder a spec file describes; a spec that cannot be read or
+        is malformed raises EmbedBackendError naming the file."""
         try:
             spec = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            _check_spec(spec)
+        except (OSError, ValueError) as exc:
             raise EmbedBackendError(f"cannot load embedding spec {path}: {exc}") from exc
         return cls(
             vectors=spec.get("vectors", {}),
-            dim=int(spec["dim"]),
+            dim=spec["dim"],
             model_id=spec.get("model_id", "specfile"),
-            fallback_seed=int(spec.get("fallback_seed", 0)),
+            fallback_seed=spec.get("fallback_seed", 0),
         )
 
     def _embed_raw(self, text: str) -> np.ndarray:
         pinned = self._vectors.get(text)
         if pinned is not None:
-            if len(pinned) != self.dim:
-                raise DimensionMismatch(
-                    f"pinned vector for {text!r} has {len(pinned)} components, expected {self.dim}"
-                )
             return np.array(pinned, dtype=np.float64)
         return self._fallback._embed_raw(text)
+
+
+def _check_spec(spec: object) -> None:
+    """Raise ValueError unless ``spec`` is a spec object whose pinned vectors
+    are lists of ``dim`` finite numbers."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("vectors", {}), dict):
+        raise ValueError("a spec is a JSON object whose 'vectors' maps texts to vectors")
+    dim = spec.get("dim")
+    if type(dim) is not int or dim < 1 or type(spec.get("fallback_seed", 0)) is not int:
+        raise ValueError("'dim' must be an integer >= 1 and 'fallback_seed' an integer")
+    for text, vector in spec.get("vectors", {}).items():
+        shaped = isinstance(vector, list) and len(vector) == dim
+        if not shaped or not all(type(c) in (int, float) and -_INF < c < _INF for c in vector):
+            raise ValueError(f"pinned vector for {text!r} must be a list of {dim} finite numbers")
 
 
 class SbertEmbedder(MemoizingEmbedder):

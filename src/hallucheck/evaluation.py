@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import HallucheckError, Label
-
-T = TypeVar("T")
 
 THRESHOLD_GRID: tuple[float, ...] = tuple(i / 100 for i in range(101))
 
@@ -311,27 +309,6 @@ class BootstrapCI(NamedTuple):
 BLOCK = 8192
 
 
-def _row_fn(
-    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
-    scores: Sequence[LabeledScore],
-) -> RowFn:
-    """The kernel of a row metric, or a per-sample metric applied row by row."""
-    if isinstance(metric_fn, RowMetric):
-        return metric_fn.bind(scores)
-
-    def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.zeros(len(idx))
-        degenerate = np.zeros(len(idx), dtype=bool)
-        for i, row in enumerate(idx.tolist()):
-            try:
-                values[i] = metric_fn([scores[j] for j in row])
-            except DegenerateLabels:
-                degenerate[i] = True
-        return values, degenerate
-
-    return rows
-
-
 def _resample(n: int, rows: RowFn, resamples: int, seed: int) -> tuple[list[float], int]:
     """The values of the non-degenerate resamples, in draw order, and the
     number of degenerate ones.
@@ -358,15 +335,14 @@ def _percentile_interval(replicates: list[float]) -> tuple[float, float, float]:
 
 def bootstrap_ci(
     scores: Sequence[LabeledScore],
-    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
+    metric_fn: RowMetric,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> BootstrapCI:
     """Resample examples with replacement and take empirical 2.5/97.5 quantiles.
 
-    ``metric_fn`` is a function of a list of scores, or a ``RowMetric`` that
-    scores a block of resamples at once with the same result. Resamples on
-    which the metric degenerates (one label class) are skipped and counted.
+    ``metric_fn`` scores a block of resamples at once. Resamples on which
+    the metric degenerates (one label class) are skipped and counted.
     Deterministic for a given seed: the generator draws one length-n index
     vector per resample, in order.
     """
@@ -374,7 +350,7 @@ def bootstrap_ci(
         raise DegenerateLabels("no scores to resample")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    replicates, skipped = _resample(len(scores), _row_fn(metric_fn, scores), resamples, seed)
+    replicates, skipped = _resample(len(scores), metric_fn.bind(scores), resamples, seed)
     if not replicates:
         raise DegenerateLabels("every bootstrap resample was degenerate")
     mean, low, high = _percentile_interval(replicates)
@@ -408,7 +384,7 @@ def _by_ref(scores: Sequence[LabeledScore]) -> list[LabeledScore]:
 def compare_methods(
     a: Sequence[LabeledScore],
     b: Sequence[LabeledScore],
-    metric_fn: RowMetric | Callable[[Sequence[LabeledScore]], float],
+    metric_fn: RowMetric,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> MethodComparison:
@@ -433,7 +409,7 @@ def compare_methods(
     for sa, sb in zip(paired_a, paired_b):
         if sa.label != sb.label:
             raise RefMismatch(f"labels disagree for example {sa.example_ref!r}")
-    rows_a, rows_b = _row_fn(metric_fn, paired_a), _row_fn(metric_fn, paired_b)
+    rows_a, rows_b = metric_fn.bind(paired_a), metric_fn.bind(paired_b)
 
     def differences(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values_b, degenerate_b = rows_b(idx)
@@ -448,31 +424,6 @@ def compare_methods(
     return MethodComparison(
         difference_mean=mean, low=low, high=high, significant=significant, skipped=skipped
     )
-
-
-def balance_dataset(
-    items: Sequence[T],
-    get_label: Callable[[T], Label],
-    seed: int = 0,
-) -> list[T]:
-    """Subsample every label class down to the minority count, then shuffle.
-
-    Selection and order are fully determined by the seed.
-    """
-    groups: dict[Label, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(get_label(item), []).append(i)
-    if len(groups) < 2:
-        raise DegenerateLabels("cannot balance a single-class dataset")
-    minority = min(len(ix) for ix in groups.values())
-    rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for label in sorted(groups, key=lambda l: l.value):
-        indices = groups[label]
-        picked = rng.permutation(len(indices))[:minority]
-        chosen.extend(indices[p] for p in sorted(picked))
-    order = rng.permutation(len(chosen))
-    return [items[chosen[o]] for o in order]
 
 
 @dataclass(frozen=True)

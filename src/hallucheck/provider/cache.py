@@ -1,10 +1,11 @@
 """On-disk response cache, keyed by request digest.
 
-One JSON file per digest plus an append-only MANIFEST listing known digests.
-Writes go through a temp file and an atomic rename, so concurrent readers
-never see a partial record; in-process writers are serialized with a lock.
-Entries carry no timestamp: one request and response always give the same
-bytes. Entries written with a ``stored_at`` field still read as hits.
+One JSON file per digest. Writes go through a temp file and an atomic
+rename, so concurrent readers never see a partial record; in-process writers
+are serialized with a lock. Entries carry no timestamp: one request and
+response always give the same bytes. Entries written with a ``stored_at``
+field still read as hits, and a ``MANIFEST`` file that older versions kept
+beside the entries is ignored.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-
-MANIFEST_NAME = "MANIFEST"
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,6 @@ class ResponseCache:
         }
         body = json.dumps(record, ensure_ascii=False, indent=2)
         with self._lock:
-            is_new = not self._path(digest).exists()
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -63,13 +61,3 @@ class ResponseCache:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-            if is_new:
-                with open(self.directory / MANIFEST_NAME, "a", encoding="utf-8") as fh:
-                    fh.write(digest + "\n")
-
-    def digests(self) -> list[str]:
-        manifest = self.directory / MANIFEST_NAME
-        if not manifest.exists():
-            return []
-        return [line for line in manifest.read_text(encoding="utf-8").splitlines() if line]
-

@@ -37,6 +37,14 @@ class MockRule:
         return reply
 
 
+def _strings(value: object, what: str) -> tuple[str, ...]:
+    """``value``, one string or a non-empty list of strings, as a tuple."""
+    items = [value] if isinstance(value, str) else value
+    if not isinstance(items, list) or not items or not all(isinstance(s, str) for s in items):
+        raise ValueError(f"{what} must be a string or a non-empty list of strings")
+    return tuple(items)
+
+
 class MockChatBackend:
     name = "mock"
 
@@ -55,28 +63,28 @@ class MockChatBackend:
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockChatBackend":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            return cls.from_script(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
-        return cls.from_script(raw)
 
     @classmethod
     def from_script(cls, script: dict) -> "MockChatBackend":
+        """The backend a parsed script describes; a malformed script raises
+        ValueError."""
+        if not isinstance(script, dict) or not isinstance(script.get("rules", []), list):
+            raise ValueError("a script is a JSON object whose 'rules' is a list")
+        default, fail_calls = script.get("default", ""), script.get("fail_calls", [])
+        calls_ok = isinstance(fail_calls, list) and all(type(c) is int for c in fail_calls)
+        if not isinstance(default, str) or not calls_ok:
+            raise ValueError("'default' must be a string and 'fail_calls' a list of integers")
         rules = []
-        for entry in script.get("rules", []):
-            match = entry["match"]
-            if isinstance(match, str):
-                match = [match]
-            if "replies" in entry:
-                replies = tuple(entry["replies"])
-            else:
-                replies = (entry["reply"],)
-            rules.append(MockRule(match=tuple(match), replies=replies))
-        return cls(
-            rules=rules,
-            default_reply=script.get("default", ""),
-            fail_calls=set(script.get("fail_calls", [])),
-        )
+        for i, entry in enumerate(script.get("rules", [])):
+            if not isinstance(entry, dict):
+                raise ValueError(f"rule {i} is not a JSON object")
+            match = _strings(entry.get("match"), f"rule {i} 'match'")
+            replies = _strings(entry.get("replies", entry.get("reply")), f"rule {i} reply")
+            rules.append(MockRule(match=match, replies=replies))
+        return cls(rules=rules, default_reply=default, fail_calls=set(fail_calls))
 
     def complete_once(self, request: ChatRequest) -> str:
         text = "\n".join(f"{m.role}: {m.content}" for m in request.messages)

@@ -34,10 +34,11 @@ from hallucheck.detect import (
 from hallucheck.embed import HashEmbedder, cosine_sim
 from hallucheck.evaluation import (
     LabeledScore,
+    RowMetric,
     THRESHOLD_GRID,
     auc_pr,
     bootstrap_ci,
-    metrics_at,
+    threshold_metric,
     threshold_search,
 )
 from hallucheck.kgx import parse_triples, serialize_kg, kg_from_record, kg_to_record
@@ -253,11 +254,12 @@ def test_a05_bootstrap_determinism():
         LabeledScore(round(0.05 * i, 2), H if i % 3 else A, example_ref=f"e{i}")
         for i in range(20)
     ]
-    metric = lambda s: metrics_at(s, 0.5).accuracy
+    metric = threshold_metric("accuracy", 0.5)
     first = bootstrap_ci(fixture, metric, resamples=500, seed=11)
     second = bootstrap_ci(fixture, metric, resamples=500, seed=11)
     deterministic = first == second
-    flat = bootstrap_ci(fixture, lambda s: 0.4, resamples=100, seed=0)
+    constant = RowMetric(lambda _: lambda idx: (np.full(len(idx), 0.4), np.zeros(len(idx), bool)))
+    flat = bootstrap_ci(fixture, constant, resamples=100, seed=0)
     zero_var = flat.half_width == 0.0 and flat.low == flat.high == flat.mean == 0.4
     mean, low, high = _independent_bootstrap(fixture, 0.5, 500, 11)
     dual = first.mean == mean and first.low == low and first.high == high

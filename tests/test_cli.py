@@ -165,6 +165,16 @@ class TestConfigErrors:
             (["provider", "rate_limit_per_minute"], 0, "rate_limit_per_minute must be > 0"),
             (["output_dir"], 3, "output_dir must be a string"),
             (["dataset", "expected_samples"], "two", "dataset.expected_samples must be an integer"),
+            (
+                ["provider", "rate_limit_per_minute"],
+                float("nan"),
+                "provider.rate_limit_per_minute must be a finite number",
+            ),
+            (
+                ["provider", "rate_limit_per_minute"],
+                float("inf"),
+                "provider.rate_limit_per_minute must be a finite number",
+            ),
         ],
     )
     def test_bad_value_is_one_line(self, config_path, capsys, path, value, message):
@@ -206,6 +216,30 @@ class TestConfigErrors:
         obj["provider"]["backend"] = "telepathy"
         config_path.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["score", "--config", str(config_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "name,command,code,kind",
+        [
+            ("run_config.json", "score", 2, "config error:"),
+            ("mock_script.json", "score", 2, "config error:"),
+            ("fixture_dataset.jsonl", "score", 4, "data error:"),
+            ("scores.jsonl", "evaluate", 4, "data error:"),
+            ("sentences.txt", "extract", 4, "data error:"),
+        ],
+    )
+    def test_undecodable_input_file_is_one_line(
+        self, workdir, config_path, capsys, name, command, code, kind
+    ):
+        bad = workdir / name
+        bad.write_bytes(b'{"a": "\xff"}')
+        extra = {
+            "score": [],
+            "evaluate": ["--scores", str(bad)],
+            "extract": ["--input", str(bad), "--output", str(workdir / "kgs.jsonl")],
+        }[command]
+        assert main([command, "--config", str(config_path), *extra]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and name in err and err.count("\n") == 1
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -306,7 +340,8 @@ class TestSamples:
         assert main(["samples", "--config", str(config), "--n", "2"]) == 0
         assert "stored 4 samples for 2 paragraphs (0 already present)" in capsys.readouterr().out
         store = SampleStore(workdir / "samples")
-        assert store.paragraph_ids() == ["p01", "p02"]
+        assert store.has("p01") and store.has("p02")
+        assert len(list((workdir / "samples").glob("*.json"))) == 2
         assert store.get("p01") == [
             "Vesna Marinko was a Slovenian skier born in Kranj.",
             "Vesna Marinko competed in downhill events during the 1990s.",

@@ -122,10 +122,6 @@ class TestGeneratedOutput:
         with pytest.raises(ValueError):
             GeneratedOutput(prompt_id="p", text="   ")
 
-    def test_single_sentence_advisory(self):
-        assert GeneratedOutput("p", "One plain sentence.").is_single_sentence
-        assert not GeneratedOutput("p", "First. Second.").is_single_sentence
-
 
 def test_make_output_ref():
     assert make_output_ref("p01", 3) == "p01:3"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -20,7 +21,6 @@ from hallucheck.data import (
     parse_judge_verdict,
     read_score_records,
     save_simpleqa,
-    save_wikibio,
     score_record_from_dict,
     score_record_to_dict,
     word_count,
@@ -109,7 +109,7 @@ class TestWikiBioIO:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "d.jsonl"
         originals = [wikibio(idx=i, samples=("a", "b", "c")) for i in range(3)]
-        save_wikibio(originals, path)
+        write_jsonl(path, [dataclasses.asdict(r) for r in originals])
         assert load_wikibio(path, expected_samples=3) == originals
 
     def test_empty_file(self, tmp_path):
@@ -396,17 +396,20 @@ class TestStats:
 class TestSampleStore:
     def test_roundtrip(self, tmp_path):
         store = SampleStore(tmp_path / "store")
-        receipt = store.put("bio-001", ["first", "second"])
-        assert not receipt.duplicate
+        assert not store.has("bio-001")
+        store.put("bio-001", ["first", "second"])
         assert store.get("bio-001") == ["first", "second"]
         assert store.has("bio-001")
 
     def test_identical_put_is_duplicate(self, tmp_path):
         store = SampleStore(tmp_path / "store")
-        first = store.put("bio-001", ["x"])
-        second = store.put("bio-001", ["x"])
-        assert second.duplicate
-        assert second.digest == first.digest
+        store.put("bio-001", ["x"])
+        (path,) = (tmp_path / "store").glob("*.json")
+        first = path.stat()
+        store.put("bio-001", ["x"])
+        assert [p.name for p in (tmp_path / "store").iterdir()] == [path.name]
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+        assert store.get("bio-001") == ["x"]
 
     def test_conflicting_put_raises(self, tmp_path):
         store = SampleStore(tmp_path / "store")
@@ -419,12 +422,6 @@ class TestSampleStore:
         with pytest.raises(NotFound, match="bio-404"):
             store.get("bio-404")
         assert not store.has("bio-404")
-
-    def test_paragraph_ids_sorted(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        for pid in ("z", "a", "m"):
-            store.put(pid, ["s"])
-        assert store.paragraph_ids() == ["a", "m", "z"]
 
     def test_unsafe_id_characters(self, tmp_path):
         store = SampleStore(tmp_path / "store")
@@ -448,8 +445,7 @@ class TestSampleStore:
             store.put("bio-001", [])
 
     def test_put_creates_the_directory(self, tmp_path):
-        receipt = SampleStore(tmp_path / "store").put("bio-002", ["a"])
-        assert not receipt.duplicate
+        SampleStore(tmp_path / "store").put("bio-002", ["a"])
         assert SampleStore(tmp_path / "store").get("bio-002") == ["a"]
 
     @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]', '{"samples": "ab", "digest": 3}'])
@@ -462,8 +458,6 @@ class TestSampleStore:
             store.get("bio-001")
         with pytest.raises(SchemaError, match=path.name):
             store.put("bio-001", ["x"])
-        with pytest.raises(SchemaError, match=path.name):
-            store.paragraph_ids()
 
 
 def sample_record(with_triples=True):

@@ -213,6 +213,29 @@ class TestSpecFileEmbedder:
         with pytest.raises(EmbedBackendError):
             SpecFileEmbedder.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {},
+            [],
+            {"dim": "abc"},
+            {"dim": 0},
+            {"dim": True},
+            {"dim": 2, "vectors": []},
+            {"dim": 2, "vectors": {"t": [1.0]}},
+            {"dim": 2, "vectors": {"t": [1.0, float("nan")]}},
+            {"dim": 2, "vectors": {"t": [1.0, float("inf")]}},
+            {"dim": 2, "vectors": {"t": [1.0, "0"]}},
+            {"dim": 2, "fallback_seed": "9"},
+        ],
+    )
+    def test_malformed_spec_is_a_backend_error(self, tmp_path, spec):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(EmbedBackendError, match="cannot load embedding spec") as exc_info:
+            SpecFileEmbedder.from_file(path)
+        assert str(path) in str(exc_info.value) and "\n" not in str(exc_info.value)
+
 
 def test_sbert_backend_reports_missing_dependency():
     try:

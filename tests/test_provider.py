@@ -119,12 +119,21 @@ class TestResponseCache:
         cache.put(digest, canonical_request(req(), "mock"), "stored reply")
         assert cache.get(digest) == "stored reply"
 
-    def test_manifest_grows_once_per_digest(self, tmp_path):
+    def test_put_writes_one_entry_per_digest(self, tmp_path):
         cache = ResponseCache(tmp_path)
         digest = cache_key(req(), "mock")
         cache.put(digest, "{}", "a")
         cache.put(digest, "{}", "a")
-        assert cache.digests() == [digest]
+        assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.json"]
+
+    def test_manifest_of_an_older_version_is_ignored(self, tmp_path):
+        digest = cache_key(req(), "mock")
+        (tmp_path / "MANIFEST").write_text(digest + "\n", encoding="utf-8")
+        cache = ResponseCache(tmp_path)
+        assert cache.get(digest) is None
+        cache.put(digest, "{}", "a")
+        assert cache.get(digest) == "a"
+        assert (tmp_path / "MANIFEST").read_text(encoding="utf-8") == digest + "\n"
 
     def test_survives_reopen(self, tmp_path):
         digest = cache_key(req(), "mock")
@@ -195,6 +204,27 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockChatBackend.from_script_file(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize(
+        "script",
+        [
+            [],
+            {"rules": {}},
+            {"rules": ["x"]},
+            {"rules": [{"reply": "r"}]},
+            {"rules": [{"match": "m"}]},
+            {"rules": [{"match": "m", "replies": []}]},
+            {"rules": [{"match": 3, "reply": "r"}]},
+            {"default": 0},
+            {"fail_calls": [1.5]},
+        ],
+    )
+    def test_malformed_script_is_a_config_error(self, tmp_path, script):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot load mock script") as exc_info:
+            MockChatBackend.from_script_file(path)
+        assert str(path) in str(exc_info.value) and "\n" not in str(exc_info.value)
+
 
 class TestChatClient:
     def test_complete_caches(self, tmp_path):
@@ -249,7 +279,7 @@ class TestChatClient:
         client = ChatClient(MockChatBackend(default_reply="s"), cache=cache)
         client.sample_n(req(), 3)
         expected = {cache_key(req(), "mock", nonce=f"sample:{i}") for i in range(3)}
-        assert expected <= set(cache.digests())
+        assert expected == {p.stem for p in tmp_path.glob("*.json")}
 
     def test_sample_n_partial_failure(self):
         backend = MockChatBackend(default_reply="ok", fail_calls={3, 4, 5})
