@@ -230,7 +230,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(f"cannot read config {os.fspath(path)}: {exc}")
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {os.fspath(path)} is not valid JSON: {exc}")
     values = _section(obj, RunConfig, _ROOT, "")
     digest = hashlib.sha256(

@@ -55,14 +55,24 @@ class JudgeParseError(HallucheckError):
 
 
 @contextlib.contextmanager
-def open_text(path: str | os.PathLike) -> Iterator[TextIO]:
+def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
     """``path`` opened as UTF-8 text; bytes that do not decode raise a
     SchemaError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
+
+
+def _json_line(line: str, where: str) -> object:
+    """The JSON value on one line. A line json cannot decode, including an
+    integer past the digit limit or nesting past the recursion limit, raises
+    SchemaError naming ``where``."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
 
 
 def word_count(text: str) -> int:
@@ -154,10 +164,7 @@ def load_wikibio(
             if not line.strip():
                 continue
             where = f"{os.fspath(path)}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON ({exc.msg})")
+            obj = _json_line(line, where)
             records.append(_wikibio_from_obj(obj, where, expected_samples))
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
@@ -194,7 +201,7 @@ def load_simpleqa(path: str | os.PathLike) -> list[SimpleQARecord]:
     this package's extended header with grading columns.
     """
     records: list[SimpleQARecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{os.fspath(path)}: empty file")
@@ -442,7 +449,7 @@ class SampleStore:
         file is a SchemaError naming it."""
         try:
             value = json.loads(path.read_text(encoding="utf-8"))[key]
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise SchemaError(f"{path}: not a sample-store file ({exc})") from exc
         if not isinstance(value, kind):
             raise SchemaError(f"{path}: {key!r} must be a JSON {kind.__name__}")
@@ -479,33 +486,38 @@ def _typed_field(value: object, name: str, kinds: tuple[type, ...], what: str):
 
 
 def score_record_from_dict(obj: dict) -> ScoreRecord:
-    """The record a score row holds. Each field must have its JSON type
-    (``kg_used`` a boolean, scores numbers, ``misses`` an integer), so a row
-    is never silently coerced into another record."""
-    number = (int, float)
+    """The record a score row holds. The row must be an object and each field
+    must have its JSON type (``kg_used`` a boolean, scores numbers, ``misses``
+    an integer, text fields strings), so a row is never silently coerced into
+    another record."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"score record must be an object, got {type(obj).__name__}")
+    number, text = (int, float), (str,)
     try:
         triple_scores = None
-        if "triple_scores" in obj and obj["triple_scores"] is not None:
+        if obj.get("triple_scores") is not None:
             triple_scores = tuple(
                 (
-                    Triple(subject=s, relation=r, obj=o),
+                    Triple(*(_typed_field(f, "triple_scores", text, "a string") for f in t)),
                     float(_typed_field(c, "triple_scores", number, "a number")),
                 )
-                for (s, r, o), c in obj["triple_scores"]
+                for t, c in obj["triple_scores"]
             )
         return ScoreRecord(
-            output_ref=obj["output_ref"],
+            output_ref=_typed_field(obj["output_ref"], "output_ref", text, "a string"),
             method=DetectorMethod(obj["method"]),
             score=float(_typed_field(obj["score"], "score", number, "a number")),
             kg_used=_typed_field(obj["kg_used"], "kg_used", (bool,), "a boolean"),
             triple_scores=triple_scores,
             misses=_typed_field(obj.get("misses", 0), "misses", (int,), "an integer"),
-            prompt_version=obj.get("prompt_version", ""),
-            model_id=obj.get("model_id", ""),
+            prompt_version=_typed_field(
+                obj.get("prompt_version", ""), "prompt_version", text, "a string"
+            ),
+            model_id=_typed_field(obj.get("model_id", ""), "model_id", text, "a string"),
         )
     except KeyError as exc:
         raise SchemaError(f"score record lacks field {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad score record: {exc}")
 
 
@@ -534,10 +546,7 @@ def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
             if not line.strip():
                 continue
             where = f"{os.fspath(path)}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON ({exc.msg})")
+            obj = _json_line(line, where)
             if isinstance(obj, dict) and obj.get("_meta"):
                 continue
             try:

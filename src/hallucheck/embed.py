@@ -161,7 +161,7 @@ class SpecFileEmbedder(MemoizingEmbedder):
         try:
             spec = json.loads(Path(path).read_text(encoding="utf-8"))
             _check_spec(spec)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise EmbedBackendError(f"cannot load embedding spec {path}: {exc}") from exc
         return cls(
             vectors=spec.get("vectors", {}),

@@ -91,7 +91,7 @@ def parse_triples(reply: str) -> ParseResult:
     if start != -1 and end > start:
         try:
             data = json.loads(reply[start : end + 1])
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # digit and nesting limits too
             data = None
         if isinstance(data, list):
             triples: list[Triple] = []

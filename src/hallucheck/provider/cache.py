@@ -37,7 +37,7 @@ class ResponseCache:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
             record = None
         response = record.get("response") if isinstance(record, dict) else None
         if not isinstance(response, str):

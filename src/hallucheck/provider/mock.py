@@ -64,7 +64,7 @@ class MockChatBackend:
     def from_script_file(cls, path: str | Path) -> "MockChatBackend":
         try:
             return cls.from_script(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
 
     @classmethod

@@ -1,18 +1,18 @@
 """HTTP chat backends for the hosted model APIs.
 
 Credentials come from environment variables (HALLUCHECK_OPENAI_KEY,
-HALLUCHECK_GEMINI_KEY); the HTTP session is injectable so the request/response
-mapping is testable without a network. Error mapping: connection problems,
-5xx, and 429 become TransportError (retryable); auth and unknown-model
-responses become ConfigError; a 2xx body with no text becomes ProviderRefusal.
+HALLUCHECK_GEMINI_KEY); the HTTP transport is injectable (``transport=``, by
+default ``post_json``) so the request/response mapping is testable without a
+network. Error mapping: connection problems, 5xx, and 429 become
+TransportError (retryable); auth and unknown-model responses become
+ConfigError; a 2xx body with no text becomes ProviderRefusal.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Any
-
-import requests
+from typing import Any, Callable
 
 from .types import ChatRequest, ConfigError, ProviderRefusal, TransportError
 
@@ -21,23 +21,51 @@ GEMINI_KEY_ENV = "HALLUCHECK_GEMINI_KEY"
 
 _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 
+Transport = Callable[[str, dict, dict, float], dict]
 
-def _post_json(session: requests.Session, url: str, headers: dict, payload: dict, timeout: float) -> dict:
+
+def post_json(url: str, headers: dict, payload: dict, timeout: float) -> dict:
+    """POST ``payload`` as JSON to ``url`` and return the decoded JSON reply.
+
+    Each call opens its own connection. The HTTP modules are imported here,
+    not at module top, because only a live call needs them.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    if not url.lower().startswith(("http://", "https://")):
+        raise TransportError(f"request to {url} failed: not an http(s) URL")
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+        headers={**headers, "Content-Type": "application/json"},
+        method="POST",
+    )
     try:
-        response = session.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, body = exc.code, exc.read()
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    if response.status_code in _RETRYABLE_STATUS:
-        raise TransportError(f"HTTP {response.status_code} from {url}")
-    if response.status_code in (401, 403):
-        raise ConfigError(f"authentication rejected ({response.status_code}) by {url}")
-    if response.status_code == 404:
+    except ValueError:
+        # http.client quotes the offending header value, which may be the key.
+        raise ConfigError(f"cannot send request to {url}: malformed header value") from None
+    if status in _RETRYABLE_STATUS:
+        raise TransportError(f"HTTP {status} from {url}")
+    if status in (401, 403):
+        raise ConfigError(f"authentication rejected ({status}) by {url}")
+    if status == 404:
         raise ConfigError(f"unknown model or endpoint ({url})")
-    if response.status_code >= 400:
-        raise TransportError(f"HTTP {response.status_code} from {url}: {response.text[:200]}")
+    if status >= 400:
+        text = body.decode("utf-8", errors="replace")
+        raise TransportError(f"HTTP {status} from {url}: {text[:200]}")
     try:
-        return response.json()
-    except ValueError as exc:
+        return json.loads(body)
+    except (ValueError, RecursionError) as exc:
         raise TransportError(f"non-JSON body from {url}") from exc
 
 
@@ -50,14 +78,14 @@ class OpenAIChatBackend:
         self,
         api_key: str | None = None,
         base_url: str = "https://api.openai.com/v1",
-        session: requests.Session | None = None,
+        transport: Transport = post_json,
         timeout: float = 120.0,
     ):
         self.api_key = api_key if api_key is not None else os.environ.get(OPENAI_KEY_ENV, "")
         if not self.api_key:
             raise ConfigError(f"no API key: set {OPENAI_KEY_ENV}")
         self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
+        self.transport = transport
         self.timeout = timeout
 
     def complete_once(self, request: ChatRequest) -> str:
@@ -70,8 +98,7 @@ class OpenAIChatBackend:
             "frequency_penalty": request.params.frequency_penalty,
             "presence_penalty": request.params.presence_penalty,
         }
-        data = _post_json(
-            self.session,
+        data = self.transport(
             f"{self.base_url}/chat/completions",
             {"Authorization": f"Bearer {self.api_key}"},
             payload,
@@ -93,14 +120,14 @@ class GeminiChatBackend:
         self,
         api_key: str | None = None,
         base_url: str = "https://generativelanguage.googleapis.com/v1beta",
-        session: requests.Session | None = None,
+        transport: Transport = post_json,
         timeout: float = 120.0,
     ):
         self.api_key = api_key if api_key is not None else os.environ.get(GEMINI_KEY_ENV, "")
         if not self.api_key:
             raise ConfigError(f"no API key: set {GEMINI_KEY_ENV}")
         self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
+        self.transport = transport
         self.timeout = timeout
 
     def complete_once(self, request: ChatRequest) -> str:
@@ -126,7 +153,7 @@ class GeminiChatBackend:
             payload["systemInstruction"] = {"parts": [{"text": "\n".join(system_parts)}]}
         # The key goes in a header: the URL is quoted in error messages and logs.
         url = f"{self.base_url}/models/{request.model_id}:generateContent"
-        data = _post_json(self.session, url, {"x-goog-api-key": self.api_key}, payload, self.timeout)
+        data = self.transport(url, {"x-goog-api-key": self.api_key}, payload, self.timeout)
         candidates = data.get("candidates") or []
         parts = (candidates[0].get("content") or {}).get("parts") if candidates else None
         text = "".join(p.get("text", "") for p in parts) if parts else ""

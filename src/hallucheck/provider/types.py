@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -43,12 +44,15 @@ class GenerationParams:
     presence_penalty: float
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        # Every value must be finite: a request body is strict JSON.
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.max_tokens <= 0:
             raise ConfigError("max_tokens must be positive")
+        if not math.isfinite(self.frequency_penalty) or not math.isfinite(self.presence_penalty):
+            raise ConfigError("frequency_penalty and presence_penalty must be finite")
 
     def as_dict(self) -> dict[str, float | int]:
         return {

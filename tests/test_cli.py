@@ -241,6 +241,28 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(kind) and name in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name,command,code,kind",
+        [
+            ("run_config.json", "score", 2, "config error:"),
+            ("mock_script.json", "score", 2, "config error:"),
+            ("fixture_dataset.jsonl", "score", 4, "data error:"),
+            ("scores.jsonl", "evaluate", 4, "data error:"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "text", ["[" + "1" * 5000 + "]", "[" * 100_000], ids=["digits", "nesting"]
+    )
+    def test_json_past_the_decoder_limits_is_one_line(
+        self, workdir, config_path, capsys, name, command, code, kind, text
+    ):
+        bad = workdir / name
+        bad.write_text(text + "\n", encoding="utf-8")
+        extra = ["--scores", str(bad)] if command == "evaluate" else []
+        assert main([command, "--config", str(config_path), *extra]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and name in err and err.count("\n") == 1
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
@@ -297,6 +319,18 @@ class TestScore:
         first = scores_path.read_bytes()
         assert self.run_score(config_path, "--fresh") == 0
         assert scores_path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "reply", ["[" + "1" * 5000 + "]", "[" * 100_000 + "]"], ids=["digits", "nesting"]
+    )
+    def test_extraction_reply_past_the_json_limits_is_scored(self, workdir, config_path, reply):
+        script_path = workdir / "mock_script.json"
+        script = json.loads(script_path.read_text(encoding="utf-8"))
+        rule = {"match": "knowledge-graph triples", "reply": reply}
+        script_path.write_text(
+            json.dumps({**script, "rules": [rule, *script["rules"]]}), encoding="utf-8"
+        )
+        assert self.run_score(config_path) == 0
 
     @pytest.mark.parametrize("body", ['{"resp', '{"digest": "d"}'])
     def test_corrupt_cache_entry_is_a_miss(self, workdir, config_path, caplog, body):

@@ -33,6 +33,11 @@ from hallucheck.provider import ChatClient, MockChatBackend
 H = Label.HALLUCINATED
 A = Label.ACCURATE
 
+# Lines that json rejects with a ValueError or RecursionError, not a
+# JSONDecodeError: an integer past the digit limit and nesting past the
+# recursion limit.
+PAST_JSON_LIMITS = ["[" + "1" * 5000 + "]", "[" * 100_000]
+
 
 class TestWordCount:
     def test_basic(self):
@@ -172,6 +177,13 @@ class TestWikiBioIO:
         path.write_text(json.dumps(valid_row()) + "\n\n\n")
         assert len(load_wikibio(path, expected_samples=3)) == 1
 
+    @pytest.mark.parametrize("line", PAST_JSON_LIMITS, ids=["digits", "nesting"])
+    def test_line_past_the_json_limits_is_a_schema_error(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(valid_row()) + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match=r"d\.jsonl:2: invalid JSON"):
+            load_wikibio(path, expected_samples=3)
+
 
 class TestSimpleQA:
     def test_published_header(self, tmp_path):
@@ -231,6 +243,12 @@ class TestSimpleQA:
             "Q?,G,M,likely,\n"
         )
         with pytest.raises(SchemaError, match="bad label"):
+            load_simpleqa(path)
+
+    def test_undecodable_file_is_a_schema_error_naming_it(self, tmp_path):
+        path = tmp_path / "qa.csv"
+        path.write_bytes(b"question,gold_answer\nWhat is \xff?,Paris\n")
+        with pytest.raises(SchemaError, match=r"qa\.csv: not UTF-8 text"):
             load_simpleqa(path)
 
     def test_label_requires_model_answer(self):
@@ -448,7 +466,16 @@ class TestSampleStore:
         SampleStore(tmp_path / "store").put("bio-002", ["a"])
         assert SampleStore(tmp_path / "store").get("bio-002") == ["a"]
 
-    @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]', '{"samples": "ab", "digest": 3}'])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"samp',
+            '["a", "b"]',
+            '{"samples": "ab", "digest": 3}',
+            pytest.param(PAST_JSON_LIMITS[0], id="digits"),
+            pytest.param(PAST_JSON_LIMITS[1], id="nesting"),
+        ],
+    )
     def test_corrupt_file_is_a_schema_error_naming_it(self, tmp_path, body):
         store = SampleStore(tmp_path / "store")
         store.put("bio-001", ["x"])
@@ -565,3 +592,83 @@ class TestScoreRecordIO:
         path.write_text("{nope\n")
         with pytest.raises(SchemaError, match="invalid JSON"):
             list(read_score_records(path))
+
+    @pytest.mark.parametrize("line", PAST_JSON_LIMITS, ids=["digits", "nesting"])
+    def test_line_past_the_json_limits_is_a_schema_error(self, tmp_path, line):
+        path = tmp_path / "scores.jsonl"
+        write_score_records([sample_record()], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(SchemaError, match=r"scores\.jsonl:2: invalid JSON"):
+            list(read_score_records(path))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("output_ref", ["p1", 0]),
+            ("prompt_version", 1),
+            ("model_id", None),
+            ("score", 10**400),
+            ("triple_scores", [[["a", 1, "b"], 0.5]]),
+            (None, [1, 2]),
+        ],
+        ids=["output_ref", "prompt_version", "model_id", "huge-score", "triple", "list"],
+    )
+    def test_row_that_is_not_a_record_is_a_schema_error(self, tmp_path, field, value):
+        obj = score_record_to_dict(sample_record())
+        if field is None:
+            obj = value
+        else:
+            obj[field] = value
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"scores\.jsonl:1: "):
+            list(read_score_records(path))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**308, max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def score_lines(draw):
+    """A score row with a few fields, or a triple field, replaced by any JSON
+    value; or any JSON value at all."""
+    obj = score_record_to_dict(sample_record())
+    if draw(st.booleans()):
+        obj["triple_scores"][0][0][draw(st.integers(0, 2))] = draw(json_values)
+    for key in draw(st.lists(st.sampled_from([*sorted(obj), "_meta"]), max_size=3)):
+        obj[key] = draw(json_values)
+    return json.dumps(draw(st.just(obj) | json_values))
+
+
+class TestScoreStreamProperty:
+    """Whatever a score file holds, the reader yields records or raises
+    SchemaError; nothing else escapes to the CLI."""
+
+    @staticmethod
+    def read(path, content: bytes):
+        path.write_bytes(content)
+        try:
+            records = list(read_score_records(path))
+        except SchemaError:
+            return
+        assert all(isinstance(r, ScoreRecord) for r in records)
+
+    @given(st.binary(max_size=300))
+    def test_any_bytes(self, tmp_path_factory, content):
+        self.read(tmp_path_factory.getbasetemp() / "any_bytes.jsonl", content)
+
+    @given(st.lists(score_lines(), max_size=4))
+    def test_any_json_rows(self, tmp_path_factory, lines):
+        content = "".join(line + "\n" for line in lines).encode("utf-8")
+        self.read(tmp_path_factory.getbasetemp() / "any_rows.jsonl", content)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hallucheck.core import DetectorMethod, GeneratedOutput, mean_score
 from hallucheck.detect import (
@@ -78,6 +80,14 @@ class TestParseScore:
     def test_no_number(self):
         with pytest.raises(ScoreParseError):
             parse_score("no idea whatsoever")
+
+    @given(st.text() | st.from_regex(r"[^0-9]{0,5}[-+]?[0-9]{0,400}\.?[0-9]{0,5}.{0,5}"))
+    def test_any_reply_scores_in_the_unit_interval_or_raises(self, reply):
+        try:
+            score = parse_score(reply)
+        except ScoreParseError:
+            return
+        assert 0.0 <= score <= 1.0
 
 
 class TestConfigAndSteps:

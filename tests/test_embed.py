@@ -236,6 +236,15 @@ class TestSpecFileEmbedder:
             SpecFileEmbedder.from_file(path)
         assert str(path) in str(exc_info.value) and "\n" not in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "text", ["[" + "1" * 5000 + "]", "[" * 100_000], ids=["digits", "nesting"]
+    )
+    def test_spec_past_the_json_limits_is_a_backend_error(self, tmp_path, text):
+        path = tmp_path / "emb.json"
+        path.write_text(text)
+        with pytest.raises(EmbedBackendError, match="cannot load embedding spec"):
+            SpecFileEmbedder.from_file(path)
+
 
 def test_sbert_backend_reports_missing_dependency():
     try:

@@ -9,6 +9,7 @@ from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.kgx import (
     ExtractionPromptTemplate,
     KGExtractor,
+    ParseResult,
     kg_from_record,
     kg_to_record,
     parse_triples,
@@ -103,6 +104,25 @@ class TestParseTriples:
     def test_duplicates_kept_for_caller(self):
         result = parse_triples('[["a", "r", "b"], ["A", "R", "B"]]')
         assert len(result.triples) == 2
+
+    @pytest.mark.parametrize(
+        "reply", ["[" + "1" * 5000 + "]", "[" * 100_000 + "]"], ids=["digits", "nesting"]
+    )
+    def test_reply_past_the_json_limits_falls_back_to_lines(self, reply):
+        assert parse_triples(reply) == ParseResult(triples=(), losses=1)
+
+    @given(
+        st.text()
+        | st.recursive(
+            st.text(max_size=6) | st.integers() | st.floats(),
+            lambda children: st.lists(children, max_size=4),
+            max_leaves=12,
+        ).map(json.dumps)
+    )
+    def test_never_raises(self, reply):
+        result = parse_triples(reply)
+        assert result.losses >= 0
+        assert all(isinstance(t, Triple) for t in result.triples)
 
 
 class TestExtractor:

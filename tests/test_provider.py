@@ -1,10 +1,20 @@
+import http.client
+import io
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
-import requests
+
+import hallucheck
 
 from hallucheck.provider import (
     DETECT_PROFILE,
@@ -30,6 +40,7 @@ from hallucheck.provider.remote import (
     OPENAI_KEY_ENV,
     GeminiChatBackend,
     OpenAIChatBackend,
+    post_json,
 )
 
 
@@ -59,6 +70,10 @@ class TestGenerationParams:
             {"top_p": 0.0},
             {"top_p": 1.2},
             {"max_tokens": 0},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"frequency_penalty": float("nan")},
+            {"presence_penalty": float("-inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -134,6 +149,14 @@ class TestResponseCache:
         cache.put(digest, "{}", "a")
         assert cache.get(digest) == "a"
         assert (tmp_path / "MANIFEST").read_text(encoding="utf-8") == digest + "\n"
+
+    @pytest.mark.parametrize(
+        "body", ["1" * 5000, "[" * 100_000 + "]"], ids=["digits", "nesting"]
+    )
+    def test_entry_past_the_json_limits_is_a_miss(self, tmp_path, body):
+        digest = cache_key(req(), "mock")
+        (tmp_path / f"{digest}.json").write_text(body, encoding="utf-8")
+        assert ResponseCache(tmp_path).get(digest) is None
 
     def test_survives_reopen(self, tmp_path):
         digest = cache_key(req(), "mock")
@@ -318,33 +341,153 @@ class TestRateLimiter:
             RateLimiter(0)
 
 
-class FakeResponse:
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self._body = body
+class FakeTransport:
+    """Stands in for ``post_json``: records each call and returns (or raises)
+    the next scripted item."""
 
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.calls = []
 
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, headers=None, json=None, timeout=None):
-        self.requests.append({"url": url, "headers": headers, "json": json})
-        item = self.responses.pop(0)
+    def __call__(self, url, headers, payload, timeout):
+        self.calls.append({"url": url, "headers": headers, "json": payload, "timeout": timeout})
+        item = self.replies.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
 
 
+class FakeUrlopen:
+    """Stands in for ``urllib.request.urlopen``. Each scripted item is a
+    (status, body) pair (see ``FakeBody``), an exception, or a function of the
+    request that returns an exception. Every response body it hands out is
+    kept, so a test can check that each was closed."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.bodies = []
+
+    def __call__(self, request, timeout=None):
+        self.requests.append((request, timeout))
+        item = self.replies.pop(0)
+        if callable(item):
+            item = item(request)
+        if isinstance(item, Exception):
+            raise item
+        fp = FakeBody(*item)
+        self.bodies.append(fp)
+        if fp.status >= 400:
+            raise urllib.error.HTTPError(request.full_url, fp.status, "status", {}, fp)
+        return fp
+
+
+class FakeBody(io.BytesIO):
+    """A response body with its status; ``read`` raises ``body`` when it is
+    an exception."""
+
+    def __init__(self, status, body):
+        self.status = status
+        self.error = body if isinstance(body, Exception) else None
+        super().__init__(b"" if self.error else body)
+
+    def read(self, *args):
+        if self.error:
+            raise self.error
+        return super().read(*args)
+
+
+@pytest.fixture
+def urlopen(monkeypatch):
+    def install(*replies):
+        fake = FakeUrlopen(replies)
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return fake
+
+    return install
+
+
+URL = "https://api.test/v1/chat/completions"
+
+
+class TestPostJson:
+    def test_request_carries_method_headers_and_json_body(self, urlopen):
+        fake = urlopen((200, b'{"ok": true}'))
+        payload = {"model": "m", "text": "caf\u00e9"}
+        assert post_json(URL, {"Authorization": "Bearer k"}, payload, 7.5) == {"ok": True}
+        request, timeout = fake.requests[0]
+        assert request.get_method() == "POST"
+        assert request.full_url == URL
+        assert request.get_header("Authorization") == "Bearer k"
+        assert request.get_header("Content-type") == "application/json"
+        assert request.data == json.dumps(payload).encode("utf-8")
+        assert timeout == 7.5
+        assert fake.bodies[0].closed
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 502, 503, 504])
+    def test_retryable_status_is_transport_error(self, urlopen, status):
+        fake = urlopen((status, b"busy"))
+        with pytest.raises(TransportError, match=f"HTTP {status} from"):
+            post_json(URL, {}, {}, 1.0)
+        assert fake.bodies[0].closed
+
+    @pytest.mark.parametrize("status", [401, 403, 404])
+    def test_auth_and_unknown_endpoint_are_config_errors(self, urlopen, status):
+        fake = urlopen((status, b"no"))
+        with pytest.raises(ConfigError):
+            post_json(URL, {}, {}, 1.0)
+        assert fake.bodies[0].closed
+
+    def test_other_status_quotes_at_most_200_characters_of_the_body(self, urlopen):
+        fake = urlopen((418, b"t" * 300))
+        with pytest.raises(TransportError) as info:
+            post_json(URL, {}, {}, 1.0)
+        assert str(info.value) == f"HTTP 418 from {URL}: " + "t" * 200
+        assert fake.bodies[0].closed
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            urllib.error.URLError("connection refused"),
+            TimeoutError("timed out"),
+            ConnectionResetError("reset by peer"),
+            http.client.BadStatusLine("garbage"),
+        ],
+    )
+    def test_connection_failure_is_transport_error(self, urlopen, error):
+        urlopen(error)
+        with pytest.raises(TransportError, match=f"request to {URL} failed"):
+            post_json(URL, {}, {}, 1.0)
+
+    @pytest.mark.parametrize("status", [200, 418])
+    def test_timeout_while_reading_the_body_is_transport_error(self, urlopen, status):
+        fake = urlopen((status, TimeoutError("timed out")))
+        with pytest.raises(TransportError, match=f"request to {URL} failed: timed out"):
+            post_json(URL, {}, {}, 1.0)
+        assert fake.bodies[0].closed
+
+    def test_non_json_body_is_transport_error(self, urlopen):
+        fake = urlopen((200, b"<html>busy</html>"))
+        with pytest.raises(TransportError, match="non-JSON body"):
+            post_json(URL, {}, {}, 1.0)
+        assert fake.bodies[0].closed
+
+    def test_non_http_url_is_transport_error(self, urlopen):
+        fake = urlopen()
+        with pytest.raises(TransportError, match="not an http"):
+            post_json("file:///etc/hostname", {}, {}, 1.0)
+        assert fake.requests == []
+
+    def test_malformed_header_is_a_config_error_without_its_value(self):
+        # http.client rejects the header before it opens a connection.
+        with pytest.raises(ConfigError) as info:
+            post_json("http://127.0.0.1:9/x", {"x-goog-api-key": "sec\nret"}, {}, 1.0)
+        assert "sec" not in str(info.value)
+
+
 class TestOpenAIBackend:
-    def _backend(self, responses):
-        return OpenAIChatBackend(api_key="k", session=FakeSession(responses))
+    def _backend(self, replies):
+        return OpenAIChatBackend(api_key="k", transport=FakeTransport(replies))
 
     def test_missing_key(self, monkeypatch):
         monkeypatch.delenv(OPENAI_KEY_ENV, raising=False)
@@ -353,27 +496,30 @@ class TestOpenAIBackend:
 
     def test_success_and_payload(self):
         body = {"choices": [{"message": {"content": "fine"}}]}
-        backend = self._backend([FakeResponse(200, body)])
+        backend = self._backend([body])
         assert backend.complete_once(req()) == "fine"
-        sent = backend.session.requests[0]["json"]
+        call = backend.transport.calls[0]
+        assert call["url"] == "https://api.openai.com/v1/chat/completions"
+        assert call["headers"] == {"Authorization": "Bearer k"}
+        sent = call["json"]
         assert sent["model"] == "m1"
         assert sent["temperature"] == 1.0
         assert sent["max_tokens"] == 8096
         assert sent["frequency_penalty"] == 0.0
 
-    def test_retryable_status(self):
-        backend = self._backend([FakeResponse(429, {})])
+    def test_retryable_status(self, urlopen):
+        urlopen((429, b"{}"))
         with pytest.raises(TransportError):
-            backend.complete_once(req())
+            OpenAIChatBackend(api_key="k").complete_once(req())
 
-    def test_auth_status_is_config_error(self):
-        backend = self._backend([FakeResponse(401, {})])
+    def test_auth_status_is_config_error(self, urlopen):
+        urlopen((401, b"{}"))
         with pytest.raises(ConfigError):
-            backend.complete_once(req())
+            OpenAIChatBackend(api_key="k").complete_once(req())
 
     def test_empty_content_is_refusal(self):
         body = {"choices": [{"message": {"content": ""}}]}
-        backend = self._backend([FakeResponse(200, body)])
+        backend = self._backend([body])
         with pytest.raises(ProviderRefusal):
             backend.complete_once(req())
 
@@ -386,8 +532,8 @@ class TestGeminiBackend:
 
     def test_role_and_config_mapping(self):
         body = {"candidates": [{"content": {"parts": [{"text": "out"}]}}]}
-        session = FakeSession([FakeResponse(200, body)])
-        backend = GeminiChatBackend(api_key="k", session=session)
+        transport = FakeTransport([body])
+        backend = GeminiChatBackend(api_key="k", transport=transport)
         request = ChatRequest(
             model_id="g",
             messages=(
@@ -398,7 +544,7 @@ class TestGeminiBackend:
             params=KG_PROFILE,
         )
         assert backend.complete_once(request) == "out"
-        sent = session.requests[0]["json"]
+        sent = transport.calls[0]["json"]
         assert sent["systemInstruction"]["parts"] == [{"text": "be terse"}]
         roles = [c["role"] for c in sent["contents"]]
         assert roles == ["model", "user"]
@@ -407,44 +553,50 @@ class TestGeminiBackend:
 
     def test_key_sent_in_header_not_url(self):
         body = {"candidates": [{"content": {"parts": [{"text": "out"}]}}]}
-        session = FakeSession([FakeResponse(200, body)])
-        GeminiChatBackend(api_key="secret-key-123", session=session).complete_once(req())
-        sent = session.requests[0]
+        transport = FakeTransport([body])
+        GeminiChatBackend(api_key="secret-key-123", transport=transport).complete_once(req())
+        sent = transport.calls[0]
         assert sent["headers"] == {"x-goog-api-key": "secret-key-123"}
         assert "secret-key-123" not in sent["url"]
 
-    def test_key_absent_from_errors_and_logs(self, caplog):
+    def test_key_absent_from_errors_and_logs(self, caplog, urlopen):
         key = "secret-key-123"
 
-        def url_error():
-            url = session.requests[-1]["url"]
-            return requests.ConnectionError(f"connection refused for url: {url}")
+        def refused(request):
+            return urllib.error.URLError(f"connection refused for url: {request.full_url}")
 
-        class EchoingSession(FakeSession):
-            def post(self, url, headers=None, json=None, timeout=None):
-                self.requests.append({"url": url, "headers": headers, "json": json})
-                item = self.responses.pop(0)
-                if item is None:
-                    raise url_error()
-                return item
-
-        session = EchoingSession(
-            [None, FakeResponse(503, {}), None, FakeResponse(401, {}), FakeResponse(404, {})]
-        )
-        client = ChatClient(
-            GeminiChatBackend(api_key=key, session=session), sleep=lambda s: None
-        )
+        fake = urlopen(refused, (503, b"{}"), refused, (401, b"{}"), (404, b"{}"))
+        client = ChatClient(GeminiChatBackend(api_key=key), sleep=lambda s: None)
         errors = []
         with caplog.at_level(logging.DEBUG):
             for expected in (TransportError, ConfigError, ConfigError):
                 with pytest.raises(expected) as info:
                     client.complete(req())
                 errors.append(str(info.value))
-        assert len(session.requests) == 5
+        assert len(fake.requests) == 5
+        assert all(r.get_header("X-goog-api-key") == key for r, _ in fake.requests)
         assert any("generateContent" in text for text in errors)
         assert caplog.records
         for text in errors + [r.getMessage() for r in caplog.records]:
             assert key not in text
+
+
+def test_importing_the_cli_loads_no_http_module():
+    src = Path(hallucheck.__file__).resolve().parents[1]
+    code = (
+        "import sys, hallucheck.cli; "
+        "print(sorted(m for m in ('requests', 'urllib3', 'urllib.request', 'http.client', 'ssl') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert "numpy" in dependencies
+    assert "requests" not in dependencies
 
 
 class TestInflightBound:
