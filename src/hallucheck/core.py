@@ -74,14 +74,18 @@ class Triple:
             if not value:
                 raise ValueError(f"triple field {name!r} is empty")
             object.__setattr__(self, name, value)
-
-    @property
-    def normalized(self) -> tuple[str, str, str]:
-        return (
+        # Computed once; a plain attribute, not a field, so fields() and repr
+        # are unchanged.
+        normalized = (
             normalize_text(self.subject),
             normalize_text(self.relation),
             normalize_text(self.obj),
         )
+        object.__setattr__(self, "_normalized", normalized)
+
+    @property
+    def normalized(self) -> tuple[str, str, str]:
+        return self._normalized
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triple):

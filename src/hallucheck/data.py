@@ -488,8 +488,9 @@ def _typed_field(value: object, name: str, kinds: tuple[type, ...], what: str):
 def score_record_from_dict(obj: dict) -> ScoreRecord:
     """The record a score row holds. The row must be an object and each field
     must have its JSON type (``kg_used`` a boolean, scores numbers, ``misses``
-    an integer, text fields strings), so a row is never silently coerced into
-    another record."""
+    an integer, text fields strings, ``triple_scores`` a list of
+    ``[[subject, relation, object], score]``), so a row is never silently
+    coerced into another record."""
     if not isinstance(obj, dict):
         raise SchemaError(f"score record must be an object, got {type(obj).__name__}")
     number, text = (int, float), (str,)
@@ -497,11 +498,8 @@ def score_record_from_dict(obj: dict) -> ScoreRecord:
         triple_scores = None
         if obj.get("triple_scores") is not None:
             triple_scores = tuple(
-                (
-                    Triple(*(_typed_field(f, "triple_scores", text, "a string") for f in t)),
-                    float(_typed_field(c, "triple_scores", number, "a number")),
-                )
-                for t, c in obj["triple_scores"]
+                _triple_score(entry)
+                for entry in _typed_field(obj["triple_scores"], "triple_scores", (list,), "a list")
             )
         return ScoreRecord(
             output_ref=_typed_field(obj["output_ref"], "output_ref", text, "a string"),
@@ -519,6 +517,18 @@ def score_record_from_dict(obj: dict) -> ScoreRecord:
         raise SchemaError(f"score record lacks field {exc}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad score record: {exc}")
+
+
+def _triple_score(entry: object) -> tuple[Triple, float]:
+    """One ``[[subject, relation, object], score]`` entry of ``triple_scores``.
+    A sequence pattern matches lists only, never a string or an object."""
+    match entry:
+        case [[_, _, _] as fields, score]:
+            return (
+                Triple(*(_typed_field(f, "triple_scores", (str,), "a string") for f in fields)),
+                float(_typed_field(score, "triple_scores", (int, float), "a number")),
+            )
+    raise SchemaError("each 'triple_scores' entry must be [[subject, relation, object], score]")
 
 
 def write_score_records(

@@ -109,6 +109,10 @@ class HashEmbedder(MemoizingEmbedder):
     Components come from SHA-256 counter blocks mapped into [-1, 1], so the
     mapping is stable across platforms and library versions. Unrelated texts
     get near-orthogonal vectors; identical texts get identical ones.
+
+    Block ``b`` is the digest of the UTF-8 message ``"{seed}:{b}:{text}"``.
+    The ``"{seed}:{b}:"`` prefix states are hashed once per embedder and only
+    copied afterwards, so threads share them without a lock.
     """
 
     def __init__(self, dim: int = 384, seed: int = 0, model_id: str | None = None):
@@ -118,16 +122,20 @@ class HashEmbedder(MemoizingEmbedder):
         self.dim = dim
         self.seed = seed
         self.model_id = model_id or f"hash-{dim}"
+        self._prefixes = tuple(
+            hashlib.sha256(f"{seed}:{block}:".encode("utf-8")) for block in range((dim + 3) // 4)
+        )
 
     def _embed_raw(self, text: str) -> np.ndarray:
-        blocks = (self.dim + 3) // 4
-        buf = b"".join(
-            hashlib.sha256(f"{self.seed}:{block}:{text}".encode("utf-8")).digest()
-            for block in range(blocks)
-        )
+        data = text.encode("utf-8")
+        digests = []
+        for prefix in self._prefixes:
+            h = prefix.copy()
+            h.update(data)
+            digests.append(h.digest())
         # Each big-endian 8-byte word u maps to u / 2**63 - 1; the uint64 to
         # float64 conversion rounds exactly as Python's int / int division.
-        values = np.frombuffer(buf, ">u8", count=self.dim) / 2**63 - 1.0
+        values = np.frombuffer(b"".join(digests), ">u8", count=self.dim) / 2**63 - 1.0
         if not values.any():
             values[0] = 1.0
         return values

@@ -121,29 +121,12 @@ def _parse_triples_lines(reply: str) -> ParseResult:
     return ParseResult(tuple(triples), losses)
 
 
-def serialize_kg(kg: KnowledgeGraph) -> str:
-    """Canonical JSON array of [subject, relation, object] rows; a graph
-    serialized this way reparses to equal triples."""
-    return json.dumps(
-        [[t.subject, t.relation, t.obj] for t in kg.triples], ensure_ascii=False
-    )
-
-
 def kg_to_record(kg: KnowledgeGraph) -> dict:
     return {
         "source_text": kg.source_text,
         "degenerate": kg.degenerate,
         "triples": [[t.subject, t.relation, t.obj] for t in kg.triples],
     }
-
-
-def kg_from_record(record: dict) -> KnowledgeGraph:
-    triples = tuple(Triple(s, r, o) for s, r, o in record["triples"])
-    return KnowledgeGraph(
-        triples=triples,
-        source_text=record["source_text"],
-        degenerate=bool(record["degenerate"]),
-    )
 
 
 class KGExtractor:

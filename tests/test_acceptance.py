@@ -5,6 +5,7 @@ criterion asserts; a FAIL line is followed by the assertion failure for that
 test.
 """
 
+import json
 import os
 import shutil
 import time
@@ -41,9 +42,25 @@ from hallucheck.evaluation import (
     threshold_metric,
     threshold_search,
 )
-from hallucheck.kgx import parse_triples, serialize_kg, kg_from_record, kg_to_record
+from hallucheck.kgx import parse_triples, kg_to_record
 
 FIXTURES = Path(__file__).parent / "data"
+
+
+def serialize_kg(kg):
+    """Round-trip oracle: the graph's triples as a JSON array of
+    [subject, relation, object] rows, which ``parse_triples`` reads back."""
+    return json.dumps([[t.subject, t.relation, t.obj] for t in kg.triples], ensure_ascii=False)
+
+
+def kg_from_record(record):
+    """Round-trip oracle: the graph a ``kg_to_record`` row holds."""
+    return KnowledgeGraph(
+        triples=tuple(Triple(s, r, o) for s, r, o in record["triples"]),
+        source_text=record["source_text"],
+        degenerate=bool(record["degenerate"]),
+    )
+
 
 H = Label.HALLUCINATED
 A = Label.ACCURATE

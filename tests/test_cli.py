@@ -8,8 +8,8 @@ import pytest
 
 from hallucheck import cli
 from hallucheck.cli import main
+from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.data import SampleStore, read_score_records
-from hallucheck.kgx import kg_from_record
 
 FIXTURE_FILES = (
     "run_config.json",
@@ -94,7 +94,14 @@ class TestExtract:
         assert len(meta["config_digest"]) == 64
         assert meta["prompt_version"]
         assert meta["model_id"] == "mock-model"
-        graphs = [kg_from_record(obj) for obj in lines[1:]]
+        graphs = [
+            KnowledgeGraph(
+                triples=tuple(Triple(*t) for t in obj["triples"]),
+                source_text=obj["source_text"],
+                degenerate=obj["degenerate"],
+            )
+            for obj in lines[1:]
+        ]
         assert [len(g.triples) for g in graphs] == [2, 2, 2]
         assert graphs[0].triples[0].subject == "Vesna Marinko"
 

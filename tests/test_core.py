@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hallucheck import core
 from hallucheck.core import (
     DEGENERATE_RELATION,
     DEGENERATE_SUBJECT,
@@ -66,6 +68,16 @@ class TestTriple:
     def test_inequality(self):
         assert Triple("a", "r", "b") != Triple("a", "r", "c")
         assert Triple("a", "r", "b") != "not a triple"
+
+    def test_normalized_once_at_construction(self, monkeypatch):
+        t = Triple("Alan  Turing", "born in", "London")
+        calls = []
+        monkeypatch.setattr(core, "normalize_text", lambda raw: calls.append(raw) or raw)
+        KnowledgeGraph.build([t, Triple("x", "y", "z")], source_text="text")
+        assert t.normalized == ("alan turing", "born in", "london")
+        assert len(calls) == 3
+        assert [f.name for f in dataclasses.fields(t)] == ["subject", "relation", "obj"]
+        assert repr(t) == "Triple(subject='Alan  Turing', relation='born in', obj='London')"
 
     def test_dedupe_keeps_first_occurrence(self):
         first = Triple("Alan Turing", "born in", "London")

@@ -610,9 +610,22 @@ class TestScoreRecordIO:
             ("model_id", None),
             ("score", 10**400),
             ("triple_scores", [[["a", 1, "b"], 0.5]]),
+            ("triple_scores", [["abc", 0.5]]),
+            ("triple_scores", [[{"s": 1, "r": 2, "o": 3}, 0.5]]),
+            ("triple_scores", [[["a", "b", "c"], 0.5, 1]]),
             (None, [1, 2]),
         ],
-        ids=["output_ref", "prompt_version", "model_id", "huge-score", "triple", "list"],
+        ids=[
+            "output_ref",
+            "prompt_version",
+            "model_id",
+            "huge-score",
+            "triple",
+            "triple-string",
+            "triple-object",
+            "triple-entry-of-3",
+            "list",
+        ],
     )
     def test_row_that_is_not_a_record_is_a_schema_error(self, tmp_path, field, value):
         obj = score_record_to_dict(sample_record())

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -83,6 +84,10 @@ def scalar_hash_vector(text, dim, seed):
     return tuple(values)
 
 
+# Over 2,048 UTF-8 bytes, the size from which hashlib releases the GIL.
+LONG_TEXT = "long \u00e9 " * 300
+
+
 class SlowEmbedder(HashEmbedder):
     """Counts ``_embed_raw`` calls, each held long enough for threads to meet."""
 
@@ -96,15 +101,36 @@ class SlowEmbedder(HashEmbedder):
 
 class TestHashEmbedder:
     @pytest.mark.parametrize("dim", [1, 3, 4, 5, 384, 385])
-    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("seed", [0, 1, 17, -1])
     def test_bit_identical_to_scalar_loop(self, dim, seed):
-        texts = [f"text {i} \u00e9" for i in range(40)] + ["abc", "x"]
+        texts = [f"text {i} \u00e9" for i in range(40)] + ["abc", "x", LONG_TEXT]
         e = HashEmbedder(dim=dim, seed=seed)
         matrix = e.embed_many(texts)
         for text, row in zip(texts, matrix):
             want = scalar_hash_vector(text, dim, seed)
             assert tuple(e.embed(text).tolist()) == want
             assert tuple(row.tolist()) == want
+
+    def test_threads_share_the_prefix_states(self, run_together):
+        e = HashEmbedder(dim=384, seed=5)
+        texts = [f"thread text {i} " + LONG_TEXT * (i % 2) for i in range(64)]
+        next_slice = itertools.count()
+
+        def embed_slice():
+            i = next(next_slice)
+            return i, e.embed_many(texts[i::8])
+
+        for i, matrix in run_together(embed_slice, 8):
+            for text, row in zip(texts[i::8], matrix):
+                assert tuple(row.tolist()) == scalar_hash_vector(text, 384, 5)
+
+    def test_built_embedder_hashes_no_prefix_again(self, monkeypatch):
+        e = HashEmbedder(dim=384)
+        sha256 = hashlib.sha256
+        calls = []
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+        e.embed_many([f"new text {i}" for i in range(50)])
+        assert calls == []
 
     def test_deterministic_and_sized(self):
         a = HashEmbedder(dim=16).embed("some text")

@@ -10,13 +10,27 @@ from hallucheck.kgx import (
     ExtractionPromptTemplate,
     KGExtractor,
     ParseResult,
-    kg_from_record,
     kg_to_record,
     parse_triples,
     prompt_version,
-    serialize_kg,
 )
 from hallucheck.provider import ChatClient, MockChatBackend, MockRule
+
+
+def serialize_kg(kg):
+    """Round-trip oracle: the graph's triples as a JSON array of
+    [subject, relation, object] rows, which ``parse_triples`` reads back."""
+    return json.dumps([[t.subject, t.relation, t.obj] for t in kg.triples], ensure_ascii=False)
+
+
+def kg_from_record(record):
+    """Round-trip oracle: the graph a ``kg_to_record`` row holds."""
+    return KnowledgeGraph(
+        triples=tuple(Triple(s, r, o) for s, r, o in record["triples"]),
+        source_text=record["source_text"],
+        degenerate=bool(record["degenerate"]),
+    )
+
 
 # Field text that survives Triple's strip() and stays printable.
 field_text = (
