@@ -265,9 +265,9 @@ def build_backend(cfg: RunConfig):
             return MockChatBackend.from_script_file(cfg.resolve(p.script))
         return MockChatBackend()
     if p.backend == "openai":
-        return OpenAIChatBackend(base_url=p.base_url) if p.base_url else OpenAIChatBackend()
+        return OpenAIChatBackend(base_url=p.base_url)
     if p.backend == "gemini":
-        return GeminiChatBackend(base_url=p.base_url) if p.base_url else GeminiChatBackend()
+        return GeminiChatBackend(base_url=p.base_url)
     raise ConfigError(f"unknown provider backend {p.backend!r}")
 
 
@@ -563,9 +563,11 @@ def cmd_samples(args: argparse.Namespace) -> int:
             reused += 1
             continue
         prompt = template.replace("{{CONCEPT}}", paragraphs[paragraph_id])
-        request = ChatRequest.user(cfg.provider.model_id, prompt, DETECT_PROFILE)
-        responses = client.sample_n(request, args.n)
-        store.put(paragraph_id, [r.content for r in responses])
+        draws = [
+            ChatRequest.user(cfg.provider.model_id, prompt, DETECT_PROFILE, draw=k)
+            for k in range(args.n)
+        ]
+        store.put(paragraph_id, [client.complete(request).content for request in draws])
         stored += 1
     print(
         f"stored {stored * args.n} samples for {stored} paragraphs "
@@ -637,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (SchemaError, RefMismatch, NotFound, FileNotFoundError) as exc:
+    except (SchemaError, RefMismatch, NotFound, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except HallucheckError as exc:

@@ -127,8 +127,8 @@ def _wikibio_from_obj(obj: object, where: str, expected_samples: int | None) -> 
                 f"got {type(obj[name]).__name__}"
             )
     samples = obj["samples"]
-    if not all(isinstance(s, str) for s in samples):
-        raise SchemaError(f"{where}: field 'samples' must contain only strings")
+    if not all(isinstance(s, str) and s.strip() for s in samples):
+        raise SchemaError(f"{where}: field 'samples' must contain only strings, none blank")
     if expected_samples is not None and len(samples) != expected_samples:
         raise SchemaError(
             f"{where}: expected {expected_samples} samples, found {len(samples)}"
@@ -439,8 +439,8 @@ class SampleStore:
         if not path.exists():
             raise NotFound(f"no samples stored for paragraph {paragraph_id!r}")
         samples = self._read(path, "samples", list)
-        if not all(isinstance(s, str) for s in samples):
-            raise SchemaError(f"{path}: 'samples' must be a list of strings")
+        if not all(isinstance(s, str) and s.strip() for s in samples):
+            raise SchemaError(f"{path}: 'samples' must be a list of strings, none blank")
         return samples
 
     @staticmethod

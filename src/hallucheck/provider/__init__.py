@@ -1,5 +1,5 @@
 from .cache import ResponseCache
-from .client import ChatBackend, ChatClient, RateLimiter, RetryPolicy, SampleBatchError
+from .client import ChatBackend, ChatClient, RateLimiter, RetryPolicy
 from .mock import MockChatBackend, MockRule
 from .remote import GEMINI_KEY_ENV, OPENAI_KEY_ENV, GeminiChatBackend, OpenAIChatBackend
 from .types import (
@@ -38,7 +38,6 @@ __all__ = [
     "RateLimiter",
     "ResponseCache",
     "RetryPolicy",
-    "SampleBatchError",
     "TransportError",
     "cache_key",
     "canonical_request",

@@ -1,11 +1,9 @@
 """Client tying a chat backend to caching, retries, and rate limiting.
 
 ``complete`` serves identical requests from the on-disk cache when one is
-configured. ``sample_n`` deliberately skips the cache-read path (each of the n
-draws must be an independent call) but still records every response under an
-index-distinguished digest, so a batch of samples remains auditable.
-``max_inflight`` caps the backend calls in flight at once over every thread
-that shares the client.
+configured; the draws of one prompt differ in ``ChatRequest.draw``, so each
+is cached on its own. ``max_inflight`` caps the backend calls in flight at
+once over every thread that shares the client.
 """
 
 from __future__ import annotations
@@ -35,14 +33,6 @@ class ChatBackend(Protocol):
     name: str
 
     def complete_once(self, request: ChatRequest) -> str: ...
-
-
-class SampleBatchError(TransportError):
-    """A sample batch failed part way; ``succeeded`` counts completed draws."""
-
-    def __init__(self, message: str, succeeded: int):
-        super().__init__(message)
-        self.succeeded = succeeded
 
 
 @dataclass(frozen=True)
@@ -99,10 +89,6 @@ class ChatClient:
             threading.BoundedSemaphore(max_inflight) if max_inflight else contextlib.nullcontext()
         )
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
     def _call_with_retry(self, request: ChatRequest) -> str:
         delay = self.retry.backoff_start_s
         last: TransportError | None = None
@@ -127,40 +113,12 @@ class ChatClient:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Complete one request, serving repeats from the cache when enabled."""
-        digest = cache_key(request, self.backend_name)
+        digest = cache_key(request, self.backend.name)
         if self.cache is not None:
             hit = self.cache.get(digest)
             if hit is not None:
                 return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
         if self.cache is not None:
-            self.cache.put(digest, canonical_request(request, self.backend_name), content)
+            self.cache.put(digest, canonical_request(request, self.backend.name), content)
         return ChatResponse(content=content, cached=False)
-
-    def sample_n(self, request: ChatRequest, n: int) -> list[ChatResponse]:
-        """Draw n independent completions for the same request.
-
-        Fails as a whole on the first error, reporting how many draws had
-        already succeeded. Temperature 0 gets an advisory warning only: the
-        draws would not be diverse.
-        """
-        if n < 1:
-            raise ConfigError(f"sample count must be >= 1, got {n}")
-        if request.params.temperature == 0:
-            logger.warning("sampling %d completions at temperature 0; draws will not vary", n)
-        responses: list[ChatResponse] = []
-        for i in range(n):
-            try:
-                content = self._call_with_retry(request)
-            except (TransportError, ProviderRefusal) as exc:
-                raise SampleBatchError(
-                    f"sample batch failed on draw {i + 1} of {n} "
-                    f"({len(responses)} succeeded): {exc}",
-                    succeeded=len(responses),
-                ) from exc
-            if self.cache is not None:
-                nonce = f"sample:{i}"
-                digest = cache_key(request, self.backend_name, nonce=nonce)
-                self.cache.put(digest, canonical_request(request, self.backend_name, nonce=nonce), content)
-            responses.append(ChatResponse(content=content, cached=False))
-        return responses

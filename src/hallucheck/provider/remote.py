@@ -69,34 +69,40 @@ def post_json(url: str, headers: dict, payload: dict, timeout: float) -> dict:
         raise TransportError(f"non-JSON body from {url}") from exc
 
 
-class OpenAIChatBackend:
-    """OpenAI-style chat completions endpoint (also fits compatible gateways)."""
+class _HostedBackend:
+    """Key, endpoint and transport of a hosted API; the key comes from
+    ``key_env`` unless given, and ``base_url`` defaults to ``default_url``."""
 
-    name = "openai"
+    key_env: str
+    default_url: str
 
     def __init__(
         self,
         api_key: str | None = None,
-        base_url: str = "https://api.openai.com/v1",
+        base_url: str | None = None,
         transport: Transport = post_json,
         timeout: float = 120.0,
     ):
-        self.api_key = api_key if api_key is not None else os.environ.get(OPENAI_KEY_ENV, "")
+        self.api_key = api_key if api_key is not None else os.environ.get(self.key_env, "")
         if not self.api_key:
-            raise ConfigError(f"no API key: set {OPENAI_KEY_ENV}")
-        self.base_url = base_url.rstrip("/")
+            raise ConfigError(f"no API key: set {self.key_env}")
+        self.base_url = (base_url or self.default_url).rstrip("/")
         self.transport = transport
         self.timeout = timeout
+
+
+class OpenAIChatBackend(_HostedBackend):
+    """OpenAI-style chat completions endpoint (also fits compatible gateways)."""
+
+    name = "openai"
+    key_env = OPENAI_KEY_ENV
+    default_url = "https://api.openai.com/v1"
 
     def complete_once(self, request: ChatRequest) -> str:
         payload: dict[str, Any] = {
             "model": request.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.params.temperature,
-            "top_p": request.params.top_p,
-            "max_tokens": request.params.max_tokens,
-            "frequency_penalty": request.params.frequency_penalty,
-            "presence_penalty": request.params.presence_penalty,
+            **request.params.as_dict(),
         }
         data = self.transport(
             f"{self.base_url}/chat/completions",
@@ -111,24 +117,12 @@ class OpenAIChatBackend:
         return content
 
 
-class GeminiChatBackend:
+class GeminiChatBackend(_HostedBackend):
     """Google Generative Language API (generateContent)."""
 
     name = "gemini"
-
-    def __init__(
-        self,
-        api_key: str | None = None,
-        base_url: str = "https://generativelanguage.googleapis.com/v1beta",
-        transport: Transport = post_json,
-        timeout: float = 120.0,
-    ):
-        self.api_key = api_key if api_key is not None else os.environ.get(GEMINI_KEY_ENV, "")
-        if not self.api_key:
-            raise ConfigError(f"no API key: set {GEMINI_KEY_ENV}")
-        self.base_url = base_url.rstrip("/")
-        self.transport = transport
-        self.timeout = timeout
+    key_env = GEMINI_KEY_ENV
+    default_url = "https://generativelanguage.googleapis.com/v1beta"
 
     def complete_once(self, request: ChatRequest) -> str:
         contents = []

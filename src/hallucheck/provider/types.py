@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from ..core import HallucheckError
 
@@ -95,11 +94,17 @@ class Message:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion call: model, ordered messages, sampling params."""
+    """One chat-completion call: model, ordered messages, sampling params.
+
+    ``draw`` numbers the independent draws of one prompt: draw k is cached
+    apart from every other draw and from the undrawn request. It is never
+    sent to the model.
+    """
 
     model_id: str
     messages: tuple[Message, ...]
     params: GenerationParams
+    draw: int | None = None
 
     def __post_init__(self) -> None:
         if not self.model_id:
@@ -110,18 +115,19 @@ class ChatRequest:
             raise ConfigError("last message must have role 'user'")
 
     @classmethod
-    def user(cls, model_id: str, content: str, params: GenerationParams) -> "ChatRequest":
-        return cls(model_id=model_id, messages=(Message("user", content),), params=params)
+    def user(
+        cls, model_id: str, content: str, params: GenerationParams, draw: int | None = None
+    ) -> "ChatRequest":
+        return cls(model_id, (Message("user", content),), params, draw)
 
 
 @dataclass(frozen=True)
 class ChatResponse:
     content: str
     cached: bool = False
-    provider_meta: Mapping[str, Any] = field(default_factory=dict)
 
 
-def canonical_request(request: ChatRequest, backend: str, nonce: str = "") -> str:
+def canonical_request(request: ChatRequest, backend: str) -> str:
     """Canonical JSON form of a request, used for digests and cache records."""
     payload = {
         "backend": backend,
@@ -129,16 +135,16 @@ def canonical_request(request: ChatRequest, backend: str, nonce: str = "") -> st
         "params": request.params.as_dict(),
         "messages": [[m.role, m.content] for m in request.messages],
     }
-    if nonce:
-        payload["nonce"] = nonce
+    if request.draw is not None:  # the key's old name keeps old digests valid
+        payload["nonce"] = f"sample:{request.draw}"
     return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
-def cache_key(request: ChatRequest, backend: str, nonce: str = "") -> str:
+def cache_key(request: ChatRequest, backend: str) -> str:
     """SHA-256 digest over the canonical request form.
 
     Equal requests give equal digests; changing any field (backend, model,
-    params, messages, nonce) changes the digest.
+    params, messages, draw) changes the digest.
     """
-    canon = canonical_request(request, backend, nonce)
+    canon = canonical_request(request, backend)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

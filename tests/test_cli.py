@@ -270,6 +270,59 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(kind) and name in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,config,extra,bad",
+        [
+            ("evaluate", {}, ["--scores", "DIR"], "DIR"),
+            ("evaluate", {}, ["--report", "DIR"], "DIR"),
+            ("extract", {}, ["--input", "DIR", "--output", "kgs.jsonl"], "DIR"),
+            ("extract", {}, ["--input", "sentences.txt", "--output", "DIR"], "DIR"),
+            ("samples", {}, ["--store", "FILE"], "FILE"),
+            ("score", {"output_dir": "FILE"}, [], "FILE"),
+            ("score", {"dataset": {"path": "DIR", "expected_samples": 3}}, [], "DIR"),
+            ("score", {"cache_dir": "FILE"}, [], "FILE"),
+        ],
+        ids=[
+            "evaluate-scores",
+            "evaluate-report",
+            "extract-input",
+            "extract-output",
+            "samples-store",
+            "score-output-dir",
+            "score-dataset-path",
+            "score-cache-dir",
+        ],
+    )
+    def test_unusable_path_is_one_line(
+        self, tmp_path, fixture_dir, capsys, command, config, extra, bad
+    ):
+        """A directory where a file is expected, or a file where a directory
+        is expected, is a data error naming the path."""
+        workdir = copy_fixture(fixture_dir, tmp_path, **config)
+        (workdir / "DIR").mkdir()
+        (workdir / "FILE").write_text("", encoding="utf-8")
+        config_path = str(workdir / "run_config.json")
+        if "--report" in extra:
+            assert main(["score", "--config", config_path]) == 0
+        paths = ("DIR", "FILE", "kgs.jsonl", "sentences.txt")
+        argv = [str(workdir / a) if a in paths else a for a in extra]
+        capsys.readouterr()
+        assert main([command, "--config", config_path, *argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(workdir / bad) in err and "Traceback" not in err
+
+    def test_blank_dataset_sample_is_one_line(self, workdir, config_path, capsys):
+        dataset = workdir / "fixture_dataset.jsonl"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["samples"][1] = "   "
+        lines[1] = json.dumps(row, ensure_ascii=False) + "\n"
+        dataset.write_text("".join(lines), encoding="utf-8")
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {dataset}:2: ") and err.count("\n") == 1
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
@@ -413,6 +466,66 @@ class TestSamples:
     def test_zero_samples_rejected(self, workdir):
         config = no_sample_config(workdir, with_store=True)
         assert main(["samples", "--config", str(config), "--n", "0"]) == 2
+
+    def test_second_run_takes_every_draw_from_the_cache(self, workdir, monkeypatch):
+        config = str(no_sample_config(workdir, with_store=False))
+        calls = record_backend_calls(monkeypatch)
+        argv = ["samples", "--config", config, "--n", "3", "--store"]
+        assert main([*argv, str(workdir / "first")]) == 0
+        assert len(calls) == 2 * 3
+        calls.clear()
+        assert main([*argv, str(workdir / "second")]) == 0
+        assert calls == []
+        first, second = (
+            {p.name: p.read_bytes() for p in (workdir / store).glob("*.json")}
+            for store in ("first", "second")
+        )
+        assert len(first) == 2 and first == second
+
+    def test_rerun_after_a_failed_draw_asks_only_for_the_missing_draws(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = str(no_sample_config(workdir, with_store=True))
+        script_path = workdir / "mock_script.json"
+        script = json.loads(script_path.read_text(encoding="utf-8"))
+
+        def vesna_replies(*replies):
+            rule = {"match": ["introductory paragraph about", "Vesna Marinko"], "replies": replies}
+            rules = [rule, *script["rules"]]
+            script_path.write_text(json.dumps({**script, "rules": rules}), encoding="utf-8")
+
+        calls = record_backend_calls(monkeypatch)
+        vesna_replies("v0", "v1", "")
+        assert main(["samples", "--config", config, "--n", "4"]) == 3
+        assert capsys.readouterr().err == "provider error: backend returned empty content\n"
+        assert calls == [("Vesna Marinko", 0), ("Vesna Marinko", 1), ("Vesna Marinko", 2)]
+        assert not list((workdir / "samples").glob("*.json"))
+
+        calls.clear()
+        vesna_replies("v2", "v3")
+        assert main(["samples", "--config", config, "--n", "4"]) == 0
+        assert [d for concept, d in calls if concept == "Vesna Marinko"] == [2, 3]
+        assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1", "v2", "v3"]
+
+
+def record_backend_calls(monkeypatch):
+    """Record the (concept, draw) of every sample request the CLI's backend
+    receives."""
+    build = cli.build_backend
+    calls = []
+
+    class Recording:
+        def __init__(self, backend):
+            self.backend = backend
+            self.name = backend.name
+
+        def complete_once(self, request):
+            prompt = request.messages[-1].content
+            calls.append((prompt.rsplit(" about ", 1)[-1].rstrip(".\n"), request.draw))
+            return self.backend.complete_once(request)
+
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: Recording(build(cfg)))
+    return calls
 
 
 class TestEvaluate:

@@ -148,6 +148,13 @@ class TestWikiBioIO:
         with pytest.raises(SchemaError, match="only strings"):
             load_wikibio(path, expected_samples=3)
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
+    def test_blank_sample_names_file_and_line(self, tmp_path, blank):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [valid_row(), valid_row(samples=["ok", blank, "ok"])])
+        with pytest.raises(SchemaError, match=r"d\.jsonl:2: .*none blank"):
+            load_wikibio(path, expected_samples=3)
+
     def test_wrong_field_type(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(sentence_index="0")])
@@ -455,6 +462,14 @@ class TestSampleStore:
         payload["samples"] = ["x", 7]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SchemaError, match=path.name):
+            store.get("bio-001")
+
+    @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+    def test_blank_sample_is_a_schema_error_naming_the_file(self, tmp_path, blank):
+        store = SampleStore(tmp_path / "store")
+        store.put("bio-001", ["x", blank])
+        (path,) = (tmp_path / "store").glob("*.json")
+        with pytest.raises(SchemaError, match=f"{path.name}.*none blank"):
             store.get("bio-001")
 
     def test_empty_samples_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import io
 import json
@@ -30,7 +31,6 @@ from hallucheck.provider import (
     RateLimiter,
     ResponseCache,
     RetryPolicy,
-    SampleBatchError,
     TransportError,
     cache_key,
     canonical_request,
@@ -44,8 +44,8 @@ from hallucheck.provider.remote import (
 )
 
 
-def req(content="hello", params=DETECT_PROFILE, model="m1"):
-    return ChatRequest.user(model, content, params)
+def req(content="hello", params=DETECT_PROFILE, model="m1", draw=None):
+    return ChatRequest.user(model, content, params, draw=draw)
 
 
 class TestGenerationParams:
@@ -118,7 +118,24 @@ class TestCacheKey:
         assert cache_key(req(params=KG_PROFILE), "mock") != base
         assert cache_key(req(model="m2"), "mock") != base
         assert cache_key(req(), "openai") != base
-        assert cache_key(req(), "mock", nonce="sample:0") != base
+        assert cache_key(req(draw=0), "mock") != base
+        assert cache_key(req(draw=1), "mock") != cache_key(req(draw=0), "mock")
+
+    def test_draw_digests_are_pinned(self):
+        """A draw keeps the digest it had as the ``nonce="sample:2"`` entry,
+        and a request without a draw keeps its own, so existing cache entries
+        stay valid."""
+        prompt = "Write a short biography of Vesna Marinko."
+        drawn = ChatRequest.user("mock-model", prompt, DETECT_PROFILE, draw=2)
+        plain = ChatRequest.user("mock-model", prompt, DETECT_PROFILE)
+        assert cache_key(drawn, "mock") == (
+            "0cb68ab54e47bac7eaeb4364f6d66b6aa9919eb1f73797e5ddd5d24f5d7cb725"
+        )
+        assert cache_key(plain, "mock") == (
+            "386984864737b1eac70ff5f9ef216d3fbb74685946dbd6fdf0c7fa67ba5da82b"
+        )
+        assert json.loads(canonical_request(drawn, "mock"))["nonce"] == "sample:2"
+        assert "nonce" not in json.loads(canonical_request(plain, "mock"))
 
     def test_canonical_form_is_json(self):
         canon = json.loads(canonical_request(req(), "mock"))
@@ -284,38 +301,23 @@ class TestChatClient:
             client.complete(req())
         assert backend.calls == 1
 
-    def test_sample_n_bad_count(self):
-        client = ChatClient(MockChatBackend(default_reply="x"))
-        with pytest.raises(ConfigError):
-            client.sample_n(req(), 0)
-
-    def test_sample_n_is_n_fresh_calls(self, tmp_path):
+    def test_draws_are_fresh_calls_then_cache_hits(self, tmp_path):
         backend = MockChatBackend(rules=[MockRule(match=("go",), replies=("a", "b", "c"))])
         client = ChatClient(backend, cache=ResponseCache(tmp_path))
         client.complete(req("go"))
-        responses = client.sample_n(req("go"), 3)
-        assert [r.content for r in responses] == ["b", "c", "c"]
+        draws = [req("go", draw=k) for k in range(3)]
+        assert [client.complete(r).content for r in draws] == ["b", "c", "c"]
         assert backend.calls == 4
+        again = [client.complete(r) for r in draws]
+        assert [r.content for r in again] == ["b", "c", "c"]
+        assert all(r.cached for r in again) and backend.calls == 4
 
-    def test_sample_n_writes_indexed_cache_entries(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        client = ChatClient(MockChatBackend(default_reply="s"), cache=cache)
-        client.sample_n(req(), 3)
-        expected = {cache_key(req(), "mock", nonce=f"sample:{i}") for i in range(3)}
+    def test_draws_write_indexed_cache_entries(self, tmp_path):
+        client = ChatClient(MockChatBackend(default_reply="s"), cache=ResponseCache(tmp_path))
+        for k in range(3):
+            client.complete(req(draw=k))
+        expected = {cache_key(req(draw=k), "mock") for k in range(3)}
         assert expected == {p.stem for p in tmp_path.glob("*.json")}
-
-    def test_sample_n_partial_failure(self):
-        backend = MockChatBackend(default_reply="ok", fail_calls={3, 4, 5})
-        client = ChatClient(backend, retry=RetryPolicy(attempts=3), sleep=lambda s: None)
-        with pytest.raises(SampleBatchError) as exc_info:
-            client.sample_n(req(), 4)
-        assert exc_info.value.succeeded == 2
-
-    def test_sample_n_temp_zero_warns(self, caplog):
-        client = ChatClient(MockChatBackend(default_reply="same"))
-        with caplog.at_level(logging.WARNING):
-            client.sample_n(req(params=KG_PROFILE), 2)
-        assert any("temperature 0" in message for message in caplog.messages)
 
 
 class TestRateLimiter:
@@ -579,6 +581,72 @@ class TestGeminiBackend:
         assert caplog.records
         for text in errors + [r.getMessage() for r in caplog.records]:
             assert key not in text
+
+
+WIRE_REQUEST = ChatRequest(
+    model_id="m1",
+    messages=(
+        Message("system", "be brief"),
+        Message("user", "hi"),
+        Message("assistant", "yo"),
+        Message("user", "again"),
+    ),
+    params=KG_PROFILE,
+)
+OPENAI_BODY = (
+    '{"model": "m1", "messages": [{"role": "system", "content": "be brief"}, '
+    '{"role": "user", "content": "hi"}, {"role": "assistant", "content": "yo"}, '
+    '{"role": "user", "content": "again"}], "temperature": 0.0, "top_p": 1.0, '
+    '"max_tokens": 8096, "frequency_penalty": 1.0, "presence_penalty": 1.0}'
+)
+GEMINI_BODY = (
+    '{"contents": [{"role": "user", "parts": [{"text": "hi"}]}, '
+    '{"role": "model", "parts": [{"text": "yo"}]}, '
+    '{"role": "user", "parts": [{"text": "again"}]}], '
+    '"generationConfig": {"temperature": 0.0, "topP": 1.0, "maxOutputTokens": 8096, '
+    '"frequencyPenalty": 1.0, "presencePenalty": 1.0}, '
+    '"systemInstruction": {"parts": [{"text": "be brief"}]}}'
+)
+REPLY = {
+    "choices": [{"message": {"content": "x"}}],
+    "candidates": [{"content": {"parts": [{"text": "x"}]}}],
+}
+
+
+@pytest.mark.parametrize(
+    "backend_cls,base_url,url,body",
+    [
+        (OpenAIChatBackend, None, "https://api.openai.com/v1/chat/completions", OPENAI_BODY),
+        (
+            OpenAIChatBackend,
+            "https://gateway.test/v9/",
+            "https://gateway.test/v9/chat/completions",
+            OPENAI_BODY,
+        ),
+        (
+            GeminiChatBackend,
+            None,
+            "https://generativelanguage.googleapis.com/v1beta/models/m1:generateContent",
+            GEMINI_BODY,
+        ),
+        (
+            GeminiChatBackend,
+            "https://gateway.test/v9/",
+            "https://gateway.test/v9/models/m1:generateContent",
+            GEMINI_BODY,
+        ),
+    ],
+    ids=["openai", "openai-base-url", "gemini", "gemini-base-url"],
+)
+def test_url_and_body_on_the_wire_are_pinned(backend_cls, base_url, url, body):
+    """The URL and the JSON body ``post_json`` would send, with and without a
+    draw number: the draw never reaches the model."""
+    for draw in (None, 3):
+        transport = FakeTransport([REPLY])
+        backend = backend_cls(api_key="k", base_url=base_url, transport=transport)
+        assert backend.complete_once(dataclasses.replace(WIRE_REQUEST, draw=draw)) == "x"
+        assert transport.calls[0]["url"] == url
+        assert json.dumps(transport.calls[0]["json"], allow_nan=False) == body
 
 
 def test_importing_the_cli_loads_no_http_module():
