@@ -408,8 +408,8 @@ class SampleStore:
         return self.directory / f"{name}.json"
 
     def put(self, paragraph_id: str, samples: Sequence[str]) -> None:
-        if not samples:
-            raise ValueError("samples must be non-empty")
+        if not samples or not all(s.strip() for s in samples):
+            raise ValueError("samples must be non-empty, and none blank")
         digest = _samples_digest(samples)
         path = self._path_for(paragraph_id)
         with self._lock:

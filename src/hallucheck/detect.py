@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import re
+import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .core import (
     GeneratedOutput,
     HallucheckError,
     KnowledgeGraph,
+    OnceMemo,
     ScoreRecord,
     Triple,
     mean_score,
@@ -148,6 +150,9 @@ class DetectorContext:
     sample extractions concurrently. The tasks submitted to it never wait on
     other tasks, so one executor can serve every detector call of a run, even
     calls that themselves run on pool threads.
+
+    selfcheck's sample side belongs to the paragraph: it is built once per
+    context and shared by every record that draws on the same samples.
     """
 
     client: ChatClient | None = None
@@ -160,6 +165,8 @@ class DetectorContext:
     def __post_init__(self) -> None:
         if self.prompts is None:
             self.prompts = DetectorPrompts.default()
+        self._extractor_lock = threading.Lock()
+        self._sample_sides: OnceMemo[tuple] = OnceMemo()
 
     def require_client(self) -> ChatClient:
         if self.client is None or not self.model_id:
@@ -172,9 +179,11 @@ class DetectorContext:
         return self.embedder
 
     def require_extractor(self) -> KGExtractor:
-        if self.extractor is None:
-            self.extractor = KGExtractor(self.require_client(), self.model_id)
-        return self.extractor
+        # Under a lock, so concurrent first calls share one extraction memo.
+        with self._extractor_lock:
+            if self.extractor is None:
+                self.extractor = KGExtractor(self.require_client(), self.model_id)
+            return self.extractor
 
     def _complete(self, content: str) -> str:
         client = self.require_client()
@@ -231,7 +240,9 @@ def _score_triples(
 
 
 def graph_consistency_scores(
-    targets: np.ndarray, sample_graphs: Sequence[np.ndarray]
+    targets: np.ndarray,
+    sample_graphs: Sequence[np.ndarray],
+    sample_norms: Sequence[np.ndarray] | None = None,
 ) -> list[float]:
     """Per-triple consistency against sampled graphs.
 
@@ -240,28 +251,26 @@ def graph_consistency_scores(
     average, over the sample graphs, of the best zero-floored cosine
     similarity to any triple in that graph; a graph with no triples
     contributes zero. Exactly-rounded summation keeps the result independent
-    of sample order.
+    of sample order. ``sample_norms``, when given, holds each graph's row
+    norms as ``_norms`` computes them.
     """
     if len(sample_graphs) == 0:
         raise ConfigError("consistency needs at least one sample graph")
-    return _best_match_means(targets, sample_graphs)
-
-
-def _best_match_means(targets: np.ndarray, sample_graphs: Sequence[np.ndarray]) -> list[float]:
+    if sample_norms is None:
+        sample_norms = [_norms(graph) for graph in sample_graphs]
     # Every similarity is the same float ``clamp0(cosine_sim(a, b))`` gives:
     # ``np.vecdot`` computes each dot product as ``np.dot`` does and the norms
     # as ``np.linalg.norm`` does. Pre-normalised rows or a matrix product
     # would round differently.
     target_norms = _norms(targets)
     best = np.zeros((len(sample_graphs), len(targets)))
-    for g, graph in enumerate(sample_graphs):
+    for g, (graph, norms) in enumerate(zip(sample_graphs, sample_norms)):
         if len(graph) == 0 or len(targets) == 0:
             continue
         if graph.shape[1] != targets.shape[1]:
             raise DimensionMismatch(
                 f"vector lengths differ: {targets.shape[1]} vs {graph.shape[1]}"
             )
-        norms = _norms(graph)
         if not (target_norms.all() and norms.all()):
             raise ZeroVector("cosine similarity with a zero vector")
         sims = np.vecdot(targets[:, None, :], graph[None, :, :]) / (
@@ -272,10 +281,38 @@ def _best_match_means(targets: np.ndarray, sample_graphs: Sequence[np.ndarray]) 
     return [mean_score(column) for column in best.T.tolist()]
 
 
+def _sentence_consistency(target: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> float:
+    """Sentence-level selfcheck: the mean zero-floored cosine similarity of
+    ``target`` to each sample row, each the float a one-row sample graph gives."""
+    if rows.shape[1] != target.shape[0]:
+        raise DimensionMismatch(f"vector lengths differ: {target.shape[0]} vs {rows.shape[1]}")
+    target_norm = _norms(target)
+    if not (target_norm and norms.all()):
+        raise ZeroVector("cosine similarity with a zero vector")
+    sims = np.clip(np.vecdot(target, rows) / (target_norm * norms), -1.0, 1.0)
+    return mean_score(np.where(sims > 0.0, sims, 0.0).tolist())
+
+
 def _norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(matrix, matrix))
 
 
+def _sample_side(ctx: DetectorContext, use_kg: bool, chosen: tuple[str, ...]) -> tuple:
+    """What selfcheck compares a record against, with its row norms: for
+    ``+kg`` the list of per-sample triple matrices, otherwise the ``(n, d)``
+    sample matrix. The matrices are the embedder's memoized arrays, never
+    copies, and the side is built once per context, variant and samples."""
+
+    def build() -> tuple:
+        embedder = ctx.require_embedder()
+        if not use_kg:
+            rows = embedder.embed_many(chosen)
+            return rows, _norms(rows)
+        sample_kgs = _map_bounded(ctx.require_extractor().extract, chosen, ctx.executor)
+        graphs = [embedder.embed_many(_triple_statements(g)) for g in sample_kgs]
+        return graphs, [_norms(graph) for graph in graphs]
+
+    return ctx._sample_sides.get((use_kg, chosen), build)
 
 
 _STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]] = {
@@ -284,12 +321,12 @@ _STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]
 }
 
 
-def _chosen_samples(config: DetectorConfig, samples: Sequence[str] | None) -> list[str]:
+def _chosen_samples(config: DetectorConfig, samples: Sequence[str] | None) -> tuple[str, ...]:
     if not samples:
         raise ConfigError("selfcheck configured but no samples provided")
     if len(samples) < config.n_samples:
         raise ConfigError(f"selfcheck needs {config.n_samples} samples, got {len(samples)}")
-    return list(samples[: config.n_samples])
+    return tuple(samples[: config.n_samples])
 
 
 def run_detector(
@@ -315,19 +352,15 @@ def run_detector(
             chosen = _chosen_samples(config, samples)
             embedder = ctx.require_embedder()
             if config.use_kg:
-                extractor = ctx.require_extractor()
-                kg = extractor.extract(output.text, output.context)
-                sample_kgs = _map_bounded(extractor.extract, chosen, ctx.executor)
+                kg = ctx.require_extractor().extract(output.text, output.context)
+                graphs, norms = _sample_side(ctx, True, chosen)
                 per_triple = graph_consistency_scores(
-                    embedder.embed_many(_triple_statements(kg)),
-                    [embedder.embed_many(_triple_statements(g)) for g in sample_kgs],
+                    embedder.embed_many(_triple_statements(kg)), graphs, norms
                 )
                 triple_scores = tuple(zip(kg.triples, per_triple))
             else:
-                rows = embedder.embed_many(chosen)
-                (score,) = _best_match_means(
-                    embedder.embed_many([output.text]), [rows[i : i + 1] for i in range(len(rows))]
-                )
+                rows, norms = _sample_side(ctx, False, chosen)
+                score = _sentence_consistency(embedder.embed(output.text), rows, norms)
         else:
             score_one = _STATEMENT_SCORERS.get(config.method)
             if score_one is None:

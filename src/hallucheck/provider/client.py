@@ -2,8 +2,9 @@
 
 ``complete`` serves identical requests from the on-disk cache when one is
 configured; the draws of one prompt differ in ``ChatRequest.draw``, so each
-is cached on its own. ``max_inflight`` caps the backend calls in flight at
-once over every thread that shares the client.
+is cached on its own. A draw must hold text: a blank one is refused, never
+cached, and a blank draw found in the cache is a miss. ``max_inflight`` caps
+the backend calls in flight at once over every thread that shares the client.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class ChatClient:
                 continue
             if not content:
                 raise ProviderRefusal("backend returned empty content")
+            if request.draw is not None and not content.strip():
+                raise ProviderRefusal("backend returned a blank sample")
             return content
         assert last is not None
         raise last
@@ -116,7 +119,7 @@ class ChatClient:
         digest = cache_key(request, self.backend.name)
         if self.cache is not None:
             hit = self.cache.get(digest)
-            if hit is not None:
+            if hit is not None and (request.draw is None or hit.strip()):
                 return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
         if self.cache is not None:

@@ -10,6 +10,7 @@ from hallucheck import cli
 from hallucheck.cli import main
 from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.data import SampleStore, read_score_records
+from hallucheck.kgx import KGExtractor
 
 FIXTURE_FILES = (
     "run_config.json",
@@ -507,6 +508,30 @@ class TestSamples:
         assert [d for concept, d in calls if concept == "Vesna Marinko"] == [2, 3]
         assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1", "v2", "v3"]
 
+    def test_blank_draw_is_neither_cached_nor_stored(self, workdir, capsys):
+        config = str(no_sample_config(workdir, with_store=True))
+        script_path = workdir / "mock_script.json"
+        script = json.loads(script_path.read_text(encoding="utf-8"))
+
+        def vesna_replies(*replies):
+            rule = {"match": ["introductory paragraph about", "Vesna Marinko"], "replies": replies}
+            rules = [rule, *script["rules"]]
+            script_path.write_text(json.dumps({**script, "rules": rules}), encoding="utf-8")
+
+        vesna_replies("v0", "   ")
+        assert main(["samples", "--config", config, "--n", "2"]) == 3
+        assert capsys.readouterr().err == "provider error: backend returned a blank sample\n"
+        assert not list((workdir / "samples").glob("*.json"))
+        cached = [
+            json.loads(path.read_text(encoding="utf-8"))["response"]
+            for path in (workdir / "cache").glob("*.json")
+        ]
+        assert cached == ["v0"]
+
+        vesna_replies("v1")
+        assert main(["samples", "--config", config, "--n", "2"]) == 0
+        assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1"]
+
 
 def record_backend_calls(monkeypatch):
     """Record the (concept, draw) of every sample request the CLI's backend
@@ -724,6 +749,36 @@ class TestParallelScore:
             assert parallel_meta == serial_meta
         # A pool of pairs and a pool for their per-triple fan-out, 4 threads each.
         assert seen["threads"] <= baseline + 2 * 4
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_samples_are_extracted_once_per_paragraph(
+        self, tmp_path, fixture_dir, monkeypatch, parallelism
+    ):
+        detectors = [{"method": "selfcheck", "use_kg": True, "n_samples": 3}]
+        workdir = copy_fixture(
+            fixture_dir, tmp_path, parallelism=parallelism, detectors=detectors
+        )
+        rows = [
+            json.loads(line)
+            for line in (workdir / "fixture_dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        samples = {}
+        for row in rows:
+            samples.setdefault(row["paragraph_id"], row["samples"][:3])
+        extracted = []
+        extract = KGExtractor.extract
+
+        def counting(self, text, context=None):
+            extracted.append(text)
+            return extract(self, text, context)
+
+        monkeypatch.setattr(KGExtractor, "extract", counting)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
+        # Each paragraph has 5 records and 3 samples: 3 sample extractions per
+        # paragraph, not 15.
+        for paragraph_samples in samples.values():
+            assert sum(text in paragraph_samples for text in extracted) == 3
+        assert len(extracted) == len(rows) + 3 * len(samples)
 
     def test_failure_stops_new_pairs_and_resume_completes(
         self, tmp_path, fixture_dir, monkeypatch, capsys

@@ -467,8 +467,11 @@ class TestSampleStore:
     @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
     def test_blank_sample_is_a_schema_error_naming_the_file(self, tmp_path, blank):
         store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x", blank])
+        store.put("bio-001", ["x"])
         (path,) = (tmp_path / "store").glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["samples"] = ["x", blank]
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SchemaError, match=f"{path.name}.*none blank"):
             store.get("bio-001")
 
@@ -476,6 +479,14 @@ class TestSampleStore:
         store = SampleStore(tmp_path / "store")
         with pytest.raises(ValueError):
             store.put("bio-001", [])
+
+    @pytest.mark.parametrize("blank", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
+    def test_blank_sample_rejected_by_put(self, tmp_path, blank):
+        store = SampleStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="none blank"):
+            store.put("bio-001", ["x", blank])
+        assert not store.has("bio-001")
+        assert not list((tmp_path / "store").iterdir())
 
     def test_put_creates_the_directory(self, tmp_path):
         SampleStore(tmp_path / "store").put("bio-002", ["a"])

@@ -1,12 +1,14 @@
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallucheck import detect as detect_module
 from hallucheck.core import DetectorMethod, GeneratedOutput, mean_score
 from hallucheck.detect import (
     DetectorConfig,
@@ -27,7 +29,9 @@ from hallucheck.embed import (
     ZeroVector,
     clamp0,
     cosine_sim,
+    triple_text,
 )
+from hallucheck.kgx import KGExtractor
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
 
@@ -318,6 +322,85 @@ class TestGraphConsistency:
             graph_consistency_scores(target, [random_vectors(np.random.default_rng(2), 1, 5)])
 
 
+def per_graph_loop(targets, sample_graphs):
+    """Oracle: the similarity kernel as it ran before the sample side was
+    shared, with each graph's norms taken inside the loop and plain selfcheck
+    run as n one-row graphs."""
+    target_norms = np.sqrt(np.vecdot(targets, targets))
+    best = np.zeros((len(sample_graphs), len(targets)))
+    for g, graph in enumerate(sample_graphs):
+        if len(graph) == 0 or len(targets) == 0:
+            continue
+        if graph.shape[1] != targets.shape[1]:
+            raise DimensionMismatch("vector lengths differ")
+        norms = np.sqrt(np.vecdot(graph, graph))
+        if not (target_norms.all() and norms.all()):
+            raise ZeroVector("cosine similarity with a zero vector")
+        sims = np.vecdot(targets[:, None, :], graph[None, :, :]) / (
+            target_norms[:, None] * norms[None, :]
+        )
+        sims = np.clip(sims, -1.0, 1.0)
+        best[g] = np.where(sims > 0.0, sims, 0.0).max(axis=1)
+    return [mean_score(column) for column in best.T.tolist()]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the similarity error it raised."""
+    try:
+        return fn(*args)
+    except (ZeroVector, DimensionMismatch) as exc:
+        return type(exc)
+
+
+@st.composite
+def sample_sides(draw):
+    """Targets and sample graphs with, now and then, a zero row or a graph of
+    another width. Small integer components give exact ties and negative
+    similarities."""
+    dim = draw(st.sampled_from([1, 2, 64, 385]))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = lambda k, d: rng.integers(-2, 3, (k, d)).astype(np.float64)
+    else:
+        values = lambda k, d: rng.standard_normal((k, d))
+    targets = values(draw(st.integers(0, 5)), dim)
+    graphs = [values(k, dim) for k in sizes]
+    rows = values(len(sizes), dim)
+    fault = draw(st.sampled_from([None, None, "zero-target", "zero-sample", "width"]))
+    g = draw(st.integers(0, len(sizes) - 1))
+    if fault == "zero-target" and len(targets):
+        targets[0] = 0.0
+    elif fault == "zero-sample":
+        rows[g] = 0.0
+        if len(graphs[g]):
+            graphs[g][-1] = 0.0
+    elif fault == "width":
+        graphs[g] = values(sizes[g], dim + 1)
+        rows = values(len(sizes), dim + 1)
+    return targets, graphs, rows
+
+
+class TestSharedSampleSide:
+    """The sample side built once per paragraph scores exactly as the
+    per-graph loop did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample_sides())
+    def test_equals_the_per_graph_loop(self, side):
+        targets, graphs, rows = side
+        norms = [np.sqrt(np.vecdot(g, g)) for g in graphs]
+        want = outcome(per_graph_loop, targets, graphs)
+        assert outcome(graph_consistency_scores, targets, graphs, norms) == want
+        assert outcome(graph_consistency_scores, targets, graphs) == want
+        row_norms = np.sqrt(np.vecdot(rows, rows))
+        one_row_graphs = [rows[i : i + 1] for i in range(len(rows))]
+        for target in targets:
+            want = outcome(per_graph_loop, target[None, :], one_row_graphs)
+            got = outcome(detect_module._sentence_consistency, target, rows, row_norms)
+            assert got == (want if isinstance(want, type) else want[0])
+
+
 SELFCHECK_KG_SCRIPT = {
     "rules": [
         {
@@ -391,6 +474,108 @@ class TestSelfcheckKG:
             ctx2, DetectorMethod.SELFCHECK, text2, use_kg=True, samples=list(reversed(samples))
         )
         assert forward.score == backward.score
+
+
+class TestSampleSideOncePerParagraph:
+    TEXTS = [
+        "Alan Turing was born in London and studied there.",
+        "Turing lived in Cambridge for a while.",
+        "He broke codes during the war.",
+    ]
+    SAMPLES = [
+        "Turing was born in London.",
+        "Turing lived in Cambridge for a while.",
+        "No facts at all.",
+    ]
+
+    def score_paragraph(self, ctx, use_kg, pool=None):
+        def one(text):
+            return detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=use_kg, samples=self.SAMPLES)
+
+        if pool is None:
+            return [one(t) for t in self.TEXTS]
+        return list(pool.map(one, self.TEXTS))
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_samples_are_extracted_once_per_paragraph(self, monkeypatch, parallelism):
+        extracted = []
+        extract = KGExtractor.extract
+
+        def counting(self, text, context=None):
+            extracted.append(text)
+            return extract(self, text, context)
+
+        monkeypatch.setattr(KGExtractor, "extract", counting)
+        with ThreadPoolExecutor(parallelism) as units, ThreadPoolExecutor(parallelism) as leaves:
+            ctx, _ = make_ctx(SELFCHECK_KG_SCRIPT, embedder=HashEmbedder(dim=32), executor=leaves)
+            records = self.score_paragraph(ctx, True, units if parallelism > 1 else None)
+        # One call for each record's own graph, and one per sample, not one
+        # per sample and record. (The second text is also a sample.)
+        assert len(extracted) == len(self.TEXTS) + len(self.SAMPLES)
+        assert sorted(set(extracted)) == sorted(set(self.TEXTS) | set(self.SAMPLES))
+        # Each record scores as it does on a context of its own.
+        alone = [
+            detect(
+                make_ctx(SELFCHECK_KG_SCRIPT, embedder=HashEmbedder(dim=32))[0],
+                DetectorMethod.SELFCHECK, text, use_kg=True, samples=self.SAMPLES,
+            )
+            for text in self.TEXTS
+        ]
+        assert records == alone
+
+    def test_kg_side_holds_the_embedders_matrices(self, monkeypatch):
+        seen = []
+        consistency = detect_module.graph_consistency_scores
+
+        def spy(targets, graphs, norms=None):
+            seen.append(graphs)
+            return consistency(targets, graphs, norms)
+
+        monkeypatch.setattr(detect_module, "graph_consistency_scores", spy)
+        embedder = HashEmbedder(dim=32)
+        ctx, _ = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder)
+        self.score_paragraph(ctx, True)
+        assert len(seen) == len(self.TEXTS)
+        assert all(graphs is seen[0] for graphs in seen)
+        for graph, sample in zip(seen[0], self.SAMPLES):
+            texts = [triple_text(t) for t in ctx.extractor.extract(sample).triples]
+            assert graph is embedder.embed_many(texts)
+
+    def test_sentence_side_holds_the_embedders_matrix(self, monkeypatch):
+        seen = []
+        consistency = detect_module._sentence_consistency
+
+        def spy(target, rows, norms):
+            seen.append(rows)
+            return consistency(target, rows, norms)
+
+        monkeypatch.setattr(detect_module, "_sentence_consistency", spy)
+        embedder = HashEmbedder(dim=32)
+        records = self.score_paragraph(DetectorContext(embedder=embedder), False)
+        assert len(seen) == len(self.TEXTS)
+        assert all(rows is embedder.embed_many(self.SAMPLES) for rows in seen)
+        for text, record in zip(self.TEXTS, records):
+            target = embedder.embed(text)
+            expected = mean_score(
+                [clamp0(cosine_sim(target, embedder.embed(s))) for s in self.SAMPLES]
+            )
+            assert record.score == expected
+
+    def test_concurrent_first_calls_share_one_extractor(self, run_together, monkeypatch):
+        built = []
+
+        class SlowExtractor(KGExtractor):
+            def __init__(self, client, model_id):
+                time.sleep(0.005)  # widen the window between the check and the set
+                built.append(self)
+                super().__init__(client, model_id)
+
+        monkeypatch.setattr(detect_module, "KGExtractor", SlowExtractor)
+        ctx, _ = make_ctx()
+        assert ctx.extractor is None
+        extractors = run_together(ctx.require_extractor, 8)
+        assert len(built) == 1
+        assert all(e is ctx.extractor for e in extractors)
 
 
 class TestRunDetector:

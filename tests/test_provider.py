@@ -301,6 +301,26 @@ class TestChatClient:
             client.complete(req())
         assert backend.calls == 1
 
+    @pytest.mark.parametrize("blank", ["   ", "\n\t"], ids=["spaces", "newline-tab"])
+    def test_blank_draw_is_refused_and_not_cached(self, tmp_path, blank):
+        backend = MockChatBackend(default_reply=blank)
+        client = ChatClient(backend, cache=ResponseCache(tmp_path), sleep=lambda s: None)
+        with pytest.raises(ProviderRefusal, match="blank sample"):
+            client.complete(req(draw=0))
+        assert backend.calls == 1
+        assert not list(tmp_path.glob("*.json"))
+        # Only a draw must hold text: any other request keeps a blank reply.
+        assert client.complete(req()).content == blank
+
+    def test_blank_draw_in_the_cache_is_a_miss(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        drawn = req(draw=0)
+        cache.put(cache_key(drawn, "mock"), canonical_request(drawn, "mock"), "  ")
+        backend = MockChatBackend(default_reply="text")
+        response = ChatClient(backend, cache=cache).complete(drawn)
+        assert (response.content, response.cached, backend.calls) == ("text", False, 1)
+        assert cache.get(cache_key(drawn, "mock")) == "text"
+
     def test_draws_are_fresh_calls_then_cache_hits(self, tmp_path):
         backend = MockChatBackend(rules=[MockRule(match=("go",), replies=("a", "b", "c"))])
         client = ChatClient(backend, cache=ResponseCache(tmp_path))
