@@ -402,18 +402,21 @@ def cmd_score(args: argparse.Namespace) -> int:
 
         needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
         store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
+        # Each paragraph's store file is read once and shared by its records.
+        stored: dict[str, list[str]] = {}
         units = []
         for record in records:
             ref = make_output_ref(record.paragraph_id, record.sentence_index)
             samples: Sequence[str] | None = record.samples or None
             if samples is None and needs_samples:
-                if store is not None and store.has(record.paragraph_id):
-                    samples = store.get(record.paragraph_id)
-                else:
-                    raise ConfigError(
-                        f"paragraph {record.paragraph_id!r} has no samples; generate "
-                        "them first with the 'samples' subcommand"
-                    )
+                if record.paragraph_id not in stored:
+                    if store is None or not store.has(record.paragraph_id):
+                        raise ConfigError(
+                            f"paragraph {record.paragraph_id!r} has no samples; generate "
+                            "them first with the 'samples' subcommand"
+                        )
+                    stored[record.paragraph_id] = store.get(record.paragraph_id)
+                samples = stored[record.paragraph_id]
             output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
             units.extend(
                 (detector, output, samples)

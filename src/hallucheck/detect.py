@@ -147,9 +147,10 @@ class DetectorContext:
     """Everything a detector call may need, bundled once per run.
 
     ``executor``, when given, runs a ``+kg`` detector's per-triple scoring and
-    sample extractions concurrently. The tasks submitted to it never wait on
-    other tasks, so one executor can serve every detector call of a run, even
-    calls that themselves run on pool threads.
+    sample extractions concurrently. A call that submits to it waits for its
+    tasks, so no detector call may run on one of ``executor``'s own threads:
+    it would wait on tasks queued behind itself, and with one worker never
+    finish. ``score`` keeps this by running its pairs on a separate pool.
 
     selfcheck's sample side belongs to the paragraph: it is built once per
     context and shared by every record that draws on the same samples.

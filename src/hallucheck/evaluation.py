@@ -254,24 +254,46 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
             shape = (n_rows, n_groups)
             pos = np.bincount(cells[is_pos[idx]], minlength=n_rows * n_groups).reshape(shape)
             size = np.bincount(cells.ravel(), minlength=n_rows * n_groups).reshape(shape)
-            # Counts are exact as floats, so each term is the float that
-            # ``int * (int / int)`` gives.
+            # Each group holding a positive adds group_positives * precision
+            # at the group's end; the other cells hold 0.0. Counts are exact
+            # as floats, so each term is the float ``int * (int / int)`` gives.
             seen = size.cumsum(axis=1, dtype=float)
             seen_pos = pos.cumsum(axis=1, dtype=float)
-            # Each group holding a positive adds group_positives * precision
-            # at the group's end; flattened row by row.
-            has = pos > 0
-            terms = (pos[has] * (seen_pos[has] / seen[has])).tolist()
-            ends = np.cumsum(has.sum(axis=1)).tolist()
+            terms = np.divide(seen_pos, seen, out=np.zeros(shape), where=pos > 0)
+            terms *= pos
+            # A row's sum must be fsum's, the correctly rounded sum of its
+            # terms. With q the least integer such that 2**q >= n and
+            # K = 52 - q, splitting each term t at 2**-K into hi + lo gives
+            # that sum from two plain row sums whenever q <= 17:
+            # - A non-zero term is at least 2**-q: pos >= 1, seen_pos / seen
+            #   >= 1 / n and rounding is monotone. So every term is a multiple
+            #   of 2**(-q-52), and a row's terms sum to at most its positive
+            #   count, n <= 2**q (each term is at most pos).
+            # - The split is exact: t * 2**K, the floor and the division only
+            #   move the exponent or drop fraction bits, and t - hi is a
+            #   multiple of 2**(-q-52) below 2**-K = 2**(q-52), which takes
+            #   2q <= 53 bits.
+            # - Both row sums are exact in any order of addition: every
+            #   partial sum of hi is a multiple of 2**-K of at most 2**q, so
+            #   at most 2**52 units; every partial sum of lo is a multiple of
+            #   2**(-q-52) below n * 2**-K, so below 2**(3q) <= 2**51 units.
+            # - Adding the two exact sums rounds their exact total once, half
+            #   to even, which is the value fsum returns.
+            # Beyond q = 17 the lo sums may round, so each row takes fsum;
+            # a block then holds a single row anyway.
+            q = (n - 1).bit_length()
+            if q <= 17:
+                scale = 2.0 ** (52 - q)
+                hi = np.floor(terms * scale) / scale
+                sums = hi.sum(axis=1) + (terms - hi).sum(axis=1)
+            else:
+                sums = np.array([fsum(row) for row in terms.tolist()])
             total_pos = pos.sum(axis=1)
             degenerate = (total_pos == 0) | (total_pos == n)
-            values = [
-                0.0 if skip else fsum(terms[start:end]) / count
-                for start, end, count, skip in zip(
-                    [0, *ends], ends, total_pos.tolist(), degenerate.tolist()
-                )
-            ]
-            return np.array(values), degenerate
+            values = np.zeros(n_rows)
+            kept = ~degenerate
+            values[kept] = sums[kept] / total_pos[kept]
+            return values, degenerate
 
         return rows
 

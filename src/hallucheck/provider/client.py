@@ -116,12 +116,12 @@ class ChatClient:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Complete one request, serving repeats from the cache when enabled."""
+        if self.cache is None:
+            return ChatResponse(content=self._call_with_retry(request), cached=False)
         digest = cache_key(request, self.backend.name)
-        if self.cache is not None:
-            hit = self.cache.get(digest)
-            if hit is not None and (request.draw is None or hit.strip()):
-                return ChatResponse(content=hit, cached=True)
+        hit = self.cache.get(digest)
+        if hit is not None and (request.draw is None or hit.strip()):
+            return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
-        if self.cache is not None:
-            self.cache.put(digest, canonical_request(request, self.backend.name), content)
+        self.cache.put(digest, canonical_request(request, self.backend.name), content)
         return ChatResponse(content=content, cached=False)

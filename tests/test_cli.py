@@ -453,6 +453,36 @@ class TestSamples:
         records = list(read_score_records(workdir / "out" / "scores.jsonl"))
         assert len(records) == 20
 
+    def test_score_reads_each_store_file_once(self, workdir, monkeypatch):
+        config = no_sample_config(workdir, with_store=True)
+        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        gets = []
+        get = SampleStore.get
+        monkeypatch.setattr(
+            SampleStore, "get", lambda store, pid: gets.append(pid) or get(store, pid)
+        )
+        assert main(["score", "--config", str(config)]) == 0
+        assert sorted(gets) == ["p01", "p02"]
+        # The rows equal those scored from the same samples given inline.
+        store = SampleStore(workdir / "samples")
+        with open(workdir / "dataset_inline.jsonl", "w", encoding="utf-8") as fh:
+            for line in (workdir / "dataset_empty.jsonl").read_text(encoding="utf-8").splitlines():
+                row = json.loads(line)
+                row["samples"] = store.get(row["paragraph_id"])
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        del cfg["samples_dir"]
+        cfg["dataset"].update(path="dataset_inline.jsonl", expected_samples=None)
+        cfg["output_dir"] = "out_inline"
+        inline = workdir / "config_inline.json"
+        inline.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["score", "--config", str(inline)]) == 0
+        rows = [
+            (workdir / out / "scores.jsonl").read_bytes().split(b"\n", 1)[1]
+            for out in ("out", "out_inline")
+        ]
+        assert rows[0] == rows[1] and rows[0].count(b"\n") == 20
+
     @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]'])
     def test_corrupt_store_file_is_data_error(self, workdir, capsys, body):
         config = no_sample_config(workdir, with_store=True)

@@ -548,6 +548,63 @@ class TestKernelsEqualPerSamplePath:
         assert outcome(auc_pr, scores, positive) == outcome(tie_group_walk, scores, positive)
 
 
+@st.composite
+def off_grid_sets(draw):
+    """Up to 600 scores anywhere in [0, 1], so ties are rare and rows hold
+    many average-precision terms; any share of hallucinated labels."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hallucinated = rng.random(n) < draw(st.floats(0, 1))
+    return [
+        ls(v, H if h else A, ref=f"x{i:03d}")
+        for i, (v, h) in enumerate(zip(rng.random(n).tolist(), hallucinated.tolist()))
+    ]
+
+
+class TestAucPrRowsSumExactly:
+    """The AUC-PR kernel against sequential resamples summed with ``fsum``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(off_grid_sets(), positives, st.integers(1, 80), st.integers(0, 2**16))
+    def test_bootstrap_ci(self, scores, positive, resamples, seed):
+        got = outcome(bootstrap_ci, scores, auc_pr_metric(positive), resamples, seed)
+        reference = outcome(
+            sequential_bootstrap, len(scores),
+            lambda idx: tie_group_walk([scores[i] for i in idx], positive), resamples, seed,
+        )
+        assert summary(got) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        off_grid_sets(), st.integers(0, 2**32 - 1), positives, st.integers(1, 80),
+        st.integers(0, 2**16),
+    )
+    def test_compare_methods(self, a, b_seed, positive, resamples, seed):
+        b_values = np.random.default_rng(b_seed).random(len(a)).tolist()
+        b = [ls(v, s.label, ref=s.example_ref) for v, s in zip(b_values, a)]
+        got = outcome(compare_methods, a, b, auc_pr_metric(positive), resamples, seed)
+        reference = outcome(
+            reference_compare, a, b, lambda s: tie_group_walk(s, positive), resamples, seed
+        )
+        assert summary(got) == reference
+
+    @pytest.mark.parametrize("n, fsum_calls", [(2**17, 0), (2**17 + 1, 2)])
+    def test_rows_at_the_two_part_limit(self, monkeypatch, n, fsum_calls):
+        # Up to 2**17 scores a row is summed in two fixed-point parts; past
+        # that, each row is one fsum call.
+        rng = np.random.default_rng(n)
+        values, hallucinated = rng.random(n).tolist(), (rng.random(n) < 0.5).tolist()
+        scores = [ls(v, H if h else A) for v, h in zip(values, hallucinated)]
+        idx = rng.integers(0, n, (2, n))
+        calls = []
+        monkeypatch.setattr(evaluation, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        got, degenerate = auc_pr_metric(H).bind(scores)(idx)
+        assert len(calls) == fsum_calls and not degenerate.any()
+        assert got.tolist() == [
+            tie_group_walk([scores[i] for i in row], H) for row in idx.tolist()
+        ]
+
+
 def tie_group_walk(scores, positive):
     """Average precision by walking the sorted list one tie group at a time."""
     if len({s.label for s in scores}) < 2:

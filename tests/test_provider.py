@@ -276,6 +276,15 @@ class TestChatClient:
         assert (second.content, second.cached) == ("answer", True)
         assert backend.calls == 1
 
+    def test_no_cache_key_without_a_cache(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cache_key computed with no cache")
+
+        monkeypatch.setattr(hallucheck.provider.client, "cache_key", refuse)
+        backend = MockChatBackend(default_reply="answer")
+        response = ChatClient(backend).complete(req(draw=0))
+        assert (response.content, response.cached, backend.calls) == ("answer", False, 1)
+
     def test_retry_then_success(self):
         backend = MockChatBackend(default_reply="ok", fail_calls={1, 2})
         naps = []
