@@ -338,14 +338,19 @@ def _load_dataset(cfg: RunConfig):
     return load_wikibio(cfg.resolve(cfg.dataset.path), cfg.dataset.expected_samples)
 
 
-def _scored_keys(path: Path) -> tuple[dict | None, set[tuple[str, str, bool]]]:
-    """The meta line (if the stream starts with one) and the (ref, method,
-    kg_used) keys already present in a score stream."""
-    done = {(r.output_ref, r.method.value, r.kg_used) for r in read_score_records(path)}
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    meta = json.loads(first) if first.strip() else None
-    return (meta if isinstance(meta, dict) and meta.get("_meta") else None), done
+def _scored_keys(path: Path, config_digest: str) -> set[tuple[str, str, bool]]:
+    """The (ref, method, kg_used) keys already present in a score stream. A
+    stream that is not empty must open with the meta line of this config."""
+    meta: dict = {}
+    done = {(r.output_ref, r.method.value, r.kg_used) for r in read_score_records(path, meta=meta)}
+    if meta.get("config_digest") != config_digest and path.stat().st_size:
+        origin = (
+            f"was produced by a different config (digest {meta.get('config_digest')!r})"
+            if meta
+            else "has no meta line on line 1"
+        )
+        raise ConfigError(f"{path} {origin}; rerun with --fresh to discard it")
+    return done
 
 
 @contextlib.contextmanager
@@ -367,11 +372,16 @@ def _score_lock(out_dir: Path) -> Iterator[None]:
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every (record, detector) pair not already in the score stream.
 
-    The pairs run on ``parallelism`` threads; their ``+kg`` fan-out runs on a
-    second pool of the same size, and the client lets at most ``parallelism``
-    backend calls be in flight. Rows are written in dataset order, so the
-    stream is the same at any parallelism. Once a pair fails, no further pair
-    starts, and the stream keeps the rows before the first failed pair.
+    All the work runs on one pool of ``2 * parallelism - 1`` threads, and the
+    client lets at most ``parallelism`` backend calls be in flight: the extra
+    workers render prompts and parse replies while calls are out, and at
+    ``parallelism: 1`` a single worker makes every call in a fixed order. A
+    unit of work is a pair, or a ``selfcheck+kg`` sample text queued once, just
+    before the first pair that compares against it, so that a paragraph's
+    sample graphs are extracted side by side. Rows are written in dataset
+    order, so the stream is the same at any parallelism. Once a unit fails, no
+    further unit starts, and the stream keeps the rows before the first failed
+    unit.
     """
     cfg = load_config(args.config)
     if not cfg.detectors:
@@ -393,18 +403,14 @@ def cmd_score(args: argparse.Namespace) -> int:
                     f"dropped an unterminated last line ({dropped} bytes) of {scores_path}",
                     file=sys.stderr,
                 )
-            meta, done = _scored_keys(scores_path)
-            if meta is not None and meta.get("config_digest") != cfg.config_digest:
-                raise ConfigError(
-                    f"{scores_path} was produced by a different config "
-                    f"(digest {meta.get('config_digest')!r}); rerun with --fresh to discard it"
-                )
+            done = _scored_keys(scores_path, cfg.config_digest)
 
         needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
         store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
         # Each paragraph's store file is read once and shared by its records.
         stored: dict[str, list[str]] = {}
-        units = []
+        queued: set[str] = set()
+        units: list[str | tuple] = []
         for record in records:
             ref = make_output_ref(record.paragraph_id, record.sentence_index)
             samples: Sequence[str] | None = record.samples or None
@@ -418,22 +424,37 @@ def cmd_score(args: argparse.Namespace) -> int:
                     stored[record.paragraph_id] = store.get(record.paragraph_id)
                 samples = stored[record.paragraph_id]
             output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
-            units.extend(
-                (detector, output, samples)
-                for detector in cfg.detectors
-                if (ref, detector.method.value, detector.use_kg) not in done
-            )
-        skipped = len(records) * len(cfg.detectors) - len(units)
+            for detector in cfg.detectors:
+                if (ref, detector.method.value, detector.use_kg) in done:
+                    continue
+                # run_detector refuses a pair with too few samples before any
+                # call, so no sample of such a pair is queued.
+                kg_selfcheck = detector.method is DetectorMethod.SELFCHECK and detector.use_kg
+                if kg_selfcheck and len(samples) >= detector.n_samples:
+                    for text in samples[: detector.n_samples]:
+                        if text not in queued:
+                            queued.add(text)
+                            units.append(text)
+                units.append((detector, output, samples))
+        skipped = len(records) * len(cfg.detectors) - (len(units) - len(queued))
 
         failures: list[BaseException] = []
 
-        def score_unit(unit):
-            # Once a pair has failed, the pairs not yet started fail the same way
+        extractor = KGExtractor(client, cfg.provider.model_id)
+        ctx = DetectorContext(
+            client=client, model_id=cfg.provider.model_id, embedder=embedder, extractor=extractor
+        )
+
+        def run_unit(unit):
+            # Once a unit has failed, the units not yet started fail the same way
             # without running, so no provider calls are spent on them.
             if failures:
                 raise failures[0]
-            detector, output, samples = unit
             try:
+                if isinstance(unit, str):
+                    extractor.extract(unit)
+                    return None
+                detector, output, samples = unit
                 return run_detector(detector, output, ctx, samples=samples)
             except BaseException as exc:
                 failures.append(exc)
@@ -442,19 +463,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         with open(scores_path, "a" if resume else "w", encoding="utf-8") as fh:
             if fh.tell() == 0:
                 fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
-        with ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-leaf") as leaves:
-            ctx = DetectorContext(
-                client=client,
-                model_id=cfg.provider.model_id,
-                embedder=embedder,
-                extractor=KGExtractor(client, cfg.provider.model_id),
-                executor=leaves,
-            )
-            pool = ThreadPoolExecutor(cfg.parallelism, thread_name_prefix="hallucheck-unit")
-            try:
-                written = write_score_records(pool.map(score_unit, units), scores_path, append=True)
-            finally:
-                pool.shutdown(cancel_futures=True)
+        pool = ThreadPoolExecutor(2 * cfg.parallelism - 1, thread_name_prefix="hallucheck-unit")
+        try:
+            rows = (row for row in pool.map(run_unit, units) if row is not None)
+            written = write_score_records(rows, scores_path, append=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
         print(
             f"scored {written} (skipped {skipped} already present) -> {scores_path}",
         )
@@ -546,13 +560,11 @@ def cmd_samples(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.n < 1:
         raise ConfigError(f"sample count must be >= 1, got {args.n}")
+    if not cfg.samples_dir:
+        raise ConfigError("config has no samples_dir to store the samples in")
     records = _load_dataset(cfg)
     client = build_client(cfg)
-    store_dir = (
-        cfg.resolve(args.store)
-        if args.store
-        else cfg.resolve(cfg.samples_dir or "samples")
-    )
+    store_dir = cfg.resolve(cfg.samples_dir)
     store = SampleStore(store_dir)
     template = load_prompt_resource("sample_generation.txt")
 
@@ -625,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_samples.add_argument("--config", required=True)
     p_samples.add_argument("--n", type=int, default=20, help="samples per paragraph")
-    p_samples.add_argument("--store", help="sample store directory (default from config)")
     p_samples.set_defaults(func=cmd_samples)
 
     return parser

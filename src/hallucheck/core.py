@@ -206,6 +206,8 @@ class ScoreRecord:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
+        if self.misses < 0:
+            raise ValueError(f"misses must be >= 0, got {self.misses}")
         if self.triple_scores:
             for _, c in self.triple_scores:
                 if not 0.0 <= c <= 1.0:

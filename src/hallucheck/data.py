@@ -546,10 +546,14 @@ def write_score_records(
     return count
 
 
-def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
-    """The records of a score stream, skipping meta lines. A line that is not
-    a valid record, or that repeats the (output_ref, method, kg_used) key of
-    an earlier line, raises SchemaError naming the file and the line."""
+def read_score_records(
+    path: str | os.PathLike, meta: dict | None = None
+) -> Iterator[ScoreRecord]:
+    """The records of a score stream. Only line 1 may be a meta line; its
+    fields go into ``meta`` when that is given. A meta line further down, a
+    line that is not a valid record, or one that repeats the (output_ref,
+    method, kg_used) key of an earlier line, raises SchemaError naming the
+    file and the line."""
     seen: set[tuple[str, str, bool]] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -558,6 +562,10 @@ def read_score_records(path: str | os.PathLike) -> Iterator[ScoreRecord]:
             where = f"{os.fspath(path)}:{lineno}"
             obj = _json_line(line, where)
             if isinstance(obj, dict) and obj.get("_meta"):
+                if lineno > 1:
+                    raise SchemaError(f"{where}: a meta line may only be line 1")
+                if meta is not None:
+                    meta.update(obj)
                 continue
             try:
                 record = score_record_from_dict(obj)

@@ -14,8 +14,7 @@ The triple-level variants first extract a knowledge graph from the output and
 run the same strategy on each triple; the output score is the arithmetic mean
 of the triple scores. ``run_detector`` is the one entry point. All scores live
 in [0, 1]; lower means more likely hallucinated. Aggregation uses
-exactly-rounded summation, so triple or sample order never changes a score,
-which also makes bounded parallel execution safe.
+exactly-rounded summation, so triple or sample order never changes a score.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,9 +59,6 @@ logger = logging.getLogger(__name__)
 
 _FIRST_NUMBER = re.compile(r"[-+]?(?:\d+\.\d+|\.\d+|\d+)")
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 class ScoreParseError(HallucheckError):
     """A score-elicitation reply contained no parseable number."""
@@ -83,19 +78,6 @@ def parse_score(reply: str) -> float:
     if match is None:
         raise ScoreParseError(f"no number in score reply {reply!r}")
     return max(0.0, min(1.0, float(match.group())))
-
-
-@dataclass(frozen=True)
-class QAStep:
-    """One verification round: question asked, answer given, agreement score."""
-
-    question: str
-    answer: str
-    consistency: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.consistency <= 1.0:
-            raise ValueError(f"consistency {self.consistency} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -146,14 +128,10 @@ class DetectorConfig:
 class DetectorContext:
     """Everything a detector call may need, bundled once per run.
 
-    ``executor``, when given, runs a ``+kg`` detector's per-triple scoring and
-    sample extractions concurrently. A call that submits to it waits for its
-    tasks, so no detector call may run on one of ``executor``'s own threads:
-    it would wait on tasks queued behind itself, and with one worker never
-    finish. ``score`` keeps this by running its pairs on a separate pool.
-
-    selfcheck's sample side belongs to the paragraph: it is built once per
-    context and shared by every record that draws on the same samples.
+    A detector call does all its work on the calling thread; any number of
+    threads may share one context. selfcheck's sample side belongs to the
+    paragraph: it is built once per context and shared by every record that
+    draws on the same samples.
     """
 
     client: ChatClient | None = None
@@ -161,7 +139,6 @@ class DetectorContext:
     embedder: MemoizingEmbedder | None = None
     extractor: KGExtractor | None = None
     prompts: DetectorPrompts | None = None
-    executor: Executor | None = None
 
     def __post_init__(self) -> None:
         if self.prompts is None:
@@ -191,20 +168,13 @@ class DetectorContext:
         return client.complete(ChatRequest.user(self.model_id, content, DETECT_PROFILE)).content
 
 
-def _map_bounded(fn: Callable[[T], R], items: Sequence[T], executor: Executor | None) -> list[R]:
-    if executor is None or len(items) <= 1:
-        return [fn(item) for item in items]
-    return list(executor.map(fn, items))
-
-
-def verify_statement(ctx: DetectorContext, statement: str) -> QAStep:
+def verify_statement(ctx: DetectorContext, statement: str) -> float:
     """Question -> answer -> agreement, all against the same model."""
     prompts = ctx.prompts
     assert prompts is not None
     question = ctx._complete(prompts.render_question(statement)).strip()
     answer = ctx._complete(prompts.render_answer(question)).strip()
-    consistency = parse_score(ctx._complete(prompts.render_consistency(statement, answer)))
-    return QAStep(question=question, answer=answer, consistency=consistency)
+    return parse_score(ctx._complete(prompts.render_consistency(statement, answer)))
 
 
 def _elicit_confidence(ctx: DetectorContext, statement: str) -> float:
@@ -218,26 +188,19 @@ def _triple_statements(kg: KnowledgeGraph) -> list[str]:
 
 
 def _score_triples(
-    kg: KnowledgeGraph,
-    score_one: Callable[[str], float],
-    executor: Executor | None,
+    kg: KnowledgeGraph, score_one: Callable[[str], float]
 ) -> tuple[tuple[tuple[Triple, float], ...], int]:
     """Apply a per-triple scorer with the miss policy: parse failures and
     refusals drop the triple; everything failing is a detector error."""
-
-    def attempt(t: Triple) -> tuple[Triple, float | None]:
+    kept = []
+    for t in kg.triples:
         try:
-            return t, score_one(triple_text(t))
+            kept.append((t, score_one(triple_text(t))))
         except (ScoreParseError, ProviderRefusal) as exc:
             logger.warning("dropping triple %s: %s", t.normalized, exc)
-            return t, None
-
-    results = _map_bounded(attempt, kg.triples, executor)
-    kept = tuple((t, c) for t, c in results if c is not None)
-    misses = len(results) - len(kept)
     if not kept:
-        raise DetectorError(f"all {len(results)} triples failed to score")
-    return kept, misses
+        raise DetectorError(f"all {len(kg.triples)} triples failed to score")
+    return tuple(kept), len(kg.triples) - len(kept)
 
 
 def graph_consistency_scores(
@@ -309,15 +272,15 @@ def _sample_side(ctx: DetectorContext, use_kg: bool, chosen: tuple[str, ...]) ->
         if not use_kg:
             rows = embedder.embed_many(chosen)
             return rows, _norms(rows)
-        sample_kgs = _map_bounded(ctx.require_extractor().extract, chosen, ctx.executor)
-        graphs = [embedder.embed_many(_triple_statements(g)) for g in sample_kgs]
+        extractor = ctx.require_extractor()
+        graphs = [embedder.embed_many(_triple_statements(extractor.extract(s))) for s in chosen]
         return graphs, [_norms(graph) for graph in graphs]
 
     return ctx._sample_sides.get((use_kg, chosen), build)
 
 
 _STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]] = {
-    DetectorMethod.SELF_QUESTIONING: lambda ctx, s: verify_statement(ctx, s).consistency,
+    DetectorMethod.SELF_QUESTIONING: verify_statement,
     DetectorMethod.SELF_CONFIDENCE: _elicit_confidence,
 }
 
@@ -369,7 +332,7 @@ def run_detector(
             if config.use_kg:
                 kg = ctx.require_extractor().extract(output.text, output.context)
                 triple_scores, misses = _score_triples(
-                    kg, lambda statement: score_one(ctx, statement), ctx.executor
+                    kg, lambda statement: score_one(ctx, statement)
                 )
             else:
                 score = score_one(ctx, output.text)

@@ -10,7 +10,6 @@ from hallucheck import cli
 from hallucheck.cli import main
 from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.data import SampleStore, read_score_records
-from hallucheck.kgx import KGExtractor
 
 FIXTURE_FILES = (
     "run_config.json",
@@ -278,7 +277,7 @@ class TestConfigErrors:
             ("evaluate", {}, ["--report", "DIR"], "DIR"),
             ("extract", {}, ["--input", "DIR", "--output", "kgs.jsonl"], "DIR"),
             ("extract", {}, ["--input", "sentences.txt", "--output", "DIR"], "DIR"),
-            ("samples", {}, ["--store", "FILE"], "FILE"),
+            ("samples", {"samples_dir": "FILE"}, [], "FILE"),
             ("score", {"output_dir": "FILE"}, [], "FILE"),
             ("score", {"dataset": {"path": "DIR", "expected_samples": 3}}, [], "DIR"),
             ("score", {"cache_dir": "FILE"}, [], "FILE"),
@@ -494,22 +493,30 @@ class TestSamples:
         err = capsys.readouterr().err
         assert str(entry) in err and err.count("\n") == 1
 
+    def test_no_samples_dir_is_one_line(self, workdir, capsys):
+        config = no_sample_config(workdir, with_store=False)
+        assert main(["samples", "--config", str(config), "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "samples_dir" in err and err.count("\n") == 1
+        assert not (workdir / "samples").exists()
+
     def test_zero_samples_rejected(self, workdir):
         config = no_sample_config(workdir, with_store=True)
         assert main(["samples", "--config", str(config), "--n", "0"]) == 2
 
     def test_second_run_takes_every_draw_from_the_cache(self, workdir, monkeypatch):
-        config = str(no_sample_config(workdir, with_store=False))
+        config = str(no_sample_config(workdir, with_store=True))
         calls = record_backend_calls(monkeypatch)
-        argv = ["samples", "--config", config, "--n", "3", "--store"]
-        assert main([*argv, str(workdir / "first")]) == 0
+        argv = ["samples", "--config", config, "--n", "3"]
+        assert main(argv) == 0
         assert len(calls) == 2 * 3
+        (workdir / "samples").rename(workdir / "first")
         calls.clear()
-        assert main([*argv, str(workdir / "second")]) == 0
+        assert main(argv) == 0
         assert calls == []
         first, second = (
             {p.name: p.read_bytes() for p in (workdir / store).glob("*.json")}
-            for store in ("first", "second")
+            for store in ("first", "samples")
         )
         assert len(first) == 2 and first == second
 
@@ -655,6 +662,18 @@ class TestEvaluate:
         assert repr((row["output_ref"], row["method"], row["kg_used"])) in err
         assert err.count("\n") == 1
 
+    def test_meta_line_after_line_one_is_data_error(self, scored, config_path, capsys):
+        scores_path = scored / "out" / "scores.jsonl"
+        lines = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        meta = {**json.loads(lines[0]), "config_digest": "other", "model_id": "other-model"}
+        lines.insert(4, json.dumps(meta) + "\n")
+        scores_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        err = capsys.readouterr().err
+        assert f"{scores_path}:5: a meta line may only be line 1" in err
+        assert err.count("\n") == 1
+
     def test_wrongly_typed_row_is_data_error(self, scored, config_path, capsys):
         scores_path = scored / "out" / "scores.jsonl"
         lines = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -708,6 +727,18 @@ class TestScoreResumeRepair:
         assert main(["score", "--config", str(config_path)]) == 0
         assert scores_path.read_bytes() == full
 
+    def test_stream_without_a_meta_line_refuses_resume(self, workdir, config_path, full, capsys):
+        scores_path = workdir / "out" / "scores.jsonl"
+        headless = full.split(b"\n", 1)[1]
+        scores_path.write_bytes(headless)
+        obj = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps({**obj, "seed": 99}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(scores_path) in err and "--fresh" in err and err.count("\n") == 1
+        assert scores_path.read_bytes() == headless
+
     def test_malformed_inner_line_names_file_and_line(self, workdir, config_path, full, capsys):
         scores_path = workdir / "out" / "scores.jsonl"
         lines = full.decode("utf-8").splitlines(keepends=True)
@@ -757,6 +788,51 @@ def slow_backends(monkeypatch, delay_s):
     return seen
 
 
+def timed_backend_calls(monkeypatch, delay_s=0.0):
+    """Record every backend call of the CLI as (prompt, thread name, start,
+    end), each call held for ``delay_s`` after its reply."""
+    build = cli.build_backend
+    calls = []
+
+    class Timed:
+        def __init__(self, backend):
+            self.backend = backend
+            self.name = backend.name
+
+        def complete_once(self, request):
+            start = time.perf_counter()
+            reply = self.backend.complete_once(request)
+            time.sleep(delay_s)
+            prompt = request.messages[-1].content
+            calls.append((prompt, threading.current_thread().name, start, time.perf_counter()))
+            return reply
+
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: Timed(build(cfg)))
+    return calls
+
+
+def passage(call):
+    """The text an extraction call extracts from, or None for other calls."""
+    prompt = call[0]
+    if "knowledge-graph triples" not in prompt:
+        return None
+    return prompt.split("Passage: ", 1)[1].split("\n", 1)[0]
+
+
+def most_at_once(calls):
+    """The most of ``calls`` in flight at one instant."""
+    events = sorted([(start, 1) for _, _, start, _ in calls] + [(end, -1) for *_, end in calls])
+    running = most = 0
+    for _, step in events:
+        running += step
+        most = max(most, running)
+    return most
+
+
+def unit_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("hallucheck-unit")]
+
+
 class TestParallelScore:
     def run_pipeline(self, directory):
         config = str(directory / "run_config.json")
@@ -777,8 +853,8 @@ class TestParallelScore:
         for serial_meta, parallel_meta in ((serial[0], parallel[0]), (serial[2], parallel[2])):
             assert parallel_meta.pop("config_digest") != serial_meta.pop("config_digest")
             assert parallel_meta == serial_meta
-        # A pool of pairs and a pool for their per-triple fan-out, 4 threads each.
-        assert seen["threads"] <= baseline + 2 * 4
+        # One pool of 2 * 4 - 1 workers.
+        assert seen["threads"] <= baseline + 2 * 4 - 1
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_samples_are_extracted_once_per_paragraph(
@@ -795,17 +871,11 @@ class TestParallelScore:
         samples = {}
         for row in rows:
             samples.setdefault(row["paragraph_id"], row["samples"][:3])
-        extracted = []
-        extract = KGExtractor.extract
-
-        def counting(self, text, context=None):
-            extracted.append(text)
-            return extract(self, text, context)
-
-        monkeypatch.setattr(KGExtractor, "extract", counting)
+        calls = timed_backend_calls(monkeypatch)
         assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
         # Each paragraph has 5 records and 3 samples: 3 sample extractions per
-        # paragraph, not 15.
+        # paragraph reach the backend, not 15.
+        extracted = [passage(call) for call in calls]
         for paragraph_samples in samples.values():
             assert sum(text in paragraph_samples for text in extracted) == 3
         assert len(extracted) == len(rows) + 3 * len(samples)
@@ -838,10 +908,10 @@ class TestParallelScore:
             json.dumps({**script, "rules": [refusal, *script["rules"]]}), encoding="utf-8"
         )
         # Pair 22 (record 5, self_confidence) is refused. Every other pair takes
-        # at least 50 ms, so while it fails each of the 3 other workers can have
-        # started at most one later pair: pairs past 25 may start only if the
+        # at least 50 ms, so while it fails each of the 6 other workers can have
+        # started at most one later pair: pairs past 28 may start only if the
         # failure does not stop new pairs.
-        failing, workers = 5 * 4 + 2, 4
+        failing, workers = 5 * 4 + 2, 2 * 4 - 1
         slow_backends(monkeypatch, 0.05)
         started = []
         run_detector = cli.run_detector
@@ -876,3 +946,61 @@ class TestParallelScore:
         monkeypatch.undo()
         assert main(["score", "--config", config]) == 0
         assert (workdir / "out" / "scores.jsonl").read_text(encoding="utf-8") == expected
+
+
+class TestOnePool:
+    """``score`` runs every unit on one pool of 2 * parallelism - 1 workers,
+    with at most ``parallelism`` backend calls in flight."""
+
+    def test_one_thread_makes_every_call_at_parallelism_one(
+        self, tmp_path, fixture_dir, monkeypatch
+    ):
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=1)
+        calls = timed_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
+        assert len(calls) > 60
+        assert len({thread for _, thread, _, _ in calls}) == 1
+
+    def test_calls_in_flight_and_calling_threads_are_bounded(
+        self, tmp_path, fixture_dir, monkeypatch
+    ):
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4)
+        calls = timed_backend_calls(monkeypatch, 0.005)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
+        assert len({thread for _, thread, _, _ in calls}) <= 2 * 4 - 1
+        assert most_at_once(calls) <= 4
+
+    def test_a_paragraphs_samples_are_extracted_side_by_side(
+        self, tmp_path, fixture_dir, monkeypatch
+    ):
+        detectors = [{"method": "selfcheck", "use_kg": True, "n_samples": 3}]
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4, detectors=detectors)
+        calls = timed_backend_calls(monkeypatch, 0.02)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
+        rows = (workdir / "fixture_dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        for samples in {tuple(json.loads(row)["samples"]) for row in rows}:
+            assert most_at_once([call for call in calls if passage(call) in samples]) >= 2
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["success", "provider-failure"])
+    def test_no_worker_outlives_the_run(self, tmp_path, fixture_dir, monkeypatch, refused):
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4)
+        if refused:
+            script_path = workdir / "mock_script.json"
+            script = json.loads(script_path.read_text(encoding="utf-8"))
+            refusal = {"match": ["Confidence score:", "Harlow Trophy"], "reply": ""}
+            script["rules"].insert(0, refusal)
+            script_path.write_text(json.dumps(script), encoding="utf-8")
+        slow_backends(monkeypatch, 0.05)
+        code = main(["score", "--config", str(workdir / "run_config.json")])
+        assert code == (3 if refused else 0)
+        assert unit_threads() == []
+
+    def test_too_few_samples_is_refused_before_any_call(
+        self, tmp_path, fixture_dir, monkeypatch, capsys
+    ):
+        detectors = [{"method": "selfcheck", "use_kg": True, "n_samples": 5}]
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4, detectors=detectors)
+        calls = timed_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
+        assert "selfcheck needs 5 samples, got 3" in capsys.readouterr().err
+        assert calls == []

@@ -573,6 +573,7 @@ class TestScoreRecordIO:
             ("misses", 1.9, "'misses' must be an integer, got float"),
             ("misses", True, "'misses' must be an integer, got bool"),
             ("misses", "1", "'misses' must be an integer, got str"),
+            ("misses", -5, "misses must be >= 0, got -5"),
         ],
     )
     def test_wrongly_typed_field_is_rejected(self, field, value, message):

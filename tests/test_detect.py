@@ -16,7 +16,6 @@ from hallucheck.detect import (
     DetectorError,
     DetectorPrompts,
     DetectorProviderError,
-    QAStep,
     ScoreParseError,
     graph_consistency_scores,
     parse_score,
@@ -35,12 +34,12 @@ from hallucheck.kgx import KGExtractor
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
 
-def make_ctx(script=None, embedder=None, executor=None, fail_calls=None):
+def make_ctx(script=None, embedder=None, fail_calls=None):
     backend = MockChatBackend.from_script(script or {"default": "0.5"})
     if fail_calls:
         backend.fail_calls = fail_calls
     client = ChatClient(backend, sleep=lambda s: None)
-    ctx = DetectorContext(client=client, model_id="m", embedder=embedder, executor=executor)
+    ctx = DetectorContext(client=client, model_id="m", embedder=embedder)
     return ctx, backend
 
 
@@ -99,10 +98,6 @@ class TestConfigAndSteps:
         with pytest.raises(ConfigError):
             DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=0)
 
-    def test_qastep_bounds(self):
-        with pytest.raises(ValueError):
-            QAStep(question="q", answer="a", consistency=1.3)
-
 
 def detect(ctx, method, text, use_kg=False, samples=None):
     """``run_detector`` on one output; selfcheck uses every given sample."""
@@ -111,13 +106,21 @@ def detect(ctx, method, text, use_kg=False, samples=None):
 
 
 class TestQuestioning:
-    def test_verify_statement_runs_three_calls(self):
+    def test_verify_statement_runs_three_calls(self, monkeypatch):
         ctx, backend = make_ctx(QA_SCRIPT)
-        step = verify_statement(ctx, "The capital of France is Paris.")
-        assert step.question == "Is the claim supported?"
-        assert step.answer == "Mostly, yes."
-        assert step.consistency == 0.9
+        prompts = []
+        complete_once = backend.complete_once
+
+        def recording(request):
+            prompts.append(request.messages[-1].content)
+            return complete_once(request)
+
+        monkeypatch.setattr(backend, "complete_once", recording)
+        assert verify_statement(ctx, "The capital of France is Paris.") == 0.9
         assert backend.calls == 3
+        # The question reaches the answer prompt, the answer the agreement prompt.
+        assert "Is the claim supported?" in prompts[1]
+        assert "Mostly, yes." in prompts[2]
 
     def test_sentence_level(self):
         ctx, _ = make_ctx(QA_SCRIPT)
@@ -422,9 +425,9 @@ SELFCHECK_KG_SCRIPT = {
 
 
 class TestSelfcheckKG:
-    def build(self, executor=None):
+    def build(self):
         embedder = HashEmbedder(dim=32)
-        ctx, backend = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder, executor=executor)
+        ctx, backend = make_ctx(SELFCHECK_KG_SCRIPT, embedder=embedder)
         text = "Alan Turing was born in London and studied there."
         samples = [
             "Turing was born in London.",
@@ -460,11 +463,20 @@ class TestSelfcheckKG:
     def test_parallel_equals_serial(self):
         ctx, _, text, samples = self.build()
         serial_record = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
+        # Four threads score the same output on one fresh context at once.
+        ctx, _, text, samples = self.build()
         with ThreadPoolExecutor(4) as pool:
-            ctx, _, text, samples = self.build(executor=pool)
-            record = detect(ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples)
-        assert record.score == serial_record.score
-        assert record.triple_scores == serial_record.triple_scores
+            records = list(
+                pool.map(
+                    lambda _: detect(
+                        ctx, DetectorMethod.SELFCHECK, text, use_kg=True, samples=samples
+                    ),
+                    range(4),
+                )
+            )
+        for record in records:
+            assert record.score == serial_record.score
+            assert record.triple_scores == serial_record.triple_scores
 
     def test_sample_order_invariant(self):
         ctx, _, text, samples = self.build()
@@ -506,8 +518,8 @@ class TestSampleSideOncePerParagraph:
             return extract(self, text, context)
 
         monkeypatch.setattr(KGExtractor, "extract", counting)
-        with ThreadPoolExecutor(parallelism) as units, ThreadPoolExecutor(parallelism) as leaves:
-            ctx, _ = make_ctx(SELFCHECK_KG_SCRIPT, embedder=HashEmbedder(dim=32), executor=leaves)
+        with ThreadPoolExecutor(parallelism) as units:
+            ctx, _ = make_ctx(SELFCHECK_KG_SCRIPT, embedder=HashEmbedder(dim=32))
             records = self.score_paragraph(ctx, True, units if parallelism > 1 else None)
         # One call for each record's own graph, and one per sample, not one
         # per sample and record. (The second text is also a sample.)
