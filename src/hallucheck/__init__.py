@@ -20,7 +20,7 @@ from .core import (
     Triple,
 )
 from .detect import DetectorConfig, DetectorContext, DetectorError, DetectorPrompts, run_detector
-from .embed import HashEmbedder, SbertEmbedder, SpecFileEmbedder
+from .embed import HashEmbedder, SbertEmbedder
 from .evaluation import LabeledScore, compare_methods, evaluate_method
 from .kgx import ExtractionPromptTemplate, KGExtractor
 from .provider import (
@@ -62,7 +62,6 @@ __all__ = [
     "ResponseCache",
     "SbertEmbedder",
     "ScoreRecord",
-    "SpecFileEmbedder",
     "Triple",
     "compare_methods",
     "evaluate_method",

@@ -46,7 +46,7 @@ from .data import (
     write_score_records,
 )
 from .detect import DetectorConfig, DetectorContext, run_detector
-from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder, SpecFileEmbedder
+from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
     DEFAULT_RESAMPLES,
     LabeledScore,
@@ -102,7 +102,6 @@ class EmbeddingConfig:
     model_id: str = ""
     dim: int = 384
     seed: int = 0
-    spec_file: str | None = None
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class RunConfig:
 # its allowed values. Defaults come from the section's dataclass.
 _NUMBER = (int, float)
 _INT_OR_NULL = (int, type(None))
-_INF = float("inf")
 _KIND_NAMES = {
     int: "an integer",
     _INT_OR_NULL: "an integer",
@@ -154,11 +152,10 @@ _PROVIDER = {
     "rate_limit_per_minute": (_NUMBER, None),
 }
 _EMBEDDING = {
-    "backend": (str, ("hash", "specfile", "sbert")),
+    "backend": (str, ("hash", "sbert")),
     "model_id": (str, None),
     "dim": (int, 1),
     "seed": (int, None),
-    "spec_file": (str, None),
 }
 _DATASET = {"path": (str, None), "kind": (str, ("wikibio",)), "expected_samples": (_INT_OR_NULL, 0)}
 _DETECTOR = {
@@ -182,7 +179,8 @@ _ROOT = {
 def _section(obj: object, cls: type, table: dict, where: str) -> dict:
     """The keys of the config section ``obj`` as ``cls`` arguments, each
     checked against ``table``: no unknown key, the key's JSON kind (true and
-    false are not numbers, and numbers are finite), then its least or allowed
+    false are not numbers, and a number must be a finite float: not NaN, not
+    infinite and no int beyond the float range), then its least or allowed
     value. A key whose default is None also takes null. A key whose kind is a
     dataclass is a nested section, built from its own table."""
     name = where.rstrip(".") or "config"
@@ -201,7 +199,7 @@ def _section(obj: object, cls: type, table: dict, where: str) -> dict:
             pass
         elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-        elif kind is _NUMBER and not -_INF < value < _INF:
+        elif kind is _NUMBER and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where}{key} must be a finite number, got {value}")
         elif isinstance(limit, tuple) and value not in limit:
             raise ConfigError(f"{where}{key} must be one of {list(limit)}, got {value!r}")
@@ -287,10 +285,6 @@ def build_embedder(cfg: RunConfig) -> MemoizingEmbedder:
     e = cfg.embedding
     if e.backend == "hash":
         return HashEmbedder(dim=e.dim, seed=e.seed)
-    if e.backend == "specfile":
-        if not e.spec_file:
-            raise ConfigError("embedding backend 'specfile' needs 'spec_file'")
-        return SpecFileEmbedder.from_file(cfg.resolve(e.spec_file))
     if e.backend == "sbert":
         return SbertEmbedder(e.model_id) if e.model_id else SbertEmbedder()
     raise ConfigError(f"unknown embedding backend {e.backend!r}")
@@ -440,10 +434,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
         failures: list[BaseException] = []
 
-        extractor = KGExtractor(client, cfg.provider.model_id)
-        ctx = DetectorContext(
-            client=client, model_id=cfg.provider.model_id, embedder=embedder, extractor=extractor
-        )
+        ctx = DetectorContext(client=client, model_id=cfg.provider.model_id, embedder=embedder)
+        extractor = ctx.require_extractor()
 
         def run_unit(unit):
             # Once a unit has failed, the units not yet started fail the same way

@@ -154,18 +154,26 @@ def load_wikibio(
     path: str | os.PathLike,
     expected_samples: int | None = WIKIBIO_EXPECTED_SAMPLES,
 ) -> list[WikiBioRecord]:
-    """Parse a record-per-line dataset file, validating every field.
+    """Parse a record-per-line dataset file, validating every field. No two
+    rows may share a (paragraph_id, sentence_index) pair.
 
     Pass ``expected_samples=None`` to accept any per-paragraph sample count.
     """
     records: list[WikiBioRecord] = []
+    first_line: dict[tuple[str, int], int] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{os.fspath(path)}:{lineno}"
-            obj = _json_line(line, where)
-            records.append(_wikibio_from_obj(obj, where, expected_samples))
+            record = _wikibio_from_obj(_json_line(line, where), where, expected_samples)
+            first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)
+            if first != lineno:
+                raise SchemaError(
+                    f"{where}: paragraph {record.paragraph_id!r} sentence "
+                    f"{record.sentence_index} repeats line {first}"
+                )
+            records.append(record)
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records

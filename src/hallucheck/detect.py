@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -129,7 +128,9 @@ class DetectorContext:
     """Everything a detector call may need, bundled once per run.
 
     A detector call does all its work on the calling thread; any number of
-    threads may share one context. selfcheck's sample side belongs to the
+    threads may share one context. Given a client and a model id, the context
+    builds its own extractor unless one is passed, so every ``+kg`` call
+    shares one extraction memo. selfcheck's sample side belongs to the
     paragraph: it is built once per context and shared by every record that
     draws on the same samples.
     """
@@ -143,7 +144,8 @@ class DetectorContext:
     def __post_init__(self) -> None:
         if self.prompts is None:
             self.prompts = DetectorPrompts.default()
-        self._extractor_lock = threading.Lock()
+        if self.extractor is None and self.client is not None and self.model_id:
+            self.extractor = KGExtractor(self.client, self.model_id)
         self._sample_sides: OnceMemo[tuple] = OnceMemo()
 
     def require_client(self) -> ChatClient:
@@ -157,11 +159,9 @@ class DetectorContext:
         return self.embedder
 
     def require_extractor(self) -> KGExtractor:
-        # Under a lock, so concurrent first calls share one extraction memo.
-        with self._extractor_lock:
-            if self.extractor is None:
-                self.extractor = KGExtractor(self.require_client(), self.model_id)
-            return self.extractor
+        if self.extractor is None:
+            raise ConfigError("detector needs a chat client and a model_id")
+        return self.extractor
 
     def _complete(self, content: str) -> str:
         client = self.require_client()

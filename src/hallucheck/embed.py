@@ -1,8 +1,7 @@
 """Sentence and triple embeddings with cosine similarity.
 
 The backend is pluggable: a deterministic hash-to-vector embedder for offline
-runs, a spec-file embedder that pins exact vectors for chosen texts, and a
-sentence-transformer wrapper for production. Every backend returns
+runs and a sentence-transformer wrapper for production. Every backend returns
 read-only float64 arrays: ``(k, d)`` matrices memoized per tuple of texts
 (``embed_many``, which the detectors use) and single rows (``embed``).
 Similarities feeding detector scores are clamped at zero so a score
@@ -12,16 +11,11 @@ never leaves [0, 1].
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .core import HallucheckError, OnceMemo, Triple
-
-
-_INF = float("inf")
 
 
 class EmbedBackendError(HallucheckError):
@@ -115,13 +109,13 @@ class HashEmbedder(MemoizingEmbedder):
     copied afterwards, so threads share them without a lock.
     """
 
-    def __init__(self, dim: int = 384, seed: int = 0, model_id: str | None = None):
+    def __init__(self, dim: int = 384, seed: int = 0):
         super().__init__()
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         self.seed = seed
-        self.model_id = model_id or f"hash-{dim}"
+        self.model_id = f"hash-{dim}"
         self._prefixes = tuple(
             hashlib.sha256(f"{seed}:{block}:".encode("utf-8")) for block in range((dim + 3) // 4)
         )
@@ -139,64 +133,6 @@ class HashEmbedder(MemoizingEmbedder):
         if not values.any():
             values[0] = 1.0
         return values
-
-
-class SpecFileEmbedder(MemoizingEmbedder):
-    """Embedder with pinned vectors for exact texts and a hash fallback.
-
-    Spec file layout (JSON): ``model_id``, ``dim``, ``vectors`` mapping exact
-    text to a component list, and optional ``fallback_seed`` for texts missing
-    from the map.
-    """
-
-    def __init__(
-        self,
-        vectors: dict[str, list[float]],
-        dim: int,
-        model_id: str = "specfile",
-        fallback_seed: int = 0,
-    ):
-        super().__init__()
-        self.dim = dim
-        self.model_id = model_id
-        self._vectors = vectors
-        self._fallback = HashEmbedder(dim=dim, seed=fallback_seed, model_id=model_id)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SpecFileEmbedder":
-        """The embedder a spec file describes; a spec that cannot be read or
-        is malformed raises EmbedBackendError naming the file."""
-        try:
-            spec = json.loads(Path(path).read_text(encoding="utf-8"))
-            _check_spec(spec)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise EmbedBackendError(f"cannot load embedding spec {path}: {exc}") from exc
-        return cls(
-            vectors=spec.get("vectors", {}),
-            dim=spec["dim"],
-            model_id=spec.get("model_id", "specfile"),
-            fallback_seed=spec.get("fallback_seed", 0),
-        )
-
-    def _embed_raw(self, text: str) -> np.ndarray:
-        pinned = self._vectors.get(text)
-        if pinned is not None:
-            return np.array(pinned, dtype=np.float64)
-        return self._fallback._embed_raw(text)
-
-
-def _check_spec(spec: object) -> None:
-    """Raise ValueError unless ``spec`` is a spec object whose pinned vectors
-    are lists of ``dim`` finite numbers."""
-    if not isinstance(spec, dict) or not isinstance(spec.get("vectors", {}), dict):
-        raise ValueError("a spec is a JSON object whose 'vectors' maps texts to vectors")
-    dim = spec.get("dim")
-    if type(dim) is not int or dim < 1 or type(spec.get("fallback_seed", 0)) is not int:
-        raise ValueError("'dim' must be an integer >= 1 and 'fallback_seed' an integer")
-    for text, vector in spec.get("vectors", {}).items():
-        shaped = isinstance(vector, list) and len(vector) == dim
-        if not shaped or not all(type(c) in (int, float) and -_INF < c < _INF for c in vector):
-            raise ValueError(f"pinned vector for {text!r} must be a list of {dim} finite numbers")
 
 
 class SbertEmbedder(MemoizingEmbedder):

@@ -198,17 +198,11 @@ def threshold_search(
 # it was bound to, one value per row and a mask of the degenerate rows.
 RowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-
-@dataclass(frozen=True)
-class RowMetric:
-    """A metric that scores many resamples at once.
-
-    ``bind(scores)`` does the work that depends only on the scores, once, and
-    returns the kernel (see ``RowFn``). A row is degenerate where the
-    per-sample form of the metric would raise ``DegenerateLabels``.
-    """
-
-    bind: Callable[[Sequence[LabeledScore]], RowFn]
+# A metric that scores many resamples at once. Called on the scores, it does
+# the work that depends only on them, once, and returns the kernel (see
+# ``RowFn``). A row is degenerate where the per-sample form of the metric
+# would raise ``DegenerateLabels``.
+RowMetric = Callable[[Sequence[LabeledScore]], RowFn]
 
 
 def threshold_metric(
@@ -231,7 +225,7 @@ def threshold_metric(
 
         return rows
 
-    return RowMetric(bind)
+    return bind
 
 
 def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
@@ -297,7 +291,7 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
 
         return rows
 
-    return RowMetric(bind)
+    return bind
 
 
 def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -> float:
@@ -309,7 +303,7 @@ def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -
     the group's end, which makes the value independent of input order.
     """
     _require_both_labels(scores)
-    values, _ = auc_pr_metric(positive).bind(scores)(np.arange(len(scores))[None, :])
+    values, _ = auc_pr_metric(positive)(scores)(np.arange(len(scores))[None, :])
     return float(values[0])
 
 
@@ -372,7 +366,7 @@ def bootstrap_ci(
         raise DegenerateLabels("no scores to resample")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    replicates, skipped = _resample(len(scores), metric_fn.bind(scores), resamples, seed)
+    replicates, skipped = _resample(len(scores), metric_fn(scores), resamples, seed)
     if not replicates:
         raise DegenerateLabels("every bootstrap resample was degenerate")
     mean, low, high = _percentile_interval(replicates)
@@ -431,7 +425,7 @@ def compare_methods(
     for sa, sb in zip(paired_a, paired_b):
         if sa.label != sb.label:
             raise RefMismatch(f"labels disagree for example {sa.example_ref!r}")
-    rows_a, rows_b = metric_fn.bind(paired_a), metric_fn.bind(paired_b)
+    rows_a, rows_b = metric_fn(paired_a), metric_fn(paired_b)
 
     def differences(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values_b, degenerate_b = rows_b(idx)

@@ -1,5 +1,5 @@
 from .cache import ResponseCache
-from .client import ChatBackend, ChatClient, RateLimiter, RetryPolicy
+from .client import ChatBackend, ChatClient, RateLimiter
 from .mock import MockChatBackend, MockRule
 from .remote import GEMINI_KEY_ENV, OPENAI_KEY_ENV, GeminiChatBackend, OpenAIChatBackend
 from .types import (
@@ -37,7 +37,6 @@ __all__ = [
     "ProviderRefusal",
     "RateLimiter",
     "ResponseCache",
-    "RetryPolicy",
     "TransportError",
     "cache_key",
     "canonical_request",

@@ -13,7 +13,6 @@ import contextlib
 import logging
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .cache import ResponseCache
@@ -36,11 +35,12 @@ class ChatBackend(Protocol):
     def complete_once(self, request: ChatRequest) -> str: ...
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff_start_s: float = 1.0
-    backoff_factor: float = 2.0
+# A transport failure is retried: at most RETRY_ATTEMPTS attempts in all,
+# sleeping RETRY_BACKOFF_S before the first retry and RETRY_BACKOFF_FACTOR
+# times longer before each further one.
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_S = 1.0
+RETRY_BACKOFF_FACTOR = 2.0
 
 
 class RateLimiter:
@@ -74,7 +74,6 @@ class ChatClient:
         self,
         backend: ChatBackend,
         cache: ResponseCache | None = None,
-        retry: RetryPolicy = RetryPolicy(),
         rate_limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] = time.sleep,
         max_inflight: int | None = None,
@@ -83,7 +82,6 @@ class ChatClient:
             raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
         self.backend = backend
         self.cache = cache
-        self.retry = retry
         self.rate_limiter = rate_limiter
         self._sleep = sleep
         self._inflight = (
@@ -91,9 +89,9 @@ class ChatClient:
         )
 
     def _call_with_retry(self, request: ChatRequest) -> str:
-        delay = self.retry.backoff_start_s
+        delay = RETRY_BACKOFF_S
         last: TransportError | None = None
-        for attempt in range(1, self.retry.attempts + 1):
+        for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
                 with self._inflight:
                     if self.rate_limiter is not None:
@@ -101,10 +99,10 @@ class ChatClient:
                     content = self.backend.complete_once(request)
             except TransportError as exc:
                 last = exc
-                if attempt < self.retry.attempts:
-                    logger.warning("transport failure (attempt %d/%d): %s", attempt, self.retry.attempts, exc)
+                if attempt < RETRY_ATTEMPTS:
+                    logger.warning("transport failure (attempt %d/%d): %s", attempt, RETRY_ATTEMPTS, exc)
                     self._sleep(delay)
-                    delay *= self.retry.backoff_factor
+                    delay *= RETRY_BACKOFF_FACTOR
                 continue
             if not content:
                 raise ProviderRefusal("backend returned empty content")

@@ -1,4 +1,5 @@
-"""Shared fixtures: a statistics-faithful synthetic dataset and CLI helpers.
+"""Shared fixtures: a statistics-faithful synthetic dataset, CLI helpers and
+an embedder with pinned vectors.
 
 The real benchmark file is not bundled. When HALLUCHECK_WIKIBIO_PATH points
 at it, dataset-level tests use the real file; otherwise they run against a
@@ -16,7 +17,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hallucheck.embed import MemoizingEmbedder
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -113,3 +117,17 @@ def run_cli(argv: list[str]) -> int:
     from hallucheck.cli import main
 
     return main(argv)
+
+
+class PinnedEmbedder(MemoizingEmbedder):
+    """Embeds each text as the vector pinned for it in ``vectors``."""
+
+    model_id = "pinned"
+
+    def __init__(self, vectors: dict[str, list[float]], dim: int = 2):
+        super().__init__()
+        self.dim = dim
+        self._vectors = vectors
+
+    def _embed_raw(self, text: str) -> np.ndarray:
+        return np.array(self._vectors[text], dtype=np.float64)

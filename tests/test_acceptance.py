@@ -35,7 +35,6 @@ from hallucheck.detect import (
 from hallucheck.embed import HashEmbedder, cosine_sim
 from hallucheck.evaluation import (
     LabeledScore,
-    RowMetric,
     THRESHOLD_GRID,
     auc_pr,
     bootstrap_ci,
@@ -275,7 +274,10 @@ def test_a05_bootstrap_determinism():
     first = bootstrap_ci(fixture, metric, resamples=500, seed=11)
     second = bootstrap_ci(fixture, metric, resamples=500, seed=11)
     deterministic = first == second
-    constant = RowMetric(lambda _: lambda idx: (np.full(len(idx), 0.4), np.zeros(len(idx), bool)))
+
+    def constant(_):
+        return lambda idx: (np.full(len(idx), 0.4), np.zeros(len(idx), bool))
+
     flat = bootstrap_ci(fixture, constant, resamples=100, seed=0)
     zero_var = flat.half_width == 0.0 and flat.low == flat.high == flat.mean == 0.4
     mean, low, high = _independent_bootstrap(fixture, 0.5, 500, 11)

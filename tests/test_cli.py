@@ -182,6 +182,12 @@ class TestConfigErrors:
                 float("inf"),
                 "provider.rate_limit_per_minute must be a finite number",
             ),
+            pytest.param(
+                ["provider", "rate_limit_per_minute"],
+                10**400,
+                "provider.rate_limit_per_minute must be a finite number",
+                id="401-digit-rate_limit_per_minute",
+            ),
         ],
     )
     def test_bad_value_is_one_line(self, config_path, capsys, path, value, message):
@@ -322,6 +328,19 @@ class TestConfigErrors:
         assert main(["score", "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {dataset}:2: ") and err.count("\n") == 1
+
+    def test_repeated_dataset_row_is_one_line_before_any_call(
+        self, workdir, config_path, monkeypatch, capsys
+    ):
+        dataset = workdir / "fixture_dataset.jsonl"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset.write_text("".join(lines) + lines[0], encoding="utf-8")
+        calls = timed_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {dataset}:{len(lines) + 1}: ")
+        assert err.endswith("repeats line 1\n") and err.count("\n") == 1
+        assert calls == []
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -720,6 +739,20 @@ class TestScoreResumeRepair:
         assert "unterminated last line (40 bytes)" in captured.err
         assert "scored 1 (skipped 59" in captured.out
         assert scores_path.read_bytes() == full
+
+    def test_resume_after_any_cut_gives_the_uninterrupted_stream(
+        self, workdir, config_path, full
+    ):
+        """A crash can leave the stream cut after any line or inside any
+        line; resuming from each cut must end with the same bytes."""
+        scores_path = workdir / "out" / "scores.jsonl"
+        ends = [0] + [i + 1 for i, byte in enumerate(full) if byte == ord("\n")]
+        assert len(ends) == 62
+        cuts = ends + [(start + end) // 2 for start, end in zip(ends, ends[1:])]
+        for cut in cuts:
+            scores_path.write_bytes(full[:cut])
+            assert main(["score", "--config", str(config_path)]) == 0, cut
+            assert scores_path.read_bytes() == full, cut
 
     def test_torn_meta_line_restarts_the_stream(self, workdir, config_path, full):
         scores_path = workdir / "out" / "scores.jsonl"

@@ -26,9 +26,10 @@ from hallucheck.data import (
     word_count,
     write_score_records,
 )
-from hallucheck.embed import SpecFileEmbedder
 from hallucheck.evaluation import DegenerateLabels
 from hallucheck.provider import ChatClient, MockChatBackend
+
+from conftest import PinnedEmbedder
 
 H = Label.HALLUCINATED
 A = Label.ACCURATE
@@ -130,6 +131,16 @@ class TestWikiBioIO:
         write_jsonl(path, [valid_row(), row])
         with pytest.raises(SchemaError, match=r"d\.jsonl:2.*'label'"):
             load_wikibio(path, expected_samples=3)
+
+    def test_repeated_ref_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        rows = [valid_row(), valid_row(paragraph_id="p2"), valid_row(sentence_index=1)]
+        write_jsonl(path, [*rows, valid_row(label="hallucinated")])
+        repeat = r"d\.jsonl:4: paragraph 'p1' sentence 0 repeats line 1$"
+        with pytest.raises(SchemaError, match=repeat):
+            load_wikibio(path, expected_samples=3)
+        write_jsonl(path, rows)
+        assert len(load_wikibio(path, expected_samples=3)) == 3
 
     def test_wrong_sample_count(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -323,10 +334,6 @@ class TestJudgeVerdicts:
             grade_simpleqa(SimpleQARecord(question="Q?", gold_answer="G"), client, "m")
 
 
-def pinned_embedder(vectors):
-    return SpecFileEmbedder(vectors=vectors, dim=2, model_id="pinned")
-
-
 class TestStats:
     def build_records(self):
         p1_samples = ("alpha beta", "gamma delta epsilon")
@@ -338,7 +345,7 @@ class TestStats:
 
     def test_hand_computed(self):
         records = self.build_records()
-        embedder = pinned_embedder(
+        embedder = PinnedEmbedder(
             {
                 "one two three": [1.0, 0.0],
                 "four five": [0.0, 1.0],
@@ -359,7 +366,7 @@ class TestStats:
 
     def test_identical_centroids_give_one(self):
         records = self.build_records()
-        embedder = pinned_embedder(
+        embedder = PinnedEmbedder(
             {
                 "one two three": [0.6, 0.8],
                 "four five": [0.6, 0.8],
@@ -371,7 +378,7 @@ class TestStats:
 
     def test_samples_counted_once_per_paragraph(self):
         records = self.build_records()
-        embedder = pinned_embedder(
+        embedder = PinnedEmbedder(
             {
                 "one two three": [1.0, 0.0],
                 "four five": [1.0, 0.0],
@@ -384,11 +391,11 @@ class TestStats:
     def test_single_class_rejected(self):
         records = [wikibio(pid="p1", label=A)]
         with pytest.raises(DegenerateLabels):
-            compute_stats(records, pinned_embedder({}))
+            compute_stats(records, PinnedEmbedder({}))
 
     def test_empty_rejected(self):
         with pytest.raises(SchemaError):
-            compute_stats([], pinned_embedder({}))
+            compute_stats([], PinnedEmbedder({}))
 
     def test_stats_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -406,7 +413,7 @@ class TestStats:
 
     def test_as_record_keys(self):
         records = self.build_records()
-        embedder = pinned_embedder(
+        embedder = PinnedEmbedder(
             {
                 "one two three": [1.0, 0.0],
                 "four five": [0.0, 1.0],

@@ -1,5 +1,4 @@
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -97,6 +96,14 @@ class TestConfigAndSteps:
     def test_bad_sample_count(self):
         with pytest.raises(ConfigError):
             DetectorConfig(method=DetectorMethod.SELFCHECK, n_samples=0)
+
+    def test_extractor_needs_a_client_and_a_model_id(self):
+        for ctx in (DetectorContext(), DetectorContext(client=make_ctx()[0].client)):
+            with pytest.raises(ConfigError, match="chat client and a model_id"):
+                ctx.require_extractor()
+        given = KGExtractor(make_ctx()[0].client, "x")
+        ctx = DetectorContext(client=given.client, model_id="m", extractor=given)
+        assert ctx.require_extractor() is given
 
 
 def detect(ctx, method, text, use_kg=False, samples=None):
@@ -576,15 +583,13 @@ class TestSampleSideOncePerParagraph:
     def test_concurrent_first_calls_share_one_extractor(self, run_together, monkeypatch):
         built = []
 
-        class SlowExtractor(KGExtractor):
+        class CountingExtractor(KGExtractor):
             def __init__(self, client, model_id):
-                time.sleep(0.005)  # widen the window between the check and the set
                 built.append(self)
                 super().__init__(client, model_id)
 
-        monkeypatch.setattr(detect_module, "KGExtractor", SlowExtractor)
+        monkeypatch.setattr(detect_module, "KGExtractor", CountingExtractor)
         ctx, _ = make_ctx()
-        assert ctx.extractor is None
         extractors = run_together(ctx.require_extractor, 8)
         assert len(built) == 1
         assert all(e is ctx.extractor for e in extractors)

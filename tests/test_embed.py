@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import time
 
 import numpy as np
@@ -11,12 +10,13 @@ from hallucheck.embed import (
     DimensionMismatch,
     EmbedBackendError,
     HashEmbedder,
-    SpecFileEmbedder,
     ZeroVector,
     clamp0,
     cosine_sim,
     triple_text,
 )
+
+from conftest import PinnedEmbedder
 
 
 def vec(*values):
@@ -204,72 +204,13 @@ class TestHashEmbedder:
         assert HashEmbedder(dim=12).model_id == "hash-12"
 
 
-class TestSpecFileEmbedder:
-    def test_pinned_vector_used(self):
-        e = SpecFileEmbedder(vectors={"known": [1.0, 0.0]}, dim=2)
-        assert e.embed("known").tolist() == [1.0, 0.0]
-
-    def test_fallback_for_unknown_text(self):
-        e = SpecFileEmbedder(vectors={}, dim=4, fallback_seed=9)
-        assert e.embed("other").tolist() == HashEmbedder(dim=4, seed=9).embed("other").tolist()
-
-    def test_pinned_dim_mismatch(self):
-        e = SpecFileEmbedder(vectors={"bad": [1.0, 2.0, 3.0]}, dim=2)
+class TestMemoizingEmbedder:
+    def test_backend_dim_mismatch(self):
+        e = PinnedEmbedder({"bad": [1.0, 2.0, 3.0]})
         with pytest.raises(DimensionMismatch):
             e.embed("bad")
         with pytest.raises(DimensionMismatch):
             e.embed_many(["bad"])
-
-    def test_embed_many_uses_pinned_rows(self):
-        e = SpecFileEmbedder(vectors={"known": [1.0, 0.0]}, dim=2)
-        assert e.embed_many(["known", "other"]).tolist() == [
-            [1.0, 0.0],
-            e.embed("other").tolist(),
-        ]
-
-    def test_from_file(self, tmp_path):
-        spec = {"model_id": "pinned", "dim": 3, "vectors": {"t": [0.1, 0.2, 0.3]}}
-        path = tmp_path / "emb.json"
-        path.write_text(json.dumps(spec))
-        e = SpecFileEmbedder.from_file(path)
-        assert e.model_id == "pinned"
-        assert e.embed("t").tolist() == [0.1, 0.2, 0.3]
-
-    def test_from_file_missing(self, tmp_path):
-        with pytest.raises(EmbedBackendError):
-            SpecFileEmbedder.from_file(tmp_path / "nope.json")
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {},
-            [],
-            {"dim": "abc"},
-            {"dim": 0},
-            {"dim": True},
-            {"dim": 2, "vectors": []},
-            {"dim": 2, "vectors": {"t": [1.0]}},
-            {"dim": 2, "vectors": {"t": [1.0, float("nan")]}},
-            {"dim": 2, "vectors": {"t": [1.0, float("inf")]}},
-            {"dim": 2, "vectors": {"t": [1.0, "0"]}},
-            {"dim": 2, "fallback_seed": "9"},
-        ],
-    )
-    def test_malformed_spec_is_a_backend_error(self, tmp_path, spec):
-        path = tmp_path / "emb.json"
-        path.write_text(json.dumps(spec))
-        with pytest.raises(EmbedBackendError, match="cannot load embedding spec") as exc_info:
-            SpecFileEmbedder.from_file(path)
-        assert str(path) in str(exc_info.value) and "\n" not in str(exc_info.value)
-
-    @pytest.mark.parametrize(
-        "text", ["[" + "1" * 5000 + "]", "[" * 100_000], ids=["digits", "nesting"]
-    )
-    def test_spec_past_the_json_limits_is_a_backend_error(self, tmp_path, text):
-        path = tmp_path / "emb.json"
-        path.write_text(text)
-        with pytest.raises(EmbedBackendError, match="cannot load embedding spec"):
-            SpecFileEmbedder.from_file(path)
 
 
 def test_sbert_backend_reports_missing_dependency():

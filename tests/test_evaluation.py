@@ -19,7 +19,6 @@ from hallucheck.evaluation import (
     RefMismatch,
     THRESHOLD_GRID,
     auc_pr,
-    RowMetric,
     auc_pr_metric,
     bootstrap_ci,
     classify,
@@ -277,7 +276,7 @@ def per_sample(metric):
 
         return rows
 
-    return RowMetric(bind)
+    return bind
 
 
 ACCURACY_AT_HALF = threshold_metric("accuracy", 0.5)
@@ -598,7 +597,7 @@ class TestAucPrRowsSumExactly:
         idx = rng.integers(0, n, (2, n))
         calls = []
         monkeypatch.setattr(evaluation, "fsum", lambda terms: calls.append(1) or fsum(terms))
-        got, degenerate = auc_pr_metric(H).bind(scores)(idx)
+        got, degenerate = auc_pr_metric(H)(scores)(idx)
         assert len(calls) == fsum_calls and not degenerate.any()
         assert got.tolist() == [
             tie_group_walk([scores[i] for i in row], H) for row in idx.tolist()

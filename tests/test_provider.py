@@ -30,7 +30,6 @@ from hallucheck.provider import (
     ProviderRefusal,
     RateLimiter,
     ResponseCache,
-    RetryPolicy,
     TransportError,
     cache_key,
     canonical_request,
@@ -288,17 +287,13 @@ class TestChatClient:
     def test_retry_then_success(self):
         backend = MockChatBackend(default_reply="ok", fail_calls={1, 2})
         naps = []
-        client = ChatClient(
-            backend,
-            retry=RetryPolicy(attempts=3, backoff_start_s=0.5, backoff_factor=3.0),
-            sleep=naps.append,
-        )
+        client = ChatClient(backend, sleep=naps.append)
         assert client.complete(req()).content == "ok"
-        assert naps == [0.5, 1.5]
+        assert naps == [1.0, 2.0]
 
     def test_retry_exhausted(self):
         backend = MockChatBackend(default_reply="ok", fail_calls={1, 2, 3})
-        client = ChatClient(backend, retry=RetryPolicy(attempts=3), sleep=lambda s: None)
+        client = ChatClient(backend, sleep=lambda s: None)
         with pytest.raises(TransportError):
             client.complete(req())
         assert backend.calls == 3
