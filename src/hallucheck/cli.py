@@ -250,9 +250,11 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
-    rate = cfg.provider.rate_limit_per_minute
-    if rate is not None and rate <= 0:
-        raise ConfigError(f"provider.rate_limit_per_minute must be > 0, got {rate}")
+    if cfg.provider.rate_limit_per_minute is not None:
+        try:
+            RateLimiter(cfg.provider.rate_limit_per_minute)
+        except ConfigError as exc:
+            raise ConfigError(f"provider.{exc}") from None
     return cfg
 
 

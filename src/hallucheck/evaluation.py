@@ -7,9 +7,12 @@ grid {0.00, 0.01, ..., 1.00}, separately for accuracy and F1. Ranking quality
 is summarized threshold-free as average precision with deterministic tie
 grouping. Uncertainty comes from a seeded percentile bootstrap over examples,
 reported as mean plus or minus the interval half-width. The bootstrap draws
-its resamples as blocks of index rows, and the built-in metrics score a whole
-block at once (``RowMetric``) with the same floats as scoring each resample
-on its own.
+its resamples in blocks and turns each block into a matrix of per-example
+counts, one row per resample. The built-in metrics score a whole block of
+counts at once (``RowMetric``) with the same floats as scoring each resample
+on its own. Every bootstrap with the same example count, resample count and
+seed draws the same resamples, so the count blocks of the last draw of at most
+``KEEP_CELLS`` cells (4 MB) are kept and shared, not drawn again.
 
 The positive class defaults to hallucinated (detection framing) and is
 configurable everywhere; reports always state which one they used.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,8 +197,11 @@ def threshold_search(
     return THRESHOLD_GRID[best], float(objective_values[best])
 
 
-# A row metric's kernel: from a (rows, n) matrix of indices into the scores
-# it was bound to, one value per row and a mask of the degenerate rows.
+# A row metric's kernel: from a (rows, n) float64 block of per-example
+# counts, one value per row and a mask of the degenerate rows. Row r holds how
+# often resample r drew each of the n scores the metric was bound to, so it
+# sums to n. A bootstrap metric depends only on the multiset of each resample,
+# never on its draw order, and the counts give that multiset exactly.
 RowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # A metric that scores many resamples at once. Called on the scores, it does
@@ -216,12 +222,14 @@ def threshold_metric(
 
     def bind(scores: Sequence[LabeledScore]) -> RowFn:
         tp, fp, fn = _outcomes(scores, threshold, positive)
+        # One 0/1 column per confusion cell: tp, fp, tn, fn.
+        flags = np.column_stack([tp, fp, ~(tp | fp | fn), fn]).astype(float)
 
-        def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            n_tp, n_fp, n_fn = (flags[idx].sum(axis=1) for flags in (tp, fp, fn))
-            n_tn = idx.shape[1] - n_tp - n_fp - n_fn
+        def rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # Integer-valued sums below 2**53, so exact in any order.
+            n_tp, n_fp, n_tn, n_fn = (counts @ flags).T
             values = score_fn(Confusion(tp=n_tp, fp=n_fp, tn=n_tn, fn=n_fn))
-            return values, np.zeros(len(idx), dtype=bool)
+            return values, np.zeros(len(counts), dtype=bool)
 
         return rows
 
@@ -241,19 +249,22 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
         n_groups = len(ranks)
         is_pos = _is_positive(scores, positive)
 
-        def rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            n_rows, n = idx.shape
-            cells = group[idx]
-            cells += n_groups * np.arange(n_rows)[:, None]
+        def rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n_rows, n = counts.shape
+            cells = (group + n_groups * np.arange(n_rows)[:, None]).ravel()
             shape = (n_rows, n_groups)
-            pos = np.bincount(cells[is_pos[idx]], minlength=n_rows * n_groups).reshape(shape)
-            size = np.bincount(cells.ravel(), minlength=n_rows * n_groups).reshape(shape)
+            # Per-(row, group) example and positive counts; every weighted
+            # sum is an integer below 2**53, so exact.
+            size = np.bincount(cells, counts.ravel(), n_rows * n_groups).reshape(shape)
+            pos = np.bincount(cells, (counts * is_pos).ravel(), n_rows * n_groups).reshape(shape)
             # Each group holding a positive adds group_positives * precision
-            # at the group's end; the other cells hold 0.0. Counts are exact
-            # as floats, so each term is the float ``int * (int / int)`` gives.
-            seen = size.cumsum(axis=1, dtype=float)
-            seen_pos = pos.cumsum(axis=1, dtype=float)
-            terms = np.divide(seen_pos, seen, out=np.zeros(shape), where=pos > 0)
+            # at the group's end; the other cells hold 0.0 (seen >= 1 where
+            # pos > 0, and elsewhere the term is a finite ratio times 0.0).
+            # Counts are exact as floats, so each term is the float
+            # ``int * (int / int)`` gives.
+            seen = size.cumsum(axis=1)
+            seen_pos = pos.cumsum(axis=1)
+            terms = seen_pos / np.maximum(seen, 1.0)
             terms *= pos
             # A row's sum must be fsum's, the correctly rounded sum of its
             # terms. With q the least integer such that 2**q >= n and
@@ -284,9 +295,7 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
                 sums = np.array([fsum(row) for row in terms.tolist()])
             total_pos = pos.sum(axis=1)
             degenerate = (total_pos == 0) | (total_pos == n)
-            values = np.zeros(n_rows)
-            kept = ~degenerate
-            values[kept] = sums[kept] / total_pos[kept]
+            values = np.divide(sums, total_pos, out=np.zeros(n_rows), where=~degenerate)
             return values, degenerate
 
         return rows
@@ -303,7 +312,7 @@ def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -
     the group's end, which makes the value independent of input order.
     """
     _require_both_labels(scores)
-    values, _ = auc_pr_metric(positive)(scores)(np.arange(len(scores))[None, :])
+    values, _ = auc_pr_metric(positive)(scores)(np.ones((1, len(scores))))
     return float(values[0])
 
 
@@ -324,27 +333,63 @@ class BootstrapCI(NamedTuple):
 # any resample count.
 BLOCK = 8192
 
+# The largest draw, in resamples * n cells, whose count blocks are kept for
+# the next bootstrap with the same key: 4 MB of float64, which covers 1,000
+# resamples up to n = 524. A larger draw streams one block at a time.
+KEEP_CELLS = 2**19
 
-def _resample(n: int, rows: RowFn, resamples: int, seed: int) -> tuple[list[float], int]:
-    """The values of the non-degenerate resamples, in draw order, and the
-    number of degenerate ones.
+# The count blocks of the last draw that fitted, under its key: (n,
+# resamples, seed, rows per block). The tuple is only replaced whole, once
+# its blocks are complete, so a thread reading it sees one key with all of
+# its blocks; threads drawing the same key at once each draw it.
+_kept: tuple[tuple[int, int, int, int], list[np.ndarray]] | None = None
 
-    Resamples are drawn in blocks of ``BLOCK // n`` rows; the blocks yield
-    exactly the indices of one ``rng.integers(0, n, n)`` call per resample.
+
+def _count_blocks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
+    """The resamples as read-only (rows, n) float64 blocks of per-example
+    counts, in draw order.
+
+    Blocks hold ``BLOCK // n`` rows; their indices are exactly those of one
+    ``rng.integers(0, n, n)`` call per resample. A draw of at most
+    ``KEEP_CELLS`` cells is kept, and a call with the same key yields the
+    kept blocks instead of drawing again.
     """
+    global _kept
+    rows = max(1, BLOCK // max(n, 1))
+    key = (n, resamples, seed, rows)
+    kept = _kept
+    if kept is not None and kept[0] == key:
+        yield from kept[1]
+        return
+    blocks: list[np.ndarray] | None = [] if resamples * n <= KEEP_CELLS else None
+    offsets = n * np.arange(rows)[:, None]
     rng = np.random.default_rng(seed)
-    block = max(1, BLOCK // max(n, 1))
-    kept: list[float] = []
-    skipped = 0
-    for start in range(0, resamples, block):
-        values, degenerate = rows(rng.integers(0, n, (min(block, resamples - start), n)))
-        kept.extend(values[~degenerate].tolist())
-        skipped += int(degenerate.sum())
-    return kept, skipped
+    for start in range(0, resamples, rows):
+        m = min(rows, resamples - start)
+        cells = (rng.integers(0, n, (m, n)) + offsets[:m]).ravel()
+        counts = np.bincount(cells, minlength=m * n).reshape(m, n).astype(float)
+        counts.flags.writeable = False
+        if blocks is not None:
+            blocks.append(counts)
+        yield counts
+    _kept = None if blocks is None else (key, blocks)
 
 
-def _percentile_interval(replicates: list[float]) -> tuple[float, float, float]:
-    mean = fsum(replicates) / len(replicates)
+def _resample(n: int, rows: RowFn, resamples: int, seed: int) -> tuple[np.ndarray, int]:
+    """The values of the non-degenerate resamples, in draw order, and the
+    number of degenerate ones."""
+    values = np.empty(resamples)
+    degenerate = np.empty(resamples, dtype=bool)
+    start = 0
+    for counts in _count_blocks(n, resamples, seed):
+        stop = start + len(counts)
+        values[start:stop], degenerate[start:stop] = rows(counts)
+        start = stop
+    return values[~degenerate], int(degenerate.sum())
+
+
+def _percentile_interval(replicates: np.ndarray) -> tuple[float, float, float]:
+    mean = fsum(replicates.tolist()) / len(replicates)
     low, high = (float(v) for v in np.percentile(replicates, [2.5, 97.5]))
     return mean, low, high
 
@@ -367,7 +412,7 @@ def bootstrap_ci(
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     replicates, skipped = _resample(len(scores), metric_fn(scores), resamples, seed)
-    if not replicates:
+    if not len(replicates):
         raise DegenerateLabels("every bootstrap resample was degenerate")
     mean, low, high = _percentile_interval(replicates)
     return BootstrapCI(
@@ -427,13 +472,13 @@ def compare_methods(
             raise RefMismatch(f"labels disagree for example {sa.example_ref!r}")
     rows_a, rows_b = metric_fn(paired_a), metric_fn(paired_b)
 
-    def differences(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values_b, degenerate_b = rows_b(idx)
-        values_a, degenerate_a = rows_a(idx)
+    def differences(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values_b, degenerate_b = rows_b(counts)
+        values_a, degenerate_a = rows_a(counts)
         return values_b - values_a, degenerate_a | degenerate_b
 
     diffs, skipped = _resample(len(paired_a), differences, resamples, seed)
-    if not diffs:
+    if not len(diffs):
         raise DegenerateLabels("every paired resample was degenerate")
     mean, low, high = _percentile_interval(diffs)
     significant = low > 0.0 or high < 0.0

@@ -52,8 +52,13 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if requests_per_minute <= 0:
-            raise ConfigError("requests_per_minute must be positive")
+        # ``time.sleep`` overflows past ``threading.TIMEOUT_MAX`` (about 292
+        # years), so a rate must give an interval no longer than that.
+        if not (requests_per_minute > 0 and 60.0 / requests_per_minute <= threading.TIMEOUT_MAX):
+            raise ConfigError(
+                f"rate_limit_per_minute must be > 0 and leave at most "
+                f"{threading.TIMEOUT_MAX:.0f} s between requests, got {requests_per_minute}"
+            )
         self.interval = 60.0 / requests_per_minute
         self._clock = clock
         self._sleep = sleep

@@ -113,6 +113,21 @@ def fixture_dir() -> Path:
     return FIXTURES
 
 
+@pytest.fixture()
+def generators_built(monkeypatch) -> list:
+    """Forgets any kept bootstrap draw; the list gets the seed of every numpy
+    generator built during the test."""
+    from hallucheck import evaluation
+
+    monkeypatch.setattr(evaluation, "_kept", None)
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed)
+    )
+    return built
+
+
 def run_cli(argv: list[str]) -> int:
     from hallucheck.cli import main
 

@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import shutil
 import threading
@@ -187,6 +188,18 @@ class TestConfigErrors:
                 10**400,
                 "provider.rate_limit_per_minute must be a finite number",
                 id="401-digit-rate_limit_per_minute",
+            ),
+            pytest.param(
+                ["provider", "rate_limit_per_minute"],
+                1e-320,
+                "provider.rate_limit_per_minute must be > 0 and leave at most",
+                id="1e-320-rate_limit_per_minute",
+            ),
+            pytest.param(
+                ["provider", "rate_limit_per_minute"],
+                1e-9,
+                "provider.rate_limit_per_minute must be > 0 and leave at most",
+                id="1e-9-rate_limit_per_minute",
             ),
         ],
     )
@@ -720,6 +733,23 @@ class TestEvaluate:
         )
         assert code == 0
         assert report_path.exists()
+
+    def test_report_bytes(self, scored, config_path):
+        # The fixture report at 200 resamples, pinned byte for byte: a float
+        # that drifts in any metric kernel changes this digest.
+        assert main(["evaluate", "--config", str(config_path), "--resamples", "200"]) == 0
+        report = (scored / "out" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "b0a2775adb82cd92afe5e06d400a52d6ec5358c5ef207275057dc1984f9438e8"
+        )
+
+    def test_one_draw_per_example_count(self, scored, config_path, generators_built):
+        # Every bootstrap and paired comparison of one evaluate shares its
+        # resamples: one generator per distinct n, whatever the method count.
+        assert self.evaluate(config_path) == 0
+        report = json.loads((scored / "out" / "report.json").read_text(encoding="utf-8"))
+        assert len(report["methods"]) == 6 and len(report["comparisons"]) == 3
+        assert len(generators_built) == len({m["n"] for m in report["methods"]}) == 1
 
 
 class TestScoreResumeRepair:

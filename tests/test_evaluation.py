@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from math import fsum
@@ -261,15 +262,17 @@ FIXTURE_20 = [
 
 def per_sample(metric):
     """A RowMetric that applies ``metric`` to each resample's list of scores
-    in turn; a resample on which it raises DegenerateLabels is degenerate."""
+    in turn, the multiset of a count row expanded in index order; a resample
+    on which it raises DegenerateLabels is degenerate."""
 
     def bind(scores):
-        def rows(idx):
-            values = np.zeros(len(idx))
-            degenerate = np.zeros(len(idx), dtype=bool)
-            for i, row in enumerate(idx.tolist()):
+        def rows(counts):
+            values = np.zeros(len(counts))
+            degenerate = np.zeros(len(counts), dtype=bool)
+            for i, row in enumerate(counts):
+                picked = np.repeat(np.arange(len(row)), row.astype(int))
                 try:
-                    values[i] = metric([scores[j] for j in row])
+                    values[i] = metric([scores[j] for j in picked])
                 except DegenerateLabels:
                     degenerate[i] = True
             return values, degenerate
@@ -385,15 +388,17 @@ class TestCompareMethods:
         worst, best = paired_sets()
 
         def metric(sample):
-            # Picking x0 first is degenerate for b only (its x0 scores 0.1),
-            # picking x7 first for a only.
-            if sample[0].example_ref in ("x0", "x7") and sample[0].score == 0.1:
-                raise DegenerateLabels("forced")
+            # Drawing x0 twice or more is degenerate for b only (its x0
+            # scores 0.1), drawing x7 twice or more for a only.
+            for ref in ("x0", "x7"):
+                picked = [s for s in sample if s.example_ref == ref]
+                if len(picked) >= 2 and picked[0].score == 0.1:
+                    raise DegenerateLabels("forced")
             return fsum(s.score for s in sample) / len(sample)
 
         cmp = compare_methods(worst, best, per_sample(metric), resamples=300, seed=3)
         assert summary(cmp) == reference_compare(worst, best, metric, 300, 3)
-        assert cmp.skipped > 0
+        assert 0 < cmp.skipped < 300
 
     def test_identical_methods_not_significant(self):
         worst, _ = paired_sets()
@@ -531,6 +536,20 @@ class TestKernelsEqualPerSamplePath:
             assert summary(got) == outcome(reference_compare, a, b, metric, resamples, seed)
 
     @settings(max_examples=150, deadline=None)
+    @given(grid_sets, positives, st.integers(0, 100), st.data())
+    def test_kernels_on_count_rows(self, scores, positive, cut, data):
+        n = len(scores)
+        draws = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=6)
+        )
+        counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+        for kernel, metric in per_sample_metrics(cut / 100, positive):
+            values, degenerate = kernel(scores)(counts)
+            expected, expected_degenerate = per_sample(metric)(scores)(counts)
+            assert values.tolist() == expected.tolist()
+            assert degenerate.tolist() == expected_degenerate.tolist()
+
+    @settings(max_examples=150, deadline=None)
     @given(grid_sets, positives)
     def test_threshold_search_equals_per_threshold_classify(self, scores, positive):
         for objective in ("accuracy", "f1"):
@@ -595,9 +614,10 @@ class TestAucPrRowsSumExactly:
         values, hallucinated = rng.random(n).tolist(), (rng.random(n) < 0.5).tolist()
         scores = [ls(v, H if h else A) for v, h in zip(values, hallucinated)]
         idx = rng.integers(0, n, (2, n))
+        counts = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float)
         calls = []
         monkeypatch.setattr(evaluation, "fsum", lambda terms: calls.append(1) or fsum(terms))
-        got, degenerate = auc_pr_metric(H)(scores)(idx)
+        got, degenerate = auc_pr_metric(H)(scores)(counts)
         assert len(calls) == fsum_calls and not degenerate.any()
         assert got.tolist() == [
             tie_group_walk([scores[i] for i in row], H) for row in idx.tolist()
@@ -638,18 +658,18 @@ class TestBlockedResampling:
             assert (ci.mean, ci.low, ci.high, ci.skipped) == (mean, low, high, 0)
 
     def test_nan_metric_propagates_as_before(self):
-        # Samples starting with a hallucinated example give NaN, samples
-        # starting with "e00" are degenerate; the rest give 0.5.
+        # Samples holding "e00" are degenerate, the others holding "e03"
+        # give NaN; the rest give 0.5.
         def metric(sample):
-            if sample[0].example_ref == "e00":
+            refs = {s.example_ref for s in sample}
+            if "e00" in refs:
                 raise DegenerateLabels("forced")
-            return math.nan if sample[0].label == H else 0.5
+            return math.nan if "e03" in refs else 0.5
 
         rng = np.random.default_rng(4)
-        skipped = 0
-        for _ in range(200):
-            first = FIXTURE_20[rng.integers(0, 20, 20)[0]]
-            skipped += first.example_ref == "e00"
+        draws = [set(rng.integers(0, 20, 20).tolist()) for _ in range(200)]
+        skipped = sum(0 in drawn for drawn in draws)
+        assert any(3 in drawn and 0 not in drawn for drawn in draws)
         ci = bootstrap_ci(FIXTURE_20, per_sample(metric), resamples=200, seed=4)
         assert ci.skipped == skipped > 0
         assert all(math.isnan(v) for v in (ci.mean, ci.half_width, ci.low, ci.high))
@@ -665,3 +685,60 @@ class TestBlockedResampling:
             tracemalloc.stop()
         # One unblocked (100000, 501) int64 draw alone would take 400 MB.
         assert peak < 16 * 2**20
+
+
+class TestSharedDraws:
+    def test_same_key_draws_once(self, generators_built):
+        first = bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        bootstrap_ci(FIXTURE_20, auc_pr_metric(), resamples=300, seed=9)
+        compare_methods(FIXTURE_20, FIXTURE_20[::-1], auc_pr_metric(), resamples=300, seed=9)
+        assert bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9) == first
+        assert generators_built == [9]
+        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=10)
+        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=301, seed=10)
+        bootstrap_ci(FIXTURE_20[:19], ACCURACY_AT_HALF, resamples=301, seed=10)
+        assert generators_built == [9, 10, 10, 10]
+
+    def test_kept_blocks_are_read_only(self):
+        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        key, blocks = evaluation._kept
+        assert key[:3] == (20, 300, 9)
+        assert not any(block.flags.writeable for block in blocks)
+
+    def test_changing_block_draws_again(self, monkeypatch, generators_built):
+        monkeypatch.setattr(evaluation, "BLOCK", 60)  # 3 rows of n = 20
+        first = bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=7, seed=9)
+        monkeypatch.setattr(evaluation, "BLOCK", 40)  # 2 rows
+        assert bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=7, seed=9) == first
+        assert generators_built == [9, 9]
+
+    @pytest.mark.parametrize("resamples, draws", [(1024, 1), (1025, 2)])
+    def test_kept_up_to_the_cap(self, generators_built, resamples, draws):
+        # n = 512: 1,024 resamples fill the 2**19 cells exactly.
+        scores = [ls((i % 101) / 100, H if i % 3 else A) for i in range(512)]
+        first = bootstrap_ci(scores, ACCURACY_AT_HALF, resamples=resamples, seed=3)
+        assert bootstrap_ci(scores, ACCURACY_AT_HALF, resamples=resamples, seed=3) == first
+        assert len(generators_built) == draws
+
+    def test_large_draw_keeps_nothing(self):
+        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        assert evaluation._kept is not None
+        scores = random_scores(np.random.default_rng(8), 501, on_grid=True)
+        bootstrap_ci(scores, threshold_metric("f1", 0.5), resamples=100_000, seed=1)
+        assert evaluation._kept is None
+
+    def test_threads_share_the_kept_draw(self, run_together):
+        # Eight threads cycle through three keys, so each replaces the kept
+        # draw while others read it; every result must equal the serial one.
+        keys = [(FIXTURE_20, 9), (FIXTURE_20[:15], 9), (FIXTURE_20, 10)]
+        expected = [bootstrap_ci(scores, auc_pr_metric(), 200, seed) for scores, seed in keys]
+        starts = itertools.count()
+
+        def cycle():
+            first = next(starts)
+            return all(
+                bootstrap_ci(keys[i][0], auc_pr_metric(), 200, keys[i][1]) == expected[i]
+                for i in ((first + j) % len(keys) for j in range(30))
+            )
+
+        assert run_together(cycle, 8) == [True] * 8

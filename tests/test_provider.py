@@ -366,6 +366,19 @@ class TestRateLimiter:
         with pytest.raises(ConfigError):
             RateLimiter(0)
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), 1e-320, 1e-9])
+    def test_rejects_a_rate_without_a_sleepable_interval(self, rate):
+        # 60 / 1e-9 is 6e10 s, past what time.sleep takes.
+        with pytest.raises(ConfigError, match="rate_limit_per_minute must be > 0"):
+            RateLimiter(rate)
+
+    def test_slowest_rate_still_sleeps(self):
+        naps = []
+        limiter = RateLimiter(60 / threading.TIMEOUT_MAX, clock=lambda: 0.0, sleep=naps.append)
+        limiter.wait()
+        limiter.wait()
+        assert naps == [threading.TIMEOUT_MAX]
+
 
 class FakeTransport:
     """Stands in for ``post_json``: records each call and returns (or raises)
