@@ -132,6 +132,11 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+# The most backend calls in flight: ``score`` runs ``2 * parallelism - 1``
+# worker threads, and a larger value would ask for threads the host may not
+# start.
+MAX_PARALLELISM = 64
+
 # One table per config section: each key's JSON kind, then its least value or
 # its allowed values. Defaults come from the section's dataclass.
 _NUMBER = (int, float)
@@ -250,6 +255,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
+    if cfg.parallelism > MAX_PARALLELISM:
+        raise ConfigError(f"parallelism must be <= {MAX_PARALLELISM}, got {cfg.parallelism}")
     if cfg.provider.rate_limit_per_minute is not None:
         try:
             RateLimiter(cfg.provider.rate_limit_per_minute)

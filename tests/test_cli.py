@@ -5,6 +5,7 @@ import shutil
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from hallucheck import cli
@@ -157,6 +158,20 @@ class TestConfigErrors:
         workdir = copy_fixture(fixture_dir, tmp_path, parallelism=0)
         assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
         assert "parallelism must be >= 1" in capsys.readouterr().err
+
+    def test_parallelism_above_the_bound(self, tmp_path, fixture_dir, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=cli.MAX_PARALLELISM + 1)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
+        err = capsys.readouterr().err
+        assert "parallelism must be <= 64, got 65" in err and err.count("\n") == 1
+        assert started == []
+        assert not (workdir / "out" / "scores.jsonl").exists()
+
+    def test_parallelism_at_the_bound_loads(self, tmp_path, fixture_dir):
+        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=64)
+        assert cli.load_config(workdir / "run_config.json").parallelism == 64
 
     @pytest.mark.parametrize(
         "path,value,message",
@@ -742,6 +757,15 @@ class TestEvaluate:
         assert hashlib.sha256(report).hexdigest() == (
             "b0a2775adb82cd92afe5e06d400a52d6ec5358c5ef207275057dc1984f9438e8"
         )
+
+    def test_report_bytes_without_np_percentile(self, scored, config_path, monkeypatch):
+        # Every interval takes its ends from evaluation's own partition, so
+        # the pinned report needs no np.percentile call.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.percentile called")
+
+        monkeypatch.setattr(np, "percentile", refuse)
+        self.test_report_bytes(scored, config_path)
 
     def test_one_draw_per_example_count(self, scored, config_path, generators_built):
         # Every bootstrap and paired comparison of one evaluate shares its

@@ -742,3 +742,110 @@ class TestSharedDraws:
             )
 
         assert run_together(cycle, 8) == [True] * 8
+
+
+def same_floats(got, expected):
+    """Equal value and sign bit, elementwise; NaN matches NaN."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    both_nan = np.isnan(got) & np.isnan(expected)
+    same = (got == expected) & (np.signbit(got) == np.signbit(expected))
+    return bool(np.all(both_nan | same))
+
+
+# Values that sort, tie and interpolate at the edges of float arithmetic.
+EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 1.0, -1.0]
+
+
+@st.composite
+def replicate_arrays(draw):
+    """float64 arrays of 1 to 2,048 values: a few distinct values (so ties are
+    common), drawn from arbitrary floats and the edge values, often weighted
+    towards signed zeros, some of them replaced by continuous noise. Equal
+    zeros of either sign are where a full sort and numpy's partition can put
+    different values at an end."""
+    n = draw(st.integers(1, 2048))
+    pool = draw(
+        st.lists(st.sampled_from(EDGE_VALUES) | st.floats(width=64), min_size=1, max_size=6)
+    )
+    pool += [0.0, -0.0] * draw(st.sampled_from([0, 1, 8]))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.choice(np.array(pool, dtype=float), n)
+    mask = rng.random(n) < noise
+    values[mask] = rng.standard_normal(int(mask.sum()))
+    return values
+
+
+class TestPercentileInterval:
+    @settings(max_examples=400, deadline=None)
+    @given(replicate_arrays())
+    def test_ends_equal_np_percentile(self, values):
+        with np.errstate(all="ignore"):
+            expected = np.percentile(values, [2.5, 97.5])
+            try:
+                expected_mean = fsum(values.tolist()) / len(values)
+            except (ValueError, OverflowError):
+                expected_mean = None
+            with pytest.MonkeyPatch.context() as patch:
+                if expected_mean is None:
+                    # fsum itself raises on these values: check the ends only.
+                    patch.setattr(evaluation, "fsum", lambda values: 0.0)
+                mean, low, high = evaluation._percentile_interval(values.copy())
+        assert same_floats([low, high], expected)
+        assert type(low) is type(high) is float
+        if expected_mean is not None:
+            assert same_floats(mean, expected_mean)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 1000, 1001])
+    def test_small_and_boundary_counts(self, n):
+        values = np.random.default_rng(n).integers(-3, 4, n) / 2
+        _, low, high = evaluation._percentile_interval(values)
+        assert same_floats([low, high], np.percentile(values, [2.5, 97.5]))
+
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    def test_signed_zero_ties(self, n):
+        # Only zeros of both signs: which one ends up at each end depends on
+        # the partition, so a full sort gives a different sign on some seeds.
+        for seed in range(20):
+            values = np.random.default_rng(seed).choice([0.0, -0.0], n)
+            _, low, high = evaluation._percentile_interval(values.copy())
+            assert same_floats([low, high], np.percentile(values, [2.5, 97.5])), seed
+
+
+def masked_ratio(num, den):
+    """The quotient ``_ratio`` had before it became one ``np.divide``: a
+    zero-filled array with the quotient assigned where ``den`` is non-zero."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    out = np.zeros(den.shape)
+    nonzero = den != 0
+    out[nonzero] = num[nonzero] / den[nonzero]
+    return out if out.ndim else float(out)
+
+
+class TestRatio:
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (3, 7),
+            (0, 0),
+            (5, 0),
+            (np.int64(2), np.int64(3)),
+            (np.array(4), np.array(9)),
+            (np.array(4.0), np.array(0.0)),
+            (np.array([1, 2, 0, 5]), np.array([3, 0, 0, 10])),
+            (np.array([0.5, -0.0, 2.0]), np.array([0.25, 0.0, -0.0])),
+            (np.arange(819) % 17, np.arange(819) % 5),
+        ],
+    )
+    def test_equals_masked_assignment(self, num, den):
+        got, expected = evaluation._ratio(num, den), masked_ratio(num, den)
+        assert type(got) is type(expected)
+        assert same_floats(got, expected)
+        assert np.shape(got) == np.shape(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 3)), min_size=1, max_size=50))
+    def test_counts_equal_masked_assignment(self, pairs):
+        num = np.array([p[0] for p in pairs])
+        den = np.array([p[0] * p[1] for p in pairs])
+        assert same_floats(evaluation._ratio(num, den), masked_ratio(num, den))
