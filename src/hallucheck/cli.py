@@ -136,6 +136,9 @@ class RunConfig:
 # worker threads, and a larger value would ask for threads the host may not
 # start.
 MAX_PARALLELISM = 64
+# The largest embedding dimension: building the hash embedder hashes one
+# SHA-256 prefix state per four components.
+MAX_EMBEDDING_DIM = 4096
 
 # One table per config section: each key's JSON kind, then its least value or
 # its allowed values. Defaults come from the section's dataclass.
@@ -236,6 +239,9 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {os.fspath(path)} is not valid JSON: {exc}")
     values = _section(obj, RunConfig, _ROOT, "")
+    dim = values.get("embedding", EmbeddingConfig()).dim
+    if dim > MAX_EMBEDDING_DIM:
+        raise ConfigError(f"embedding.dim must be <= {MAX_EMBEDDING_DIM}, got {dim}")
     digest = hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()

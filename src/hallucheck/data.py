@@ -150,6 +150,22 @@ def _wikibio_from_obj(obj: object, where: str, expected_samples: int | None) -> 
         raise SchemaError(f"{where}: {exc}")
 
 
+def _reject_lone_surrogates(record: WikiBioRecord, where: str) -> None:
+    # json.loads pairs valid surrogate escapes into one code point, so only a
+    # lone surrogate is left for the UTF-8 encoder to refuse.
+    texts = [
+        ("paragraph_id", record.paragraph_id),
+        ("concept", record.concept),
+        ("sentence", record.sentence),
+        *((f"samples[{i}]", s) for i, s in enumerate(record.samples)),
+    ]
+    for name, text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{where}: field {name!r} holds a lone surrogate") from None
+
+
 def load_wikibio(
     path: str | os.PathLike,
     expected_samples: int | None = WIKIBIO_EXPECTED_SAMPLES,
@@ -167,6 +183,10 @@ def load_wikibio(
                 continue
             where = f"{os.fspath(path)}:{lineno}"
             record = _wikibio_from_obj(_json_line(line, where), where, expected_samples)
+            # Only a JSON escape can put a surrogate into a UTF-8 file's text,
+            # and a one-character search finds every line without one.
+            if "\\" in line:
+                _reject_lone_surrogates(record, where)
             first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)
             if first != lineno:
                 raise SchemaError(

@@ -80,15 +80,19 @@ class MemoizingEmbedder:
         return self._matrices.get(key, lambda: self._matrix(key))
 
     def _matrix(self, texts: tuple[str, ...]) -> np.ndarray:
-        matrix = np.empty((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            matrix[i] = self._row(text)
+        if not all(text.strip() for text in texts):
+            raise ValueError("cannot embed empty text")
+        matrix = self._compute(texts)
         matrix.flags.writeable = False
         return matrix
 
+    def _compute(self, texts: tuple[str, ...]) -> np.ndarray:
+        matrix = np.empty((len(texts), self.dim))
+        for i, text in enumerate(texts):
+            matrix[i] = self._row(text)
+        return matrix
+
     def _row(self, text: str) -> np.ndarray:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
         values = np.asarray(self._embed_raw(text), dtype=np.float64)
         if values.shape != (self.dim,):
             raise DimensionMismatch(
@@ -106,7 +110,8 @@ class HashEmbedder(MemoizingEmbedder):
 
     Block ``b`` is the digest of the UTF-8 message ``"{seed}:{b}:{text}"``.
     The ``"{seed}:{b}:"`` prefix states are hashed once per embedder and only
-    copied afterwards, so threads share them without a lock.
+    copied afterwards, so threads share them without a lock. The digests of
+    a whole tuple of texts are joined and become floats in one array pass.
     """
 
     def __init__(self, dim: int = 384, seed: int = 0):
@@ -120,19 +125,23 @@ class HashEmbedder(MemoizingEmbedder):
             hashlib.sha256(f"{seed}:{block}:".encode("utf-8")) for block in range((dim + 3) // 4)
         )
 
-    def _embed_raw(self, text: str) -> np.ndarray:
+    def _compute(self, texts: tuple[str, ...]) -> np.ndarray:
+        words = np.frombuffer(b"".join(map(self._embed_raw, texts)), ">u8")
+        # Each big-endian 8-byte word u maps to u / 2**63 - 1; the uint64 to
+        # float64 conversion rounds exactly as Python's int / int division.
+        matrix = words.reshape(len(texts), 4 * len(self._prefixes))[:, : self.dim] / 2**63 - 1.0
+        matrix[~matrix.any(axis=1), 0] = 1.0
+        return matrix
+
+    def _embed_raw(self, text: str) -> bytes:
+        """The joined digests of one text's blocks."""
         data = text.encode("utf-8")
         digests = []
         for prefix in self._prefixes:
             h = prefix.copy()
             h.update(data)
             digests.append(h.digest())
-        # Each big-endian 8-byte word u maps to u / 2**63 - 1; the uint64 to
-        # float64 conversion rounds exactly as Python's int / int division.
-        values = np.frombuffer(b"".join(digests), ">u8", count=self.dim) / 2**63 - 1.0
-        if not values.any():
-            values[0] = 1.0
-        return values
+        return b"".join(digests)
 
 
 class SbertEmbedder(MemoizingEmbedder):

@@ -173,6 +173,26 @@ class TestConfigErrors:
         workdir = copy_fixture(fixture_dir, tmp_path, parallelism=64)
         assert cli.load_config(workdir / "run_config.json").parallelism == 64
 
+    @staticmethod
+    def with_embedding_dim(config_path, dim):
+        obj = json.loads(config_path.read_text(encoding="utf-8"))
+        obj["embedding"]["dim"] = dim
+        config_path.write_text(json.dumps(obj), encoding="utf-8")
+
+    def test_embedding_dim_above_the_bound(self, config_path, capsys, monkeypatch):
+        self.with_embedding_dim(config_path, cli.MAX_EMBEDDING_DIM + 1)
+        sha256 = hashlib.sha256
+        calls = []
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+        assert main(["score", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "embedding.dim must be <= 4096, got 4097" in err and err.count("\n") == 1
+        assert calls == []
+
+    def test_embedding_dim_at_the_bound_loads(self, config_path):
+        self.with_embedding_dim(config_path, 4096)
+        assert cli.load_config(config_path).embedding.dim == 4096
+
     @pytest.mark.parametrize(
         "path,value,message",
         [
@@ -356,6 +376,25 @@ class TestConfigErrors:
         assert main(["score", "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {dataset}:2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["sentence", "concept", "samples"])
+    def test_lone_surrogate_in_dataset_text_is_one_line(
+        self, workdir, config_path, field, capsys
+    ):
+        dataset = workdir / "fixture_dataset.jsonl"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        if field == "samples":
+            row["samples"][2] += " \ud800"
+            field = "samples[2]"
+        else:
+            row[field] += " \udfff"
+        lines[1] = json.dumps(row) + "\n"
+        dataset.write_text("".join(lines), encoding="utf-8")
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {dataset}:2: field {field!r} holds a lone surrogate")
+        assert err.count("\n") == 1
 
     def test_repeated_dataset_row_is_one_line_before_any_call(
         self, workdir, config_path, monkeypatch, capsys

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +184,34 @@ class TestWikiBioIO:
         write_jsonl(path, [valid_row(label="maybe")])
         with pytest.raises(SchemaError, match="'label'"):
             load_wikibio(path, expected_samples=3)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("paragraph_id", {"paragraph_id": "p\ud800"}),
+            ("concept", {"concept": "Ada \udc00"}),
+            ("sentence", {"sentence": "Born \udbff in 1815."}),
+            ("samples[1]", {"samples": ["ok", "\ud83d half a pair", "ok"]}),
+        ],
+    )
+    def test_lone_surrogate_names_file_line_and_field(self, tmp_path, field, overrides):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [valid_row(), valid_row(sentence_index=1, **overrides)])
+        with pytest.raises(SchemaError, match=rf"d\.jsonl:2: field '{re.escape(field)}' holds"):
+            load_wikibio(path, expected_samples=3)
+
+    def test_upper_case_surrogate_escape_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(valid_row()).replace("Person", "Person \\uD800") + "\n")
+        with pytest.raises(SchemaError, match="lone surrogate"):
+            load_wikibio(path, expected_samples=3)
+
+    def test_escaped_surrogate_pair_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [valid_row(sentence="Smiled \U0001F600 once.")])
+        assert "\\ud83d\\ude00" in path.read_text()
+        [record] = load_wikibio(path, expected_samples=3)
+        assert record.sentence == "Smiled \U0001F600 once."
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -190,6 +190,33 @@ class TestHashEmbedder:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
+    def test_empty_tuple_is_a_read_only_empty_matrix(self):
+        matrix = HashEmbedder(dim=5).embed_many(())
+        assert matrix.shape == (0, 5) and matrix.dtype == np.float64
+        assert not matrix.flags.writeable
+
+    def test_blank_text_rejected_before_any_digest(self, monkeypatch):
+        e = HashEmbedder(dim=8)
+        calls = []
+        monkeypatch.setattr(e, "_embed_raw", lambda text: calls.append(text))
+        with pytest.raises(ValueError, match="cannot embed empty text"):
+            e.embed_many(["fine", "also fine", " \t", "last"])
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [1, 5, 384])
+    def test_all_zero_row_falls_back_per_row(self, monkeypatch, dim):
+        # The word 2**63 maps to exactly 0.0, so "zero" hashes to all zeros.
+        e = HashEmbedder(dim=dim, seed=3)
+        raw = e._embed_raw
+        zero_words = (2**63).to_bytes(8, "big") * (4 * ((dim + 3) // 4))
+        monkeypatch.setattr(e, "_embed_raw", lambda t: zero_words if t == "zero" else raw(t))
+        texts = ["one", "zero", "two", "zero two"]
+        matrix = e.embed_many(texts)
+        assert matrix[1].tolist() == [1.0] + [0.0] * (dim - 1)
+        for text, row in zip(texts, matrix):
+            if text != "zero":
+                assert tuple(row.tolist()) == scalar_hash_vector(text, dim, 3)
+
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             HashEmbedder(dim=8).embed("  ")
