@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -36,9 +36,11 @@ from .core import (
     make_output_ref,
 )
 from .data import (
+    NUMBER,
     NotFound,
     SampleStore,
     SchemaError,
+    check_json,
     drop_torn_tail,
     load_wikibio,
     open_text,
@@ -139,89 +141,37 @@ MAX_PARALLELISM = 64
 # The largest embedding dimension: building the hash embedder hashes one
 # SHA-256 prefix state per four components.
 MAX_EMBEDDING_DIM = 4096
+# The largest ``evaluate --resamples``: each interval holds a float64 and a
+# flag per resample, and a larger count asks for memory the host may not have.
+MAX_RESAMPLES = 1_000_000
 
-# One table per config section: each key's JSON kind, then its least value or
-# its allowed values. Defaults come from the section's dataclass.
-_NUMBER = (int, float)
-_INT_OR_NULL = (int, type(None))
-_KIND_NAMES = {
-    int: "an integer",
-    _INT_OR_NULL: "an integer",
-    bool: "true or false",
-    str: "a string",
-    _NUMBER: "a number",
-    list: "a list",
-}
+# The config's field tables, for data.check_json; defaults come from the
+# dataclasses.
 _PROVIDER = {
     "backend": (str, ("mock", "openai", "gemini")),
-    "model_id": (str, None),
-    "script": (str, None),
-    "base_url": (str, None),
-    "rate_limit_per_minute": (_NUMBER, None),
+    "model_id": str,
+    "script": str | None,
+    "base_url": str | None,
+    "rate_limit_per_minute": NUMBER | None,
 }
-_EMBEDDING = {
-    "backend": (str, ("hash", "sbert")),
-    "model_id": (str, None),
-    "dim": (int, 1),
-    "seed": (int, None),
-}
-_DATASET = {"path": (str, None), "kind": (str, ("wikibio",)), "expected_samples": (_INT_OR_NULL, 0)}
+_EMBEDDING = {"backend": (str, ("hash", "sbert")), "model_id": str, "dim": (int, 1), "seed": int}
+_DATASET = {"path": str, "kind": (str, ("wikibio",)), "expected_samples": (int | None, 0)}
 _DETECTOR = {
     "method": (str, tuple(m.value for m in DetectorMethod)),
-    "use_kg": (bool, None),
+    "use_kg": bool,
     "n_samples": (int, 1),
 }
-_ROOT = {
+_CONFIG = {
     "provider": (ProviderConfig, _PROVIDER),
     "embedding": (EmbeddingConfig, _EMBEDDING),
     "dataset": (DatasetConfig, _DATASET),
-    "detectors": (list, None),
-    "cache_dir": (str, None),
-    "output_dir": (str, None),
-    "samples_dir": (str, None),
-    "seed": (int, None),
+    "detectors": (list, (DetectorConfig, _DETECTOR)),
+    "cache_dir": str | None,
+    "output_dir": str,
+    "samples_dir": str | None,
+    "seed": (int, 0),
     "parallelism": (int, 1),
 }
-
-
-def _section(obj: object, cls: type, table: dict, where: str) -> dict:
-    """The keys of the config section ``obj`` as ``cls`` arguments, each
-    checked against ``table``: no unknown key, the key's JSON kind (true and
-    false are not numbers, and a number must be a finite float: not NaN, not
-    infinite and no int beyond the float range), then its least or allowed
-    value. A key whose default is None also takes null. A key whose kind is a
-    dataclass is a nested section, built from its own table."""
-    name = where.rstrip(".") or "config"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(obj) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    values = {}
-    for key, value in obj.items():
-        kind, limit = table[key]
-        if isinstance(limit, dict):
-            value = kind(**_section(value, kind, limit, f"{where}{key}."))
-        elif value is None and (defaults[key] is None or kind is _INT_OR_NULL):
-            pass
-        elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-        elif kind is _NUMBER and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{where}{key} must be a finite number, got {value}")
-        elif isinstance(limit, tuple) and value not in limit:
-            raise ConfigError(f"{where}{key} must be one of {list(limit)}, got {value!r}")
-        elif isinstance(limit, int) and value < limit:
-            raise ConfigError(f"{where}{key} must be >= {limit}, got {value}")
-        values[key] = value
-    return values
-
-
-def _detector_from_obj(obj: object, index: int) -> DetectorConfig:
-    values = _section(obj, DetectorConfig, _DETECTOR, f"detectors[{index}].")
-    if "method" not in values:
-        raise ConfigError(f"detectors[{index}]: missing 'method'")
-    return DetectorConfig(**{**values, "method": DetectorMethod(values["method"])})
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -238,26 +188,32 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         obj = json.loads(raw)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {os.fspath(path)} is not valid JSON: {exc}")
-    values = _section(obj, RunConfig, _ROOT, "")
-    dim = values.get("embedding", EmbeddingConfig()).dim
+    check_json(obj, (RunConfig, _CONFIG), "", ConfigError)
+    values = {
+        **obj,
+        "provider": ProviderConfig(**obj.get("provider", {})),
+        "embedding": EmbeddingConfig(**obj.get("embedding", {})),
+        "dataset": DatasetConfig(**obj.get("dataset", {})),
+        "detectors": tuple(
+            DetectorConfig(**{**d, "method": DetectorMethod(d["method"])})
+            for d in obj.get("detectors", ())
+        ),
+    }
+    dim = values["embedding"].dim
     if dim > MAX_EMBEDDING_DIM:
         raise ConfigError(f"embedding.dim must be <= {MAX_EMBEDDING_DIM}, got {dim}")
     digest = hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
 
-    detectors = tuple(
-        _detector_from_obj(d, i) for i, d in enumerate(values.pop("detectors", []))
-    )
     first_of: dict[tuple[DetectorMethod, bool], int] = {}
-    for i, d in enumerate(detectors):
+    for i, d in enumerate(values["detectors"]):
         first = first_of.setdefault((d.method, d.use_kg), i)
         if first != i:
             name = _method_name(d.method.value, d.use_kg)
             raise ConfigError(f"detectors[{i}] repeats detectors[{first}] ({name})")
     cfg = RunConfig(
         **values,
-        detectors=detectors,
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
@@ -488,8 +444,8 @@ def _method_name(method: str, kg_used: bool) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if args.resamples < 1:
-        raise ConfigError(f"--resamples must be >= 1, got {args.resamples}")
+    if not 1 <= args.resamples <= MAX_RESAMPLES:
+        raise ConfigError(f"--resamples must be 1 to {MAX_RESAMPLES}, got {args.resamples}")
     out_dir = cfg.resolve(cfg.output_dir)
     scores_path = Path(args.scores) if args.scores else out_dir / "scores.jsonl"
     positive = Label(args.positive)

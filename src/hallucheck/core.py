@@ -32,6 +32,16 @@ class HallucheckError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def encodable(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8. A JSON escape such as ``\\ud800``
+    decodes to a lone surrogate, which does not. An ASCII string is answered
+    from a flag CPython keeps, without reading the text."""
+    try:
+        return text.isascii() or bool(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+
+
 def normalize_text(raw: str) -> str:
     """Normalize text for comparison: case-fold, trim, collapse whitespace runs.
 

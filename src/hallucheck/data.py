@@ -21,14 +21,15 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass, replace
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO, get_args
 
-from .core import DetectorMethod, HallucheckError, Label, ScoreRecord, Triple
+from .core import DetectorMethod, HallucheckError, Label, ScoreRecord, Triple, encodable
 from .embed import MemoizingEmbedder, cosine_sim
 from .kgx import load_prompt_resource
 from .provider import ChatClient, ChatRequest, DETECT_PROFILE
@@ -75,6 +76,75 @@ def _json_line(line: str, where: str) -> object:
         raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
 
 
+NUMBER = float | int  # a kind is named after its first type: "a number"
+NON_BLANK = "non-blank"  # the limit of a string that must hold more than whitespace
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false", list: "a list"
+}
+
+
+def check_json(value, spec, where: str, error: type[HallucheckError], path: str = ""):
+    """``value``, once it matches ``spec``; otherwise ``error`` with one line
+    that starts with ``where``: ``<field> must be <kind>, got <type>``, or
+    ``unknown key 'k' in <field>`` or ``missing key 'k' in <field>``, where
+    ``<field>`` is a dotted path such as ``detectors[4].n_samples``.
+
+    A spec is a kind or a ``(kind, limit)`` pair. Scalar kinds are ``str``,
+    ``int``, ``bool`` and ``NUMBER`` (finite; ``true`` and ``false`` are only
+    booleans), and ``| None`` also takes null; no string may hold a lone
+    surrogate. A scalar's limit is its least value, a tuple of its allowed
+    values or ``NON_BLANK``; a ``list``'s is the spec of every element, or a
+    list of one spec per position. Any other kind is the class an object is
+    read into, with its key table as the limit: no other key may appear, and
+    a key is required unless the class has an attribute of that name, as a
+    dataclass field with a default does.
+    """
+    # A value of exactly a str, int or bool kind (an ASCII one, for a string)
+    # meets it without a call of its own.
+    kind, limit = spec if type(spec) is tuple else (spec, None)
+    name = path or "top level"
+    if type(limit) is dict:
+        if type(value) is not dict:
+            raise error(f"{where}{name} must be an object, got {_json_type(value)}")
+        for key, item in value.items():
+            if key not in limit:
+                raise error(f"{where}unknown key {key!r}{' in ' + path if path else ''}")
+            sub = limit[key]
+            if type(item) is not sub or sub is str and not item.isascii():
+                check_json(item, sub, where, error, f"{path}.{key}" if path else key)
+        for key in limit:
+            if key not in value and not hasattr(kind, key):
+                raise error(f"{where}missing key {key!r}{' in ' + path if path else ''}")
+        return value
+    if value is None and isinstance(None, kind):
+        return value
+    if not isinstance(value, kind) or (type(value) is bool) != (kind is bool):
+        kind_name = _KIND_NAMES[(get_args(kind) or (kind,))[0]]
+        raise error(f"{where}{name} must be {kind_name}, got {_json_type(value)}")
+    if type(value) is str and not encodable(value):
+        raise error(f"{where}{name} must be UTF-8 text, got a lone surrogate")
+    if type(value) is list:
+        if type(limit) is list and len(value) != len(limit):
+            raise error(f"{where}{name} must be a list of {len(limit)} items, got {len(value)}")
+        for i, item in enumerate(value):
+            sub = limit[i] if type(limit) is list else limit
+            if type(item) is not sub or sub is str and not item.isascii():
+                check_json(item, sub, where, error, f"{path}[{i}]")
+    elif isinstance(0.0, kind) and not abs(value) <= sys.float_info.max:
+        raise error(f"{where}{name} must be a finite number, got {value}")
+    elif type(limit) is tuple and value not in limit:
+        raise error(f"{where}{name} must be one of {list(limit)}, got {value!r}")
+    elif limit is NON_BLANK and not value.strip():
+        raise error(f"{where}{name} must be a non-blank string, got {value!r}")
+    elif type(limit) is int and value < limit:
+        raise error(f"{where}{name} must be >= {limit}, got {value}")
+    return value
+
+
+def _json_type(value: object) -> str:
+    return "null" if value is None else type(value).__name__
+
+
 def word_count(text: str) -> int:
     return len(_WORD.findall(text))
 
@@ -105,65 +175,14 @@ class WikiBioRecord:
         object.__setattr__(self, "samples", tuple(self.samples))
 
 
-_WIKIBIO_FIELDS = {
+_WIKIBIO_ROW = {
     "paragraph_id": str,
     "concept": str,
-    "sentence_index": int,
+    "sentence_index": (int, 0),
     "sentence": str,
-    "label": str,
-    "samples": list,
+    "label": (str, tuple(label.value for label in Label)),
+    "samples": (list, (str, NON_BLANK)),
 }
-
-
-def _wikibio_from_obj(obj: object, where: str, expected_samples: int | None) -> WikiBioRecord:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    for name, kind in _WIKIBIO_FIELDS.items():
-        if name not in obj:
-            raise SchemaError(f"{where}: missing field {name!r}")
-        if not isinstance(obj[name], kind) or isinstance(obj[name], bool):
-            raise SchemaError(
-                f"{where}: field {name!r} must be {kind.__name__}, "
-                f"got {type(obj[name]).__name__}"
-            )
-    samples = obj["samples"]
-    if not all(isinstance(s, str) and s.strip() for s in samples):
-        raise SchemaError(f"{where}: field 'samples' must contain only strings, none blank")
-    if expected_samples is not None and len(samples) != expected_samples:
-        raise SchemaError(
-            f"{where}: expected {expected_samples} samples, found {len(samples)}"
-        )
-    try:
-        label = Label(obj["label"])
-    except ValueError:
-        raise SchemaError(f"{where}: field 'label' must be 'accurate' or 'hallucinated'")
-    try:
-        return WikiBioRecord(
-            paragraph_id=obj["paragraph_id"],
-            concept=obj["concept"],
-            sentence_index=obj["sentence_index"],
-            sentence=obj["sentence"],
-            label=label,
-            samples=tuple(samples),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}")
-
-
-def _reject_lone_surrogates(record: WikiBioRecord, where: str) -> None:
-    # json.loads pairs valid surrogate escapes into one code point, so only a
-    # lone surrogate is left for the UTF-8 encoder to refuse.
-    texts = [
-        ("paragraph_id", record.paragraph_id),
-        ("concept", record.concept),
-        ("sentence", record.sentence),
-        *((f"samples[{i}]", s) for i, s in enumerate(record.samples)),
-    ]
-    for name, text in texts:
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SchemaError(f"{where}: field {name!r} holds a lone surrogate") from None
 
 
 def load_wikibio(
@@ -182,11 +201,16 @@ def load_wikibio(
             if not line.strip():
                 continue
             where = f"{os.fspath(path)}:{lineno}"
-            record = _wikibio_from_obj(_json_line(line, where), where, expected_samples)
-            # Only a JSON escape can put a surrogate into a UTF-8 file's text,
-            # and a one-character search finds every line without one.
-            if "\\" in line:
-                _reject_lone_surrogates(record, where)
+            obj = _json_line(line, where)
+            check_json(obj, (WikiBioRecord, _WIKIBIO_ROW), f"{where}: ", SchemaError)
+            if expected_samples is not None and len(obj["samples"]) != expected_samples:
+                raise SchemaError(
+                    f"{where}: expected {expected_samples} samples, found {len(obj['samples'])}"
+                )
+            try:
+                record = WikiBioRecord(**obj)
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
             first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)
             if first != lineno:
                 raise SchemaError(
@@ -418,6 +442,9 @@ def _samples_digest(samples: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_STORE_FILE = {"paragraph_id": str, "digest": str, "samples": (list, (str, NON_BLANK))}
+
+
 class SampleStore:
     """One JSON file per paragraph, keyed by the id's digest.
 
@@ -442,7 +469,7 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         with self._lock:
             if path.exists():
-                if self._read(path, "digest", str) == digest:
+                if self._read(path)["digest"] == digest:
                     return
                 raise StoreConflict(
                     f"paragraph {paragraph_id!r} already stored with different samples"
@@ -466,22 +493,17 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         if not path.exists():
             raise NotFound(f"no samples stored for paragraph {paragraph_id!r}")
-        samples = self._read(path, "samples", list)
-        if not all(isinstance(s, str) and s.strip() for s in samples):
-            raise SchemaError(f"{path}: 'samples' must be a list of strings, none blank")
-        return samples
+        return self._read(path)["samples"]
 
     @staticmethod
-    def _read(path: Path, key: str, kind: type):
-        """``key`` of a stored file, checked to be a ``kind``; an unreadable
+    def _read(path: Path) -> dict:
+        """The stored file, checked against ``_STORE_FILE``; an unreadable
         file is a SchemaError naming it."""
         try:
-            value = json.loads(path.read_text(encoding="utf-8"))[key]
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not a sample-store file ({exc})") from exc
-        if not isinstance(value, kind):
-            raise SchemaError(f"{path}: {key!r} must be a JSON {kind.__name__}")
-        return value
+        return check_json(obj, (dict, _STORE_FILE), f"{path}: ", SchemaError)
 
     def has(self, paragraph_id: str) -> bool:
         return self._path_for(paragraph_id).exists()
@@ -506,57 +528,30 @@ def score_record_to_dict(record: ScoreRecord) -> dict:
     return obj
 
 
-def _typed_field(value: object, name: str, kinds: tuple[type, ...], what: str):
-    """``value`` if its JSON type is one of ``kinds``; a bool is only a bool."""
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise SchemaError(f"field {name!r} must be {what}, got {type(value).__name__}")
-    return value
+_SCORE_ROW = {
+    "output_ref": str,
+    "method": (str, tuple(method.value for method in DetectorMethod)),
+    "score": NUMBER,
+    "kg_used": bool,
+    "triple_scores": (list | None, (list, [(list, [str, str, str]), NUMBER])),
+    "misses": (int, 0),
+    "prompt_version": str,
+    "model_id": str,
+}
 
 
-def score_record_from_dict(obj: dict) -> ScoreRecord:
-    """The record a score row holds. The row must be an object and each field
-    must have its JSON type (``kg_used`` a boolean, scores numbers, ``misses``
-    an integer, text fields strings, ``triple_scores`` a list of
-    ``[[subject, relation, object], score]``), so a row is never silently
-    coerced into another record."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"score record must be an object, got {type(obj).__name__}")
-    number, text = (int, float), (str,)
+def score_record_from_dict(obj: object) -> ScoreRecord:
+    """The record a score row holds, once the row matches ``_SCORE_ROW``, so a
+    row is never silently coerced into another record."""
+    check_json(obj, (ScoreRecord, _SCORE_ROW), "", SchemaError)
+    triples = obj.get("triple_scores")
     try:
-        triple_scores = None
-        if obj.get("triple_scores") is not None:
-            triple_scores = tuple(
-                _triple_score(entry)
-                for entry in _typed_field(obj["triple_scores"], "triple_scores", (list,), "a list")
-            )
-        return ScoreRecord(
-            output_ref=_typed_field(obj["output_ref"], "output_ref", text, "a string"),
-            method=DetectorMethod(obj["method"]),
-            score=float(_typed_field(obj["score"], "score", number, "a number")),
-            kg_used=_typed_field(obj["kg_used"], "kg_used", (bool,), "a boolean"),
-            triple_scores=triple_scores,
-            misses=_typed_field(obj.get("misses", 0), "misses", (int,), "an integer"),
-            prompt_version=_typed_field(
-                obj.get("prompt_version", ""), "prompt_version", text, "a string"
-            ),
-            model_id=_typed_field(obj.get("model_id", ""), "model_id", text, "a string"),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"score record lacks field {exc}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad score record: {exc}")
-
-
-def _triple_score(entry: object) -> tuple[Triple, float]:
-    """One ``[[subject, relation, object], score]`` entry of ``triple_scores``.
-    A sequence pattern matches lists only, never a string or an object."""
-    match entry:
-        case [[_, _, _] as fields, score]:
-            return (
-                Triple(*(_typed_field(f, "triple_scores", (str,), "a string") for f in fields)),
-                float(_typed_field(score, "triple_scores", (int, float), "a number")),
-            )
-    raise SchemaError("each 'triple_scores' entry must be [[subject, relation, object], score]")
+        if triples is not None:
+            triples = tuple((Triple(*t), float(c)) for t, c in triples)
+        method, score = DetectorMethod(obj["method"]), float(obj["score"])
+        return ScoreRecord(**{**obj, "method": method, "score": score, "triple_scores": triples})
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def write_score_records(

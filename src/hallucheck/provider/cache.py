@@ -17,6 +17,8 @@ import tempfile
 import threading
 from pathlib import Path
 
+from ..core import encodable
+
 logger = logging.getLogger(__name__)
 
 
@@ -31,7 +33,8 @@ class ResponseCache:
 
     def get(self, digest: str) -> str | None:
         """Return the cached response content, or None on a miss. An entry
-        that is not a valid record is a miss too; the next ``put`` rewrites it."""
+        that is not a valid record, or whose response does not encode as
+        UTF-8, is a miss too; the next ``put`` rewrites it."""
         path = self._path(digest)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -40,7 +43,7 @@ class ResponseCache:
         except (ValueError, RecursionError):
             record = None
         response = record.get("response") if isinstance(record, dict) else None
-        if not isinstance(response, str):
+        if not isinstance(response, str) or not encodable(response):
             logger.warning("ignoring corrupt response cache entry %s", path)
             return None
         return response

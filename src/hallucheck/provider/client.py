@@ -3,8 +3,9 @@
 ``complete`` serves identical requests from the on-disk cache when one is
 configured; the draws of one prompt differ in ``ChatRequest.draw``, so each
 is cached on its own. A draw must hold text: a blank one is refused, never
-cached, and a blank draw found in the cache is a miss. ``max_inflight`` caps
-the backend calls in flight at once over every thread that shares the client.
+cached, and a blank draw found in the cache is a miss. A reply with a lone
+surrogate (not encodable as UTF-8) is handled the same way. ``max_inflight``
+caps the backend calls in flight at once over every thread sharing the client.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import threading
 import time
 from typing import Callable, Protocol
 
+from ..core import encodable
 from .cache import ResponseCache
 from .types import (
     ChatRequest,
@@ -113,6 +115,8 @@ class ChatClient:
                 raise ProviderRefusal("backend returned empty content")
             if request.draw is not None and not content.strip():
                 raise ProviderRefusal("backend returned a blank sample")
+            if not encodable(content):
+                raise ProviderRefusal("backend returned text with a lone surrogate")
             return content
         assert last is not None
         raise last

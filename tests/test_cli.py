@@ -249,12 +249,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("resamples", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_negative_seed_is_one_line(self, tmp_path, fixture_dir, capsys, command):
+        workdir = copy_fixture(fixture_dir, tmp_path, seed=-1)
+        assert main([command, "--config", str(workdir / "run_config.json")]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("resamples", ["0", "-5", "1000001"])
     def test_resamples_below_one(self, config_path, capsys, resamples):
         code = main(["evaluate", "--config", str(config_path), "--resamples", resamples])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--resamples must be >= 1, got {resamples}" in err and err.count("\n") == 1
+        message = f"--resamples must be 1 to {cli.MAX_RESAMPLES}, got {resamples}"
+        assert message in err and err.count("\n") == 1
 
     def test_repeated_detector(self, workdir, config_path, capsys):
         obj = json.loads(config_path.read_text(encoding="utf-8"))
@@ -393,7 +401,7 @@ class TestConfigErrors:
         dataset.write_text("".join(lines), encoding="utf-8")
         assert main(["score", "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {dataset}:2: field {field!r} holds a lone surrogate")
+        assert err == f"data error: {dataset}:2: {field} must be UTF-8 text, got a lone surrogate\n"
         assert err.count("\n") == 1
 
     def test_repeated_dataset_row_is_one_line_before_any_call(
@@ -412,6 +420,48 @@ class TestConfigErrors:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def edit_json(path, edit, line=None):
+    """Apply ``edit`` to the JSON value in ``path``, or to the one on its line
+    ``line`` (counted from 1)."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines() if line else [text]
+    index = (line or 1) - 1
+    obj = json.loads(lines[index])
+    edit(obj)
+    lines[index] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestInputChecks:
+    """One wrongly typed field in each JSON input: one line in the one form."""
+
+    @pytest.mark.parametrize("input_name", ["config", "dataset", "scores", "store"])
+    def test_wrongly_typed_field_is_one_line(self, workdir, config_path, capsys, input_name):
+        config, command = config_path, "score"
+        if input_name == "config":
+            edit_json(config_path, lambda obj: obj["embedding"].update(dim="64"))
+            message = "config error: embedding.dim must be an integer, got str"
+        elif input_name == "dataset":
+            path = workdir / "fixture_dataset.jsonl"
+            edit_json(path, lambda row: row.update(sentence_index="1"), line=3)
+            message = f"data error: {path}:3: sentence_index must be an integer, got str"
+        elif input_name == "scores":
+            assert main(["score", "--config", str(config_path)]) == 0
+            path = workdir / "out" / "scores.jsonl"
+            edit_json(path, lambda row: row.update(misses=0.5), line=2)
+            command = "evaluate"
+            message = f"data error: {path}:2: misses must be an integer, got float"
+        else:
+            config = no_sample_config(workdir, with_store=True)
+            assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+            path = SampleStore(workdir / "samples")._path_for("p02")
+            edit_json(path, lambda obj: obj["samples"].__setitem__(1, 7))
+            message = f"data error: {path}: samples[1] must be a string, got int"
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == (2 if input_name == "config" else 4)
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestScore:
@@ -478,7 +528,34 @@ class TestScore:
         )
         assert self.run_score(config_path) == 0
 
-    @pytest.mark.parametrize("body", ['{"resp', '{"digest": "d"}'])
+    @pytest.mark.parametrize("cache_dir", ["cache", None], ids=["cache", "no-cache"])
+    def test_extraction_reply_with_a_lone_surrogate_is_one_line(
+        self, workdir, config_path, capsys, cache_dir
+    ):
+        reply = '[["Vesna Marinko", "won", "Harlow Tr\ud800phy"]]'
+        prepend_rule(workdir, {"match": ["knowledge-graph triples", "Harlow"], "reply": reply})
+        obj = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps({**obj, "cache_dir": cache_dir}), encoding="utf-8")
+        assert self.run_score(config_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("provider error: ") and err.count("\n") == 1
+        assert err.endswith("backend returned text with a lone surrogate\n")
+        replies = [json.loads(p.read_bytes())["response"] for p in workdir.glob("cache/*.json")]
+        assert "Harlow" not in "".join(replies) and (cache_dir is None) == (replies == [])
+
+    def test_triple_score_reply_with_a_lone_surrogate_is_a_miss(self, workdir, config_path):
+        rule = {"match": ["Confidence score:", "won in year 1991"], "reply": "0.4\udfff"}
+        prepend_rule(workdir, rule)
+        assert self.run_score(config_path) == 0
+        records = read_score_records(workdir / "out" / "scores.jsonl")
+        assert [(r.output_ref, r.method.value, r.kg_used) for r in records if r.misses] == [
+            ("p01:1", "self_confidence", True)
+        ]
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"resp', '{"digest": "d"}', '{"digest": "d", "request": "{}", "response": "\\ud800"}'],
+    )
     def test_corrupt_cache_entry_is_a_miss(self, workdir, config_path, caplog, body):
         assert self.run_score(config_path) == 0
         scores_path = workdir / "out" / "scores.jsonl"
@@ -656,6 +733,15 @@ class TestSamples:
         assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1"]
 
 
+def prepend_rule(workdir, rule):
+    """Put ``rule`` before the rules of the fixture's mock script."""
+    script_path = workdir / "mock_script.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    script_path.write_text(
+        json.dumps({**script, "rules": [rule, *script["rules"]]}), encoding="utf-8"
+    )
+
+
 def record_backend_calls(monkeypatch):
     """Record the (concept, draw) of every sample request the CLI's backend
     receives."""
@@ -770,7 +856,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert self.evaluate(config_path) == 4
         err = capsys.readouterr().err
-        assert f"{scores_path}:4: field 'kg_used' must be a boolean" in err
+        assert f"{scores_path}:4: kg_used must be true or false, got str" in err
         assert err.count("\n") == 1
 
     def test_missing_scores_is_data_error(self, workdir, config_path):

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from hallucheck.cli import load_config
 from hallucheck.core import DetectorMethod, Label, ScoreRecord, Triple
 from hallucheck.data import (
     DatasetStats,
@@ -28,9 +29,9 @@ from hallucheck.data import (
     write_score_records,
 )
 from hallucheck.evaluation import DegenerateLabels
-from hallucheck.provider import ChatClient, MockChatBackend
+from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
 
-from conftest import PinnedEmbedder
+from conftest import FIXTURES, PinnedEmbedder
 
 H = Label.HALLUCINATED
 A = Label.ACCURATE
@@ -130,7 +131,7 @@ class TestWikiBioIO:
         row = valid_row()
         del row["label"]
         write_jsonl(path, [valid_row(), row])
-        with pytest.raises(SchemaError, match=r"d\.jsonl:2.*'label'"):
+        with pytest.raises(SchemaError, match=r"d\.jsonl:2: missing key 'label'$"):
             load_wikibio(path, expected_samples=3)
 
     def test_repeated_ref_names_file_and_both_lines(self, tmp_path):
@@ -157,32 +158,36 @@ class TestWikiBioIO:
     def test_non_string_sample(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(samples=["ok", 42, "ok"])])
-        with pytest.raises(SchemaError, match="only strings"):
+        message = r"d\.jsonl:1: samples\[1\] must be a string, got int$"
+        with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
 
     @pytest.mark.parametrize("blank", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
     def test_blank_sample_names_file_and_line(self, tmp_path, blank):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(), valid_row(samples=["ok", blank, "ok"])])
-        with pytest.raises(SchemaError, match=r"d\.jsonl:2: .*none blank"):
+        message = r"d\.jsonl:2: samples\[1\] must be a non-blank string"
+        with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
 
     def test_wrong_field_type(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(sentence_index="0")])
-        with pytest.raises(SchemaError, match="'sentence_index' must be int"):
+        message = r"d\.jsonl:1: sentence_index must be an integer, got str$"
+        with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
 
     def test_bool_is_not_int(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(sentence_index=True)])
-        with pytest.raises(SchemaError, match="'sentence_index'"):
+        with pytest.raises(SchemaError, match="sentence_index must be an integer, got bool$"):
             load_wikibio(path, expected_samples=3)
 
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(label="maybe")])
-        with pytest.raises(SchemaError, match="'label'"):
+        message = r"label must be one of \['accurate', 'hallucinated'\], got 'maybe'$"
+        with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
 
     @pytest.mark.parametrize(
@@ -197,7 +202,8 @@ class TestWikiBioIO:
     def test_lone_surrogate_names_file_line_and_field(self, tmp_path, field, overrides):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [valid_row(), valid_row(sentence_index=1, **overrides)])
-        with pytest.raises(SchemaError, match=rf"d\.jsonl:2: field '{re.escape(field)}' holds"):
+        message = rf"d\.jsonl:2: {re.escape(field)} must be UTF-8 text, got a lone surrogate$"
+        with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
 
     def test_upper_case_surrogate_escape_rejected(self, tmp_path):
@@ -508,7 +514,8 @@ class TestSampleStore:
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["samples"] = ["x", blank]
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SchemaError, match=f"{path.name}.*none blank"):
+        message = rf"{path.name}: samples\[1\] must be a non-blank string"
+        with pytest.raises(SchemaError, match=message):
             store.get("bio-001")
 
     def test_empty_samples_rejected(self, tmp_path):
@@ -602,27 +609,29 @@ class TestScoreRecordIO:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("kg_used", "false", "'kg_used' must be a boolean, got str"),
-            ("kg_used", 0, "'kg_used' must be a boolean, got int"),
-            ("score", "0.5", "'score' must be a number, got str"),
-            ("score", True, "'score' must be a number, got bool"),
-            ("misses", 1.9, "'misses' must be an integer, got float"),
-            ("misses", True, "'misses' must be an integer, got bool"),
-            ("misses", "1", "'misses' must be an integer, got str"),
+            pytest.param(
+                "kg_used", "false", "kg_used must be true or false, got str", id="kg_used-str"
+            ),
+            pytest.param("kg_used", 0, "kg_used must be true or false, got int", id="kg_used-int"),
+            pytest.param("score", "0.5", "score must be a number, got str", id="score-str"),
+            pytest.param("score", True, "score must be a number, got bool", id="score-bool"),
+            pytest.param("misses", 1.9, "misses must be an integer, got float", id="misses-float"),
+            pytest.param("misses", True, "misses must be an integer, got bool", id="misses-bool"),
+            pytest.param("misses", "1", "misses must be an integer, got str", id="misses-str"),
             ("misses", -5, "misses must be >= 0, got -5"),
         ],
     )
     def test_wrongly_typed_field_is_rejected(self, field, value, message):
         obj = score_record_to_dict(sample_record())
         obj[field] = value
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             score_record_from_dict(obj)
 
     @pytest.mark.parametrize("value", ["0.2", False, None])
     def test_wrongly_typed_triple_score_is_rejected(self, value):
         obj = score_record_to_dict(sample_record())
         obj["triple_scores"][0][1] = value
-        with pytest.raises(SchemaError, match="'triple_scores' must be a number"):
+        with pytest.raises(SchemaError, match=r"^triple_scores\[0\]\[1\] must be a number, got "):
             score_record_from_dict(obj)
 
     def test_integer_scores_are_numbers(self):
@@ -638,7 +647,8 @@ class TestScoreRecordIO:
         obj["kg_used"] = "false"
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(obj) + "\n")
-        with pytest.raises(SchemaError, match=r"scores\.jsonl:2: field 'kg_used'"):
+        message = r"scores\.jsonl:2: kg_used must be true or false, got str$"
+        with pytest.raises(SchemaError, match=message):
             list(read_score_records(path))
 
     def test_jsonl_roundtrip_skips_meta(self, tmp_path):
@@ -702,13 +712,17 @@ class TestScoreRecordIO:
             list(read_score_records(path))
 
 
+# Text with a lone surrogate, as a JSON escape such as \ud800 decodes to; an
+# escaped pair such as \udbff\udc00 decodes to one code point instead.
+lone_surrogates = st.text(st.sampled_from("a \ud800\udbff\udc00\udfff"), min_size=1, max_size=4)
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=10**308, max_value=10**400)
     | st.floats()
-    | st.text(max_size=8),
+    | st.text(max_size=8)
+    | lone_surrogates,
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
@@ -748,3 +762,111 @@ class TestScoreStreamProperty:
     def test_any_json_rows(self, tmp_path_factory, lines):
         content = "".join(line + "\n" for line in lines).encode("utf-8")
         self.read(tmp_path_factory.getbasetemp() / "any_rows.jsonl", content)
+
+
+def value_paths(obj, path=()):
+    """The path of every value in ``obj``, the whole of it and every key and
+    list element at any depth included."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from value_paths(value, (*path, key))
+
+
+@st.composite
+def one_value_replaced(draw, valid):
+    """``valid`` with the value at one of its paths replaced by any JSON value,
+    half the time by text with a lone surrogate."""
+    obj = json.loads(json.dumps(valid))
+    path = draw(st.sampled_from(list(value_paths(obj))))
+    value = draw(lone_surrogates | json_values)
+    if not path:
+        return value
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+def loads_or_refuses(load, error):
+    """``load()``'s result, or None when it raises ``error`` with one line."""
+    try:
+        return load()
+    except error as exc:
+        assert "\n" not in str(exc)
+        return None
+
+
+STORED_SAMPLES = ["sample one", "sample two"]
+
+
+class TestOneValueReplaced:
+    """Each JSON input, valid but for one value at any path: its loader returns
+    a result or raises its documented error with a one-line message. What it
+    returns holds no lone surrogate, so writing it out as UTF-8 cannot fail."""
+
+    @given(one_value_replaced(valid_row()))
+    def test_dataset_row(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "one_row.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        records = loads_or_refuses(lambda: load_wikibio(path, expected_samples=3), SchemaError)
+        if records is not None:
+            assert [type(r) for r in records] == [WikiBioRecord]
+            json.dumps(dataclasses.asdict(records[0]), ensure_ascii=False).encode("utf-8")
+
+    @given(one_value_replaced(score_record_to_dict(sample_record())))
+    def test_score_row(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "one_score.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        records = loads_or_refuses(lambda: list(read_score_records(path)), SchemaError)
+        if records is not None:
+            write_score_records(records, tmp_path_factory.getbasetemp() / "rewritten.jsonl")
+
+    @given(one_value_replaced({"paragraph_id": "p1", "digest": "d", "samples": STORED_SAMPLES}))
+    def test_sample_store_file(self, tmp_path_factory, obj):
+        store = SampleStore(tmp_path_factory.getbasetemp() / "one_store")
+        store._path_for("p1").write_text(json.dumps(obj), encoding="utf-8")
+        samples = loads_or_refuses(lambda: store.get("p1"), SchemaError)
+        if samples is not None:
+            assert all(isinstance(s, str) and s.strip() for s in samples)
+            "".join(samples).encode("utf-8")
+        loads_or_refuses(lambda: store.put("p1", STORED_SAMPLES), (SchemaError, StoreConflict))
+
+    @given(one_value_replaced(json.loads((FIXTURES / "run_config.json").read_text("utf-8"))))
+    def test_config(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "one_config.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        if loads_or_refuses(lambda: load_config(path), ConfigError) is not None:
+            json.dumps(json.loads(path.read_text("utf-8")), ensure_ascii=False).encode("utf-8")
+
+
+class TestUnknownKey:
+    """Every JSON input refuses a key its format does not list."""
+
+    def test_dataset_row(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [valid_row(), valid_row(sentence_index=1, extra=None)])
+        with pytest.raises(SchemaError, match=r"d\.jsonl:2: unknown key 'extra'$"):
+            load_wikibio(path, expected_samples=3)
+
+    def test_score_row(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({**score_record_to_dict(sample_record()), "_meta": False}))
+        with pytest.raises(SchemaError, match=r"scores\.jsonl:1: unknown key '_meta'$"):
+            list(read_score_records(path))
+
+    def test_sample_store_file(self, tmp_path):
+        store = SampleStore(tmp_path / "store")
+        store.put("bio-001", ["x"])
+        (path,) = (tmp_path / "store").glob("*.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "stored_at": 0}))
+        with pytest.raises(SchemaError, match=rf"{path.name}: unknown key 'stored_at'$"):
+            store.get("bio-001")
+
+    def test_config_section(self, tmp_path):
+        obj = json.loads((FIXTURES / "run_config.json").read_text(encoding="utf-8"))
+        obj["detectors"][2]["samples"] = 3
+        (tmp_path / "run.json").write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^unknown key 'samples' in detectors\[2\]$"):
+            load_config(tmp_path / "run.json")

@@ -174,6 +174,13 @@ class TestResponseCache:
         (tmp_path / f"{digest}.json").write_text(body, encoding="utf-8")
         assert ResponseCache(tmp_path).get(digest) is None
 
+    def test_entry_with_a_lone_surrogate_is_a_miss(self, tmp_path, caplog):
+        digest = cache_key(req(), "mock")
+        path = tmp_path / f"{digest}.json"
+        path.write_text('{"digest": "d", "request": "{}", "response": "Kr\\ud800nj"}', "utf-8")
+        assert ResponseCache(tmp_path).get(digest) is None
+        assert str(path) in caplog.text
+
     def test_survives_reopen(self, tmp_path):
         digest = cache_key(req(), "mock")
         ResponseCache(tmp_path).put(digest, "{}", "persisted")
@@ -315,6 +322,16 @@ class TestChatClient:
         assert not list(tmp_path.glob("*.json"))
         # Only a draw must hold text: any other request keeps a blank reply.
         assert client.complete(req()).content == blank
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_reply_with_a_lone_surrogate_is_refused_and_not_cached(self, tmp_path, cached):
+        backend = MockChatBackend(default_reply="Kr\ud800nj")
+        cache = ResponseCache(tmp_path) if cached else None
+        client = ChatClient(backend, cache=cache, sleep=lambda s: None)
+        with pytest.raises(ProviderRefusal, match="lone surrogate"):
+            client.complete(req())
+        assert backend.calls == 1
+        assert not list(tmp_path.iterdir())
 
     def test_blank_draw_in_the_cache_is_a_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)

@@ -1,10 +1,12 @@
-"""The README's library quick start runs as written."""
+"""The README's quick starts hold: the library code runs as written, the CLI
+config example loads, and every config key is named."""
 
 import json
 import re
 from pathlib import Path
 
 import hallucheck
+from hallucheck import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +40,25 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("0.5 (")
     assert "Harlow Trophy" in printed and "0.25" in printed
+
+
+def table_keys(spec):
+    """Every key of a ``check_json`` spec's object tables, nested ones included."""
+    kind, limit = spec if type(spec) is tuple else (spec, None)
+    if type(limit) is dict:
+        for key, sub in limit.items():
+            yield key
+            yield from table_keys(sub)
+    elif kind is list:
+        yield from table_keys(limit)
+
+
+def test_cli_config_example_loads_and_every_config_key_is_named(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start (CLI)", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "run.json").write_text(example, encoding="utf-8")
+    cli.load_config(tmp_path / "run.json")
+    keys = set(table_keys((cli.RunConfig, cli._CONFIG)))
+    assert {"provider", "rate_limit_per_minute", "use_kg", "expected_samples"} <= keys
+    assert [key for key in sorted(keys) if f"`{key}`" not in text and f'"{key}"' not in text] == []
