@@ -33,6 +33,7 @@ from .core import (
     GeneratedOutput,
     HallucheckError,
     Label,
+    atomic_write,
     make_output_ref,
 )
 from .data import (
@@ -288,7 +289,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     sentences = _read_sentences(Path(args.input))
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         fh.write(json.dumps(_meta_record(cfg, None), sort_keys=True) + "\n")
         for sentence in sentences:
             kg = extractor.extract(sentence)
@@ -505,10 +506,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report_obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(report_path) as fh:
+        fh.write(json.dumps(report_obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     print(table, end="")
     if comparison_lines:
         print()

@@ -9,12 +9,14 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable, Generic, Hashable, Iterator, TextIO, TypeVar
 
 V = TypeVar("V")
 
@@ -40,6 +42,23 @@ def encodable(text: str) -> bool:
         return text.isascii() or bool(text.encode("utf-8"))
     except UnicodeEncodeError:
         return False
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces ``path`` whole if the block ends without
+    an error, and is removed otherwise. It is written beside ``path`` as
+    ``<name>.<random>.tmp``, so an ``OSError`` names the target, with the mode
+    ``open`` gives a new file: 0666 less the umask."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def normalize_text(raw: str) -> str:

@@ -22,14 +22,15 @@ import json
 import os
 import re
 import sys
-import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, get_args
 
-from .core import DetectorMethod, HallucheckError, Label, ScoreRecord, Triple, encodable
+from .core import (
+    DetectorMethod, HallucheckError, Label, ScoreRecord, Triple, atomic_write, encodable
+)
 from .embed import MemoizingEmbedder, cosine_sim
 from .kgx import load_prompt_resource
 from .provider import ChatClient, ChatRequest, DETECT_PROFILE
@@ -66,14 +67,21 @@ def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[T
             raise SchemaError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
 
 
-def _json_line(line: str, where: str) -> object:
-    """The JSON value on one line. A line json cannot decode, including an
-    integer past the digit limit or nesting past the recursion limit, raises
-    SchemaError naming ``where``."""
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+def _json_lines(path: str | os.PathLike) -> Iterator[tuple[int, str, object]]:
+    """``(line number, "<file>:<line>", value)`` for each non-blank line of a
+    JSON-lines file. A line json cannot decode, including an integer past the
+    digit limit or nesting past the recursion limit, raises SchemaError
+    naming the file and the line."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{os.fspath(path)}:{lineno}"
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+            yield lineno, where, value
 
 
 NUMBER = float | int  # a kind is named after its first type: "a number"
@@ -196,28 +204,23 @@ def load_wikibio(
     """
     records: list[WikiBioRecord] = []
     first_line: dict[tuple[str, int], int] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{os.fspath(path)}:{lineno}"
-            obj = _json_line(line, where)
-            check_json(obj, (WikiBioRecord, _WIKIBIO_ROW), f"{where}: ", SchemaError)
-            if expected_samples is not None and len(obj["samples"]) != expected_samples:
-                raise SchemaError(
-                    f"{where}: expected {expected_samples} samples, found {len(obj['samples'])}"
-                )
-            try:
-                record = WikiBioRecord(**obj)
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-            first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)
-            if first != lineno:
-                raise SchemaError(
-                    f"{where}: paragraph {record.paragraph_id!r} sentence "
-                    f"{record.sentence_index} repeats line {first}"
-                )
-            records.append(record)
+    for lineno, where, obj in _json_lines(path):
+        check_json(obj, (WikiBioRecord, _WIKIBIO_ROW), f"{where}: ", SchemaError)
+        if expected_samples is not None and len(obj["samples"]) != expected_samples:
+            raise SchemaError(
+                f"{where}: expected {expected_samples} samples, found {len(obj['samples'])}"
+            )
+        try:
+            record = WikiBioRecord(**obj)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)
+        if first != lineno:
+            raise SchemaError(
+                f"{where}: paragraph {record.paragraph_id!r} sentence "
+                f"{record.sentence_index} repeats line {first}"
+            )
+        records.append(record)
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records
@@ -379,18 +382,7 @@ class DatasetStats:
             raise ValueError("label counts do not sum to sentence count")
 
     def as_record(self) -> dict:
-        return {
-            "sentence_count": self.sentence_count,
-            "paragraph_count": self.paragraph_count,
-            "hallucinated_count": self.hallucinated_count,
-            "accurate_count": self.accurate_count,
-            "sentences_per_paragraph": self.sentences_per_paragraph,
-            "avg_sample_length_words": self.avg_sample_length_words,
-            "avg_hallucinated_length_words": self.avg_hallucinated_length_words,
-            "avg_accurate_length_words": self.avg_accurate_length_words,
-            "semantic_similarity_h_vs_a": self.semantic_similarity_h_vs_a,
-            "similarity_method": self.similarity_method,
-        }
+        return asdict(self)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -479,15 +471,8 @@ class SampleStore:
                 "digest": digest,
                 "samples": list(samples),
             }
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, ensure_ascii=False)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            with atomic_write(path) as fh:
+                json.dump(payload, fh, ensure_ascii=False)
 
     def get(self, paragraph_id: str) -> list[str]:
         path = self._path_for(paragraph_id)
@@ -578,27 +563,22 @@ def read_score_records(
     method, kg_used) key of an earlier line, raises SchemaError naming the
     file and the line."""
     seen: set[tuple[str, str, bool]] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{os.fspath(path)}:{lineno}"
-            obj = _json_line(line, where)
-            if isinstance(obj, dict) and obj.get("_meta"):
-                if lineno > 1:
-                    raise SchemaError(f"{where}: a meta line may only be line 1")
-                if meta is not None:
-                    meta.update(obj)
-                continue
-            try:
-                record = score_record_from_dict(obj)
-            except SchemaError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-            key = (record.output_ref, record.method.value, record.kg_used)
-            if key in seen:
-                raise SchemaError(f"{where}: duplicate row for {key}")
-            seen.add(key)
-            yield record
+    for lineno, where, obj in _json_lines(path):
+        if isinstance(obj, dict) and obj.get("_meta"):
+            if lineno > 1:
+                raise SchemaError(f"{where}: a meta line may only be line 1")
+            if meta is not None:
+                meta.update(obj)
+            continue
+        try:
+            record = score_record_from_dict(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        key = (record.output_ref, record.method.value, record.kg_used)
+        if key in seen:
+            raise SchemaError(f"{where}: duplicate row for {key}")
+        seen.add(key)
+        yield record
 
 
 def drop_torn_tail(path: str | os.PathLike) -> int:

@@ -337,30 +337,29 @@ BLOCK = 8192
 # resamples up to n = 524. A larger draw streams one block at a time.
 KEEP_CELLS = 2**19
 
-# The count blocks of the last draw that fitted, under its key: (n,
-# resamples, seed, rows per block). The tuple is only replaced whole, once
-# its blocks are complete, so a thread reading it sees one key with all of
-# its blocks; threads drawing the same key at once each draw it.
-_kept: tuple[tuple[int, int, int, int], list[np.ndarray]] | None = None
 
-
-def _count_blocks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
+def _count_blocks(n: int, resamples: int, seed: int) -> Iterable[np.ndarray]:
     """The resamples as read-only (rows, n) float64 blocks of per-example
     counts, in draw order.
 
     Blocks hold ``BLOCK // n`` rows; their indices are exactly those of one
-    ``rng.integers(0, n, n)`` call per resample. A draw of at most
-    ``KEEP_CELLS`` cells is kept, and a call with the same key yields the
-    kept blocks instead of drawing again.
+    ``rng.integers(0, n, n)`` call per resample. The last draw of at most
+    ``KEEP_CELLS`` cells is kept, and a call with the same key gets the kept
+    blocks instead of drawing again; a larger draw forgets it.
     """
-    global _kept
     rows = max(1, BLOCK // max(n, 1))
-    key = (n, resamples, seed, rows)
-    kept = _kept
-    if kept is not None and kept[0] == key:
-        yield from kept[1]
-        return
-    blocks: list[np.ndarray] | None = [] if resamples * n <= KEEP_CELLS else None
+    if resamples * n <= KEEP_CELLS:
+        return _kept_blocks(n, resamples, seed, rows)
+    _kept_blocks.cache_clear()
+    return _draw_blocks(n, resamples, seed, rows)
+
+
+@lru_cache(maxsize=1)
+def _kept_blocks(n: int, resamples: int, seed: int, rows: int) -> tuple[np.ndarray, ...]:
+    return tuple(_draw_blocks(n, resamples, seed, rows))
+
+
+def _draw_blocks(n: int, resamples: int, seed: int, rows: int) -> Iterator[np.ndarray]:
     offsets = n * np.arange(rows)[:, None]
     rng = np.random.default_rng(seed)
     for start in range(0, resamples, rows):
@@ -368,10 +367,7 @@ def _count_blocks(n: int, resamples: int, seed: int) -> Iterator[np.ndarray]:
         cells = (rng.integers(0, n, (m, n)) + offsets[:m]).ravel()
         counts = np.bincount(cells, minlength=m * n).reshape(m, n).astype(float)
         counts.flags.writeable = False
-        if blocks is not None:
-            blocks.append(counts)
         yield counts
-    _kept = None if blocks is None else (key, blocks)
 
 
 def _resample(n: int, rows: RowFn, resamples: int, seed: int) -> tuple[np.ndarray, int]:

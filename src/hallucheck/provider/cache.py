@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import threading
 from pathlib import Path
 
-from ..core import encodable
+from ..core import atomic_write, encodable
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +53,5 @@ class ResponseCache:
             "response": content,
         }
         body = json.dumps(record, ensure_ascii=False, indent=2)
-        with self._lock:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(body)
-                os.replace(tmp, self._path(digest))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+        with self._lock, atomic_write(self._path(digest)) as fh:
+            fh.write(body)

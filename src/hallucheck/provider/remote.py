@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Any, Callable
 
 from .types import ChatRequest, ConfigError, ProviderRefusal, TransportError
@@ -102,7 +103,7 @@ class OpenAIChatBackend(_HostedBackend):
         payload: dict[str, Any] = {
             "model": request.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            **request.params.as_dict(),
+            **asdict(request.params),
         }
         data = self.transport(
             f"{self.base_url}/chat/completions",
@@ -110,9 +111,11 @@ class OpenAIChatBackend(_HostedBackend):
             payload,
             self.timeout,
         )
-        choices = data.get("choices") or []
-        content = (choices[0].get("message") or {}).get("content") if choices else None
-        if not content:
+        try:
+            content = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str) or not content:
             raise ProviderRefusal("completion returned no content")
         return content
 
@@ -148,9 +151,10 @@ class GeminiChatBackend(_HostedBackend):
         # The key goes in a header: the URL is quoted in error messages and logs.
         url = f"{self.base_url}/models/{request.model_id}:generateContent"
         data = self.transport(url, {"x-goog-api-key": self.api_key}, payload, self.timeout)
-        candidates = data.get("candidates") or []
-        parts = (candidates[0].get("content") or {}).get("parts") if candidates else None
-        text = "".join(p.get("text", "") for p in parts) if parts else ""
+        try:
+            text = "".join(p.get("text", "") for p in data["candidates"][0]["content"]["parts"])
+        except (AttributeError, KeyError, IndexError, TypeError):
+            text = ""
         if not text:
             raise ProviderRefusal("generateContent returned no text")
         return text

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..core import HallucheckError
 
@@ -52,15 +52,6 @@ class GenerationParams:
             raise ConfigError("max_tokens must be positive")
         if not math.isfinite(self.frequency_penalty) or not math.isfinite(self.presence_penalty):
             raise ConfigError("frequency_penalty and presence_penalty must be finite")
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "frequency_penalty": self.frequency_penalty,
-            "presence_penalty": self.presence_penalty,
-        }
 
 
 # Graph extraction wants reproducible, repetition-averse output.
@@ -132,7 +123,7 @@ def canonical_request(request: ChatRequest, backend: str) -> str:
     payload = {
         "backend": backend,
         "model_id": request.model_id,
-        "params": request.params.as_dict(),
+        "params": asdict(request.params),
         "messages": [[m.role, m.content] for m in request.messages],
     }
     if request.draw is not None:  # the key's old name keeps old digests valid

@@ -119,7 +119,7 @@ def generators_built(monkeypatch) -> list:
     generator built during the test."""
     from hallucheck import evaluation
 
-    monkeypatch.setattr(evaluation, "_kept", None)
+    evaluation._kept_blocks.cache_clear()
     built = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(

@@ -1,13 +1,16 @@
 import fcntl
 import hashlib
 import json
+import os
 import shutil
+import stat
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import hallucheck.provider.client
 from hallucheck import cli
 from hallucheck.cli import main
 from hallucheck.core import KnowledgeGraph, Triple
@@ -106,6 +109,26 @@ class TestExtract:
         ]
         assert [len(g.triples) for g in graphs] == [2, 2, 2]
         assert graphs[0].triples[0].subject == "Vesna Marinko"
+
+    @pytest.mark.parametrize("before", [None, b"earlier graphs\n"], ids=["absent", "present"])
+    def test_failed_run_leaves_the_earlier_file(
+        self, workdir, config_path, monkeypatch, capsys, before
+    ):
+        # Calls 1 and 2 extract the first two sentences; every attempt at the
+        # third fails.
+        script_path = workdir / "mock_script.json"
+        script = json.loads(script_path.read_text(encoding="utf-8"))
+        script_path.write_text(json.dumps({**script, "fail_calls": [3, 4, 5]}), encoding="utf-8")
+        monkeypatch.setattr(hallucheck.provider.client, "RETRY_BACKOFF_S", 0.0)
+        out = workdir / "kgs.jsonl"
+        if before is not None:
+            out.write_bytes(before)
+        sentences = str(workdir / "sentences.txt")
+        argv = ["extract", "--config", str(config_path), "--input", sentences, "--output", str(out)]
+        assert main(argv) == 3
+        assert "scripted failure on call 5" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == before
+        assert not list(workdir.glob("*.tmp"))
 
     def test_missing_input_is_data_error(self, workdir, config_path):
         code = main(
@@ -873,6 +896,24 @@ class TestEvaluate:
         )
         assert code == 0
         assert report_path.exists()
+
+    def test_report_in_a_missing_directory_is_one_line_naming_it(
+        self, scored, config_path, capsys
+    ):
+        report = scored / "missing" / "r.json"
+        capsys.readouterr()
+        assert self.evaluate(config_path, "--report", str(report)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(report) in err
+
+    def test_report_has_the_mode_open_gives_a_new_file(self, scored, config_path):
+        umask = os.umask(0o027)
+        try:
+            assert self.evaluate(config_path) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((scored / "out" / "report.json").stat().st_mode) == 0o640
 
     def test_report_bytes(self, scored, config_path):
         # The fixture report at 200 resamples, pinned byte for byte: a float

@@ -1,7 +1,11 @@
+import ast
 import dataclasses
 import math
+import os
 import random
+import stat
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,6 +22,7 @@ from hallucheck.core import (
     OnceMemo,
     ScoreRecord,
     Triple,
+    atomic_write,
     dedupe_triples,
     make_output_ref,
     mean_score,
@@ -225,3 +230,87 @@ class TestOnceMemo:
         assert run_together(call, 8) == ["boom"] * 8
         assert calls == [1]
         assert memo.get("k", lambda: "fresh") == "fresh"
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "present"])
+    def test_an_error_leaves_the_old_bytes_and_no_temporary_file(self, tmp_path, old):
+        target = tmp_path / "out.json"
+        if old is not None:
+            target.write_bytes(old)
+        with pytest.raises(RuntimeError, match="stop"):
+            with atomic_write(target) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("stop")
+        assert (target.read_bytes() if target.exists() else None) == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.json"])
+
+    def test_success_replaces_the_old_bytes_at_the_end(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old bytes\n")
+        with atomic_write(target) as fh:
+            fh.write("néw\n")
+            fh.flush()
+            assert target.read_bytes() == b"old bytes\n"
+        assert target.read_bytes() == "néw\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_a_new_file_has_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            with atomic_write(tmp_path / "out.json") as fh:
+                fh.write("x")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
+
+
+# The calls in the package that write a file, by function: every file written
+# whole goes through core.atomic_write. The score stream is appended and
+# flushed row by row so that a run resumes, the score lock is opened for
+# append, and the SimpleQA CSV writer is left as it is.
+EXPECTED_FILE_WRITES = [
+    ("cli._score_lock", "open"),
+    ("cli.cmd_score", "open"),
+    ("core.atomic_write", "open"),
+    ("core.atomic_write", "os.replace"),
+    ("data.save_simpleqa", "open"),
+    ("data.write_score_records", "open"),
+]
+
+
+def file_writes(node, scope):
+    """(function, call) for each call under ``node`` that writes a file: a
+    write-mode ``open``, ``os.replace``, ``os.rename``, ``mkstemp``,
+    ``write_text`` or ``write_bytes``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from file_writes(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            owner = getattr(getattr(func, "value", None), "id", "")
+            if name == "open":
+                # The mode of open(file, mode) or of path.open(mode); one
+                # that is not a literal counts as a write.
+                modes = [k.value for k in child.keywords if k.arg == "mode"]
+                modes += child.args[0 if isinstance(func, ast.Attribute) else 1 :][:1]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                    yield scope, "open"
+            elif name in ("mkstemp", "write_text", "write_bytes"):
+                yield scope, name
+            elif owner == "os" and name in ("replace", "rename"):
+                yield scope, f"os.{name}"
+        yield from file_writes(child, scope)
+
+
+def test_every_whole_file_write_goes_through_atomic_write():
+    package = Path(core.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        found += file_writes(ast.parse(path.read_text(encoding="utf-8")), module)
+    assert sorted(found) == EXPECTED_FILE_WRITES

@@ -700,9 +700,11 @@ class TestSharedDraws:
         assert generators_built == [9, 10, 10, 10]
 
     def test_kept_blocks_are_read_only(self):
+        evaluation._kept_blocks.cache_clear()
         bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
-        key, blocks = evaluation._kept
-        assert key[:3] == (20, 300, 9)
+        assert evaluation._kept_blocks.cache_info().currsize == 1
+        blocks = evaluation._kept_blocks(20, 300, 9, evaluation.BLOCK // 20)
+        assert evaluation._kept_blocks.cache_info().hits == 1
         assert not any(block.flags.writeable for block in blocks)
 
     def test_changing_block_draws_again(self, monkeypatch, generators_built):
@@ -722,10 +724,10 @@ class TestSharedDraws:
 
     def test_large_draw_keeps_nothing(self):
         bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
-        assert evaluation._kept is not None
+        assert evaluation._kept_blocks.cache_info().currsize == 1
         scores = random_scores(np.random.default_rng(8), 501, on_grid=True)
         bootstrap_ci(scores, threshold_metric("f1", 0.5), resamples=100_000, seed=1)
-        assert evaluation._kept is None
+        assert evaluation._kept_blocks.cache_info().currsize == 0
 
     def test_threads_share_the_kept_draw(self, run_together):
         # Eight threads cycle through three keys, so each replaces the kept

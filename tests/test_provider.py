@@ -703,6 +703,39 @@ def test_url_and_body_on_the_wire_are_pinned(backend_cls, base_url, url, body):
         assert json.dumps(transport.calls[0]["json"], allow_nan=False) == body
 
 
+@pytest.mark.parametrize(
+    "backend_cls, body",
+    [
+        (OpenAIChatBackend, []),
+        (OpenAIChatBackend, {"choices": ["x"]}),
+        (OpenAIChatBackend, {"choices": [{"message": "hi"}]}),
+        (OpenAIChatBackend, {"choices": [{"message": {"content": 5}}]}),
+        (GeminiChatBackend, []),
+        (GeminiChatBackend, {"candidates": ["x"]}),
+        (GeminiChatBackend, {"candidates": [{"content": {"parts": ["p"]}}]}),
+        (GeminiChatBackend, {"candidates": [{"content": {"parts": [{"text": 3}]}}]}),
+    ],
+    ids=[
+        "openai-list",
+        "openai-string-choice",
+        "openai-string-message",
+        "openai-number-content",
+        "gemini-list",
+        "gemini-string-candidate",
+        "gemini-string-part",
+        "gemini-number-text",
+    ],
+)
+def test_malformed_reply_is_a_refusal_after_one_call(tmp_path, backend_cls, body):
+    transport = FakeTransport([body] * 3)
+    backend = backend_cls(api_key="k", transport=transport)
+    client = ChatClient(backend, cache=ResponseCache(tmp_path), sleep=lambda s: None)
+    with pytest.raises(ProviderRefusal):
+        client.complete(req())
+    assert len(transport.calls) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_importing_the_cli_loads_no_http_module():
     src = Path(hallucheck.__file__).resolve().parents[1]
     code = (
