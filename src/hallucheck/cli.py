@@ -26,7 +26,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     DetectorMethod,
@@ -135,9 +135,9 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-# The most backend calls in flight: ``score`` runs ``2 * parallelism - 1``
-# worker threads, and a larger value would ask for threads the host may not
-# start.
+# The most backend calls in flight: each command that calls the provider runs
+# ``2 * parallelism - 1`` worker threads, and a larger value would ask for
+# threads the host may not start.
 MAX_PARALLELISM = 64
 # The largest embedding dimension: building the hash embedder hashes one
 # SHA-256 prefix state per four components.
@@ -282,6 +282,31 @@ def _read_sentences(path: Path) -> list[str]:
     return sentences
 
 
+@contextlib.contextmanager
+def _fan_out(fn: Callable, units: Sequence, parallelism: int) -> Iterator[Iterator]:
+    """``fn``'s results over ``units``, in order, from ``2 * parallelism - 1`` threads that start
+    when the first is asked for. After a unit fails no unit starts; the results raise there."""
+    pool = ThreadPoolExecutor(2 * parallelism - 1, thread_name_prefix="hallucheck-unit")
+    failures: list[BaseException] = []
+
+    def run(unit):
+        if failures:
+            raise failures[0]
+        try:
+            return fn(unit)
+        except BaseException as exc:
+            failures.append(exc)
+            raise
+
+    def results():
+        yield from pool.map(run, units)
+
+    try:
+        yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     client = build_client(cfg)
@@ -291,9 +316,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_path) as fh:
         fh.write(json.dumps(_meta_record(cfg, None), sort_keys=True) + "\n")
-        for sentence in sentences:
-            kg = extractor.extract(sentence)
-            fh.write(json.dumps(kg_to_record(kg), ensure_ascii=False, sort_keys=True) + "\n")
+        with _fan_out(extractor.extract, sentences, cfg.parallelism) as graphs:
+            for kg in graphs:
+                fh.write(json.dumps(kg_to_record(kg), ensure_ascii=False, sort_keys=True) + "\n")
     print(f"wrote {len(sentences)} knowledge graphs to {out_path}")
     return EXIT_OK
 
@@ -338,16 +363,10 @@ def _score_lock(out_dir: Path) -> Iterator[None]:
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every (record, detector) pair not already in the score stream.
 
-    All the work runs on one pool of ``2 * parallelism - 1`` threads, and the
-    client lets at most ``parallelism`` backend calls be in flight: the extra
-    workers render prompts and parse replies while calls are out, and at
-    ``parallelism: 1`` a single worker makes every call in a fixed order. A
-    unit of work is a pair, or a ``selfcheck+kg`` sample text queued once, just
-    before the first pair that compares against it, so that a paragraph's
-    sample graphs are extracted side by side. Rows are written in dataset
-    order, so the stream is the same at any parallelism. Once a unit fails, no
-    further unit starts, and the stream keeps the rows before the first failed
-    unit.
+    The units go through ``_fan_out``: a pair, or a ``selfcheck+kg`` sample text
+    queued just before the first pair that compares against it, so a paragraph's
+    sample graphs are extracted side by side. Rows are written in dataset order,
+    so the stream is the same at any parallelism.
     """
     cfg = load_config(args.config)
     if not cfg.detectors:
@@ -404,35 +423,19 @@ def cmd_score(args: argparse.Namespace) -> int:
                 units.append((detector, output, samples))
         skipped = len(records) * len(cfg.detectors) - (len(units) - len(queued))
 
-        failures: list[BaseException] = []
-
         ctx = DetectorContext(client=client, model_id=cfg.provider.model_id, embedder=embedder)
         extractor = ctx.require_extractor()
 
         def run_unit(unit):
-            # Once a unit has failed, the units not yet started fail the same way
-            # without running, so no provider calls are spent on them.
-            if failures:
-                raise failures[0]
-            try:
-                if isinstance(unit, str):
-                    extractor.extract(unit)
-                    return None
-                detector, output, samples = unit
-                return run_detector(detector, output, ctx, samples=samples)
-            except BaseException as exc:
-                failures.append(exc)
-                raise
+            if isinstance(unit, str):
+                extractor.extract(unit)
+                return None
+            detector, output, samples = unit
+            return run_detector(detector, output, ctx, samples=samples)
 
-        with open(scores_path, "a" if resume else "w", encoding="utf-8") as fh:
-            if fh.tell() == 0:
-                fh.write(json.dumps(_meta_record(cfg, embedder), sort_keys=True) + "\n")
-        pool = ThreadPoolExecutor(2 * cfg.parallelism - 1, thread_name_prefix="hallucheck-unit")
-        try:
-            rows = (row for row in pool.map(run_unit, units) if row is not None)
-            written = write_score_records(rows, scores_path, append=True)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with _fan_out(run_unit, units, cfg.parallelism) as results:
+            rows = (row for row in results if row is not None)
+            written = write_score_records(rows, scores_path, resume, _meta_record(cfg, embedder))
         print(
             f"scored {written} (skipped {skipped} already present) -> {scores_path}",
         )
@@ -533,22 +536,25 @@ def cmd_samples(args: argparse.Namespace) -> int:
     paragraphs: dict[str, str] = {}
     for r in records:
         paragraphs.setdefault(r.paragraph_id, r.concept)
-
-    stored = reused = 0
+    # Each prompt still to draw, with the paragraphs that send it, in id order.
+    senders: dict[str, list[str]] = {}
     for paragraph_id in sorted(paragraphs):
-        if store.has(paragraph_id):
-            reused += 1
-            continue
-        prompt = template.replace("{{CONCEPT}}", paragraphs[paragraph_id])
-        draws = [
-            ChatRequest.user(cfg.provider.model_id, prompt, DETECT_PROFILE, draw=k)
-            for k in range(args.n)
-        ]
-        store.put(paragraph_id, [client.complete(request).content for request in draws])
-        stored += 1
+        if not store.has(paragraph_id):
+            prompt = template.replace("{{CONCEPT}}", paragraphs[paragraph_id])
+            senders.setdefault(prompt, []).append(paragraph_id)
+    draws = [
+        ChatRequest.user(cfg.provider.model_id, prompt, DETECT_PROFILE, draw=k)
+        for prompt in senders for k in range(args.n)
+    ]
+    with _fan_out(client.complete, draws, cfg.parallelism) as replies:
+        for paragraph_ids in senders.values():
+            samples = [next(replies).content for _ in range(args.n)]
+            for paragraph_id in paragraph_ids:
+                store.put(paragraph_id, samples)
+    stored = sum(map(len, senders.values()))
     print(
         f"stored {stored * args.n} samples for {stored} paragraphs "
-        f"({reused} already present) in {store_dir}"
+        f"({len(paragraphs) - stored} already present) in {store_dir}"
     )
     return EXIT_OK
 

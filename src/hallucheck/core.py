@@ -49,7 +49,9 @@ def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
     """A UTF-8 text file that replaces ``path`` whole if the block ends without
     an error, and is removed otherwise. It is written beside ``path`` as
     ``<name>.<random>.tmp``, so an ``OSError`` names the target, with the mode
-    ``open`` gives a new file: 0666 less the umask."""
+    ``open`` gives a new file: 0666 less the umask. A directory is refused on entry."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{os.fspath(path)} is a directory")
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:

@@ -540,12 +540,14 @@ def score_record_from_dict(obj: object) -> ScoreRecord:
 
 
 def write_score_records(
-    records: Iterable[ScoreRecord], path: str | os.PathLike, append: bool = False
+    records: Iterable[ScoreRecord], path: str | os.PathLike, append=False, meta: dict | None = None
 ) -> int:
-    """Write records as they arrive, one line each, and return their count.
-    Each line is flushed once written, so a crash tears at most the last line."""
+    """Write ``meta`` if the file is empty, then records as they arrive, one line
+    each; return their count. Each line is flushed, so a crash tears at most the last."""
     count = 0
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        if meta is not None and fh.tell() == 0:
+            fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for record in records:
             fh.write(json.dumps(score_record_to_dict(record), ensure_ascii=False, sort_keys=True))
             fh.write("\n")

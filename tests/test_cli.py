@@ -47,8 +47,9 @@ def config_path(workdir):
     return workdir / "run_config.json"
 
 
-def no_sample_config(workdir, with_store):
-    """Config whose dataset rows carry no samples of their own."""
+def no_sample_config(workdir, with_store, **extra):
+    """Config whose dataset rows carry no samples of their own, with the
+    top-level keys in ``extra`` overridden."""
     rows = [
         json.loads(line)
         for line in (workdir / "fixture_dataset.jsonl").read_text(encoding="utf-8").splitlines()
@@ -71,6 +72,7 @@ def no_sample_config(workdir, with_store):
     }
     if with_store:
         cfg["samples_dir"] = "samples"
+    cfg.update(extra)
     path = workdir / "config_empty.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
@@ -128,6 +130,19 @@ class TestExtract:
         assert main(argv) == 3
         assert "scripted failure on call 5" in capsys.readouterr().err
         assert (out.read_bytes() if out.exists() else None) == before
+        assert not list(workdir.glob("*.tmp"))
+
+    def test_output_that_is_a_directory_is_refused_before_any_call(
+        self, workdir, config_path, monkeypatch, capsys
+    ):
+        calls = timed_backend_calls(monkeypatch)
+        out = workdir / "kgs"
+        out.mkdir()
+        sentences = str(workdir / "sentences.txt")
+        argv = ["extract", "--config", str(config_path), "--input", sentences, "--output", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"data error: {out} is a directory\n"
+        assert calls == []
         assert not list(workdir.glob("*.tmp"))
 
     def test_missing_input_is_data_error(self, workdir, config_path):
@@ -755,6 +770,51 @@ class TestSamples:
         assert main(["samples", "--config", config, "--n", "2"]) == 0
         assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1"]
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_paragraphs_with_one_concept_share_one_set_of_draws(
+        self, workdir, monkeypatch, parallelism
+    ):
+        config = no_sample_config(workdir, with_store=True, cache_dir=None, parallelism=parallelism)
+        dataset = workdir / "dataset_empty.jsonl"
+        rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+        dataset.write_text(
+            "".join(json.dumps({**row, "concept": "Vesna Marinko"}) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", str(config), "--n", "3"]) == 0
+        assert sorted(calls) == [("Vesna Marinko", k) for k in range(3)]
+        store = SampleStore(workdir / "samples")
+        assert len(store.get("p01")) == 3 and store.get("p01") == store.get("p02")
+
+    def test_failed_draw_in_parallel_keeps_whole_paragraphs_and_a_rerun_asks_for_the_rest(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = str(no_sample_config(workdir, with_store=True, parallelism=4))
+        argv = ["samples", "--config", config, "--n", "4"]
+        keyed_backend(monkeypatch, blank={("Tomás Urquiza", 1)})
+        calls = record_backend_calls(monkeypatch)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "provider error: backend returned empty content\n"
+        kept = [
+            json.loads(path.read_text(encoding="utf-8"))["samples"]
+            for path in (workdir / "samples").glob("*.json")
+        ]
+        assert all(len(samples) == 4 for samples in kept)
+        store = SampleStore(workdir / "samples")
+        # p01's draws come before the failed one, so p01 is stored whole.
+        assert store.has("p01") and not store.has("p02")
+
+        answered = set(calls) - {("Tomás Urquiza", 1)}
+        monkeypatch.undo()
+        keyed_backend(monkeypatch)
+        calls = record_backend_calls(monkeypatch)
+        assert main(argv) == 0
+        draws = {(concept, k) for concept in ("Vesna Marinko", "Tomás Urquiza") for k in range(4)}
+        assert ("Tomás Urquiza", 1) in calls
+        assert sorted(calls) == sorted(draws - answered)
+        assert [len(store.get(p)) for p in ("p01", "p02")] == [4, 4]
+
 
 def prepend_rule(workdir, rule):
     """Put ``rule`` before the rules of the fixture's mock script."""
@@ -1086,6 +1146,47 @@ def unit_threads():
     return [t for t in threading.enumerate() if t.name.startswith("hallucheck-unit")]
 
 
+# Each command that calls the provider, with the fewest backend calls it makes
+# in ``fixture_run``.
+COMMANDS = {"score": 61, "samples": 8, "extract": 3}
+
+
+def fixture_run(fixture_dir, directory, command, **config):
+    """Copy the fixture, with a sample store, to ``directory`` and return the
+    argv that runs ``command`` over it: ``samples`` draws 4 per paragraph."""
+    copy_fixture(fixture_dir, directory, samples_dir="samples", **config)
+    argv = [command, "--config", str(directory / "run_config.json")]
+    if command == "samples":
+        return argv + ["--n", "4"]
+    if command == "extract":
+        sentences, out = str(directory / "sentences.txt"), str(directory / "kgs.jsonl")
+        return argv + ["--input", sentences, "--output", out]
+    return argv
+
+
+def keyed_backend(monkeypatch, blank=()):
+    """Make every reply of the CLI's backend depend only on its request and
+    draw: a one-triple graph named by their digest, after a pause that also
+    depends only on them, so replies come back out of order at a parallelism
+    above 1. A request whose (concept, draw) is in ``blank`` gets an empty
+    reply, which is a refusal."""
+    build = cli.build_backend
+
+    class Keyed:
+        def __init__(self, backend):
+            self.name = backend.name
+
+        def complete_once(self, request):
+            prompt = request.messages[-1].content
+            if (prompt.rsplit(" about ", 1)[-1].rstrip(".\n"), request.draw) in blank:
+                return ""
+            digest = hashlib.sha256(f"{prompt}\0{request.draw}".encode("utf-8")).hexdigest()
+            time.sleep(int(digest[:2], 16) / 255 * 0.004)
+            return json.dumps([[f"s{digest[:8]}", "drawn", str(request.draw)]])
+
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: Keyed(build(cfg)))
+
+
 class TestParallelScore:
     def run_pipeline(self, directory):
         config = str(directory / "run_config.json")
@@ -1202,26 +1303,29 @@ class TestParallelScore:
 
 
 class TestOnePool:
-    """``score`` runs every unit on one pool of 2 * parallelism - 1 workers,
-    with at most ``parallelism`` backend calls in flight."""
+    """Every command that calls the provider runs its units on one pool of
+    2 * parallelism - 1 workers, with at most ``parallelism`` backend calls in
+    flight. Each check runs every command in ``COMMANDS`` in turn."""
 
     def test_one_thread_makes_every_call_at_parallelism_one(
         self, tmp_path, fixture_dir, monkeypatch
     ):
-        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=1)
         calls = timed_backend_calls(monkeypatch)
-        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
-        assert len(calls) > 60
-        assert len({thread for _, thread, _, _ in calls}) == 1
+        for command, fewest in COMMANDS.items():
+            calls.clear()
+            assert main(fixture_run(fixture_dir, tmp_path / command, command, parallelism=1)) == 0
+            assert len(calls) >= fewest, command
+            assert len({thread for _, thread, _, _ in calls}) == 1, command
 
     def test_calls_in_flight_and_calling_threads_are_bounded(
         self, tmp_path, fixture_dir, monkeypatch
     ):
-        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4)
         calls = timed_backend_calls(monkeypatch, 0.005)
-        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
-        assert len({thread for _, thread, _, _ in calls}) <= 2 * 4 - 1
-        assert most_at_once(calls) <= 4
+        for command in COMMANDS:
+            calls.clear()
+            assert main(fixture_run(fixture_dir, tmp_path / command, command, parallelism=4)) == 0
+            assert len({thread for _, thread, _, _ in calls}) <= 2 * 4 - 1, command
+            assert 2 <= most_at_once(calls) <= 4, command
 
     def test_a_paragraphs_samples_are_extracted_side_by_side(
         self, tmp_path, fixture_dir, monkeypatch
@@ -1234,19 +1338,48 @@ class TestOnePool:
         for samples in {tuple(json.loads(row)["samples"]) for row in rows}:
             assert most_at_once([call for call in calls if passage(call) in samples]) >= 2
 
-    @pytest.mark.parametrize("refused", [False, True], ids=["success", "provider-failure"])
-    def test_no_worker_outlives_the_run(self, tmp_path, fixture_dir, monkeypatch, refused):
-        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4)
-        if refused:
-            script_path = workdir / "mock_script.json"
-            script = json.loads(script_path.read_text(encoding="utf-8"))
-            refusal = {"match": ["Confidence score:", "Harlow Trophy"], "reply": ""}
-            script["rules"].insert(0, refusal)
-            script_path.write_text(json.dumps(script), encoding="utf-8")
+    @pytest.mark.parametrize("failed", [False, True], ids=["success", "provider-failure"])
+    def test_no_worker_outlives_the_run(self, tmp_path, fixture_dir, monkeypatch, failed):
+        monkeypatch.setattr(hallucheck.provider.client, "RETRY_BACKOFF_S", 0.0)
         slow_backends(monkeypatch, 0.05)
-        code = main(["score", "--config", str(workdir / "run_config.json")])
-        assert code == (3 if refused else 0)
+        for command in COMMANDS:
+            argv = fixture_run(fixture_dir, tmp_path / command, command, parallelism=4)
+            if failed:
+                # The first backend call succeeds and every later attempt fails.
+                script_path = tmp_path / command / "mock_script.json"
+                script = json.loads(script_path.read_text(encoding="utf-8"))
+                script["fail_calls"] = list(range(2, 1000))
+                script_path.write_text(json.dumps(script), encoding="utf-8")
+            assert main(argv) == (3 if failed else 0), command
+            assert unit_threads() == [], command
+
+    def test_a_stream_that_cannot_be_opened_is_refused_before_any_call(
+        self, tmp_path, fixture_dir, monkeypatch
+    ):
+        argv = fixture_run(fixture_dir, tmp_path, "score", parallelism=4)
+        (tmp_path / "out" / "scores.jsonl").mkdir(parents=True)
+        calls = timed_backend_calls(monkeypatch)
+        assert main(argv + ["--fresh"]) == 4
+        assert calls == []
         assert unit_threads() == []
+
+    @pytest.mark.parametrize("command", ["samples", "extract"])
+    def test_files_are_the_same_at_any_parallelism(
+        self, tmp_path, fixture_dir, monkeypatch, command
+    ):
+        keyed_backend(monkeypatch)
+        written = []
+        for parallelism in (1, 4):
+            workdir = tmp_path / f"p{parallelism}"
+            assert main(fixture_run(fixture_dir, workdir, command, parallelism=parallelism)) == 0
+            files = {p.name: p.read_bytes() for p in (workdir / "samples").glob("*.json")}
+            if command == "extract":
+                # The meta line holds the config digest, which covers parallelism.
+                graphs = (workdir / "kgs.jsonl").read_bytes().split(b"\n", 1)[1]
+                files["kgs.jsonl"] = graphs
+            written.append(files)
+        assert len(written[0]) == (2 if command == "samples" else 1)
+        assert written[0] == written[1]
 
     def test_too_few_samples_is_refused_before_any_call(
         self, tmp_path, fixture_dir, monkeypatch, capsys

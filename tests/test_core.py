@@ -272,7 +272,6 @@ class TestAtomicWrite:
 # append, and the SimpleQA CSV writer is left as it is.
 EXPECTED_FILE_WRITES = [
     ("cli._score_lock", "open"),
-    ("cli.cmd_score", "open"),
     ("core.atomic_write", "open"),
     ("core.atomic_write", "os.replace"),
     ("data.save_simpleqa", "open"),
@@ -280,37 +279,61 @@ EXPECTED_FILE_WRITES = [
 ]
 
 
-def file_writes(node, scope):
-    """(function, call) for each call under ``node`` that writes a file: a
-    write-mode ``open``, ``os.replace``, ``os.rename``, ``mkstemp``,
-    ``write_text`` or ``write_bytes``."""
+def scoped_calls(node, scope):
+    """(function, call) for each call under ``node``, by the innermost function
+    or class around it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from file_writes(child, f"{scope}.{child.name}")
+            yield from scoped_calls(child, f"{scope}.{child.name}")
             continue
         if isinstance(child, ast.Call):
-            func = child.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            owner = getattr(getattr(func, "value", None), "id", "")
-            if name == "open":
-                # The mode of open(file, mode) or of path.open(mode); one
-                # that is not a literal counts as a write.
-                modes = [k.value for k in child.keywords if k.arg == "mode"]
-                modes += child.args[0 if isinstance(func, ast.Attribute) else 1 :][:1]
-                mode = modes[0] if modes else ast.Constant("r")
-                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
-                    yield scope, "open"
-            elif name in ("mkstemp", "write_text", "write_bytes"):
-                yield scope, name
-            elif owner == "os" and name in ("replace", "rename"):
-                yield scope, f"os.{name}"
-        yield from file_writes(child, scope)
+            yield scope, child
+        yield from scoped_calls(child, scope)
+
+
+def package_calls():
+    package = Path(core.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        yield from scoped_calls(ast.parse(path.read_text(encoding="utf-8")), module)
+
+
+def call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def file_writes():
+    """(function, call) for each call in the package that writes a file: a
+    write-mode ``open``, ``os.replace``, ``os.rename``, ``mkstemp``,
+    ``write_text`` or ``write_bytes``."""
+    for scope, call in package_calls():
+        name = call_name(call)
+        owner = getattr(getattr(call.func, "value", None), "id", "")
+        if name == "open":
+            # The mode of open(file, mode) or of path.open(mode); one that is
+            # not a literal counts as a write.
+            modes = [k.value for k in call.keywords if k.arg == "mode"]
+            modes += call.args[0 if isinstance(call.func, ast.Attribute) else 1 :][:1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                yield scope, "open"
+        elif name in ("mkstemp", "write_text", "write_bytes"):
+            yield scope, name
+        elif owner == "os" and name in ("replace", "rename"):
+            yield scope, f"os.{name}"
 
 
 def test_every_whole_file_write_goes_through_atomic_write():
-    package = Path(core.__file__).parent
-    found = []
-    for path in sorted(package.rglob("*.py")):
-        module = ".".join(path.relative_to(package).with_suffix("").parts)
-        found += file_writes(ast.parse(path.read_text(encoding="utf-8")), module)
-    assert sorted(found) == EXPECTED_FILE_WRITES
+    assert sorted(file_writes()) == EXPECTED_FILE_WRITES
+
+
+def test_only_the_fan_out_starts_threads():
+    """Every command that calls the provider fans out through cli._fan_out, so
+    no other function builds a pool or a thread of its own."""
+    starts = [
+        (scope, name)
+        for scope, call in package_calls()
+        if (name := call_name(call)) in ("ThreadPoolExecutor", "Thread")
+    ]
+    assert starts == [("cli._fan_out", "ThreadPoolExecutor")]

@@ -660,6 +660,17 @@ class TestScoreRecordIO:
         assert count == 2
         assert list(read_score_records(path)) == records
 
+    def test_meta_line_is_written_only_into_an_empty_file(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        meta = {"_meta": True, "config_digest": "abc"}
+        first, second = sample_record(), sample_record(with_triples=False)
+        assert write_score_records([first], path, meta=meta) == 1
+        assert write_score_records([second], path, append=True, meta=meta) == 1
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == json.dumps(meta, sort_keys=True) and len(lines) == 3
+        seen: dict = {}
+        assert list(read_score_records(path, meta=seen)) == [first, second] and seen == meta
+
     def test_read_bad_json(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text("{nope\n")
