@@ -29,25 +29,19 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .core import (
+    NUMBER,
     DetectorMethod,
     GeneratedOutput,
     HallucheckError,
     Label,
-    atomic_write,
-    make_output_ref,
-)
-from .data import (
-    NUMBER,
-    NotFound,
-    SampleStore,
     SchemaError,
-    check_json,
+    atomic_write,
     drop_torn_tail,
-    load_wikibio,
+    make_output_ref,
     open_text,
-    read_score_records,
-    write_score_records,
+    read_json,
 )
+from .data import NotFound, SampleStore, load_wikibio, read_score_records, write_score_records
 from .detect import DetectorConfig, DetectorContext, run_detector
 from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
@@ -146,7 +140,7 @@ MAX_EMBEDDING_DIM = 4096
 # flag per resample, and a larger count asks for memory the host may not have.
 MAX_RESAMPLES = 1_000_000
 
-# The config's field tables, for data.check_json; defaults come from the
+# The config's field tables, for core.check_json; defaults come from the
 # dataclasses.
 _PROVIDER = {
     "backend": (str, ("mock", "openai", "gemini")),
@@ -181,28 +175,18 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     The digest is computed over the parsed object in canonical form, so
     formatting-only edits do not invalidate resumable runs.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {os.fspath(path)}: {exc}")
-    try:
-        obj = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {os.fspath(path)} is not valid JSON: {exc}")
-    check_json(obj, (RunConfig, _CONFIG), "", ConfigError)
+    where = f"{os.fspath(path)}: "
+    obj = read_json(path, (RunConfig, _CONFIG), ConfigError)
     values = {
         **obj,
         "provider": ProviderConfig(**obj.get("provider", {})),
         "embedding": EmbeddingConfig(**obj.get("embedding", {})),
         "dataset": DatasetConfig(**obj.get("dataset", {})),
-        "detectors": tuple(
-            DetectorConfig(**{**d, "method": DetectorMethod(d["method"])})
-            for d in obj.get("detectors", ())
-        ),
+        "detectors": tuple(DetectorConfig(**d) for d in obj.get("detectors", ())),
     }
     dim = values["embedding"].dim
     if dim > MAX_EMBEDDING_DIM:
-        raise ConfigError(f"embedding.dim must be <= {MAX_EMBEDDING_DIM}, got {dim}")
+        raise ConfigError(f"{where}embedding.dim must be <= {MAX_EMBEDDING_DIM}, got {dim}")
     digest = hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
@@ -212,19 +196,21 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         first = first_of.setdefault((d.method, d.use_kg), i)
         if first != i:
             name = _method_name(d.method.value, d.use_kg)
-            raise ConfigError(f"detectors[{i}] repeats detectors[{first}] ({name})")
+            raise ConfigError(f"{where}detectors[{i}] repeats detectors[{first}] ({name})")
     cfg = RunConfig(
         **values,
         config_digest=digest,
         base_dir=Path(path).resolve().parent,
     )
     if cfg.parallelism > MAX_PARALLELISM:
-        raise ConfigError(f"parallelism must be <= {MAX_PARALLELISM}, got {cfg.parallelism}")
+        raise ConfigError(
+            f"{where}parallelism must be <= {MAX_PARALLELISM}, got {cfg.parallelism}"
+        )
     if cfg.provider.rate_limit_per_minute is not None:
         try:
             RateLimiter(cfg.provider.rate_limit_per_minute)
         except ConfigError as exc:
-            raise ConfigError(f"provider.{exc}") from None
+            raise ConfigError(f"{where}provider.{exc}") from None
     return cfg
 
 
@@ -236,9 +222,7 @@ def build_backend(cfg: RunConfig):
         return MockChatBackend()
     if p.backend == "openai":
         return OpenAIChatBackend(base_url=p.base_url)
-    if p.backend == "gemini":
-        return GeminiChatBackend(base_url=p.base_url)
-    raise ConfigError(f"unknown provider backend {p.backend!r}")
+    return GeminiChatBackend(base_url=p.base_url)
 
 
 def build_client(cfg: RunConfig) -> ChatClient:
@@ -257,9 +241,7 @@ def build_embedder(cfg: RunConfig) -> MemoizingEmbedder:
     e = cfg.embedding
     if e.backend == "hash":
         return HashEmbedder(dim=e.dim, seed=e.seed)
-    if e.backend == "sbert":
-        return SbertEmbedder(e.model_id) if e.model_id else SbertEmbedder()
-    raise ConfigError(f"unknown embedding backend {e.backend!r}")
+    return SbertEmbedder(e.model_id) if e.model_id else SbertEmbedder()
 
 
 def _meta_record(cfg: RunConfig, embedder: MemoizingEmbedder | None) -> dict:
@@ -474,44 +456,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not groups:
         raise SchemaError(f"{scores_path}: no score records")
 
-    reports = [
-        evaluate_method(name, scores, positive, args.resamples, cfg.seed)
-        for name, scores in sorted(groups.items())
-    ]
-    table = render_report_table(reports)
-
-    comparisons = []
-    comparison_lines = []
-    for name in sorted(groups):
-        if name.endswith("+kg"):
-            continue
-        kg_name = f"{name}+kg"
-        if kg_name not in groups:
-            continue
-        result = compare_methods(
-            groups[name],
-            groups[kg_name],
-            auc_pr_metric(positive),
-            args.resamples,
-            cfg.seed,
-        )
-        comparisons.append(
-            {"baseline": name, "variant": kg_name, "metric": "auc_pr", **asdict(result)}
-        )
-        comparison_lines.append(f"{kg_name} vs {name}: {result}")
-
-    report_obj = {
-        "meta": _meta_record(cfg, None),
-        "positive_class": positive.value,
-        "resamples": args.resamples,
-        "methods": [r.as_record() for r in reports],
-        "comparisons": comparisons,
-    }
+    # Opened before the first bootstrap, so a target that cannot be written costs no work.
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.json"
     with atomic_write(report_path) as fh:
+        reports = [
+            evaluate_method(name, scores, positive, args.resamples, cfg.seed)
+            for name, scores in sorted(groups.items())
+        ]
+        comparisons = []
+        comparison_lines = []
+        for name in sorted(groups):
+            kg_name = f"{name}+kg"
+            if name.endswith("+kg") or kg_name not in groups:
+                continue
+            result = compare_methods(
+                groups[name], groups[kg_name], auc_pr_metric(positive), args.resamples, cfg.seed
+            )
+            comparisons.append(
+                {"baseline": name, "variant": kg_name, "metric": "auc_pr", **asdict(result)}
+            )
+            comparison_lines.append(f"{kg_name} vs {name}: {result}")
+        report_obj = {
+            "meta": _meta_record(cfg, None),
+            "positive_class": positive.value,
+            "resamples": args.resamples,
+            "methods": [r.as_record() for r in reports],
+            "comparisons": comparisons,
+        }
         fh.write(json.dumps(report_obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    print(table, end="")
+    print(render_report_table(reports), end="")
     if comparison_lines:
         print()
         print("comparisons (paired bootstrap on AUC-PR):")

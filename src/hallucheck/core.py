@@ -5,18 +5,25 @@ detectors score either the whole sentence or each triple and aggregate to a
 single consistency score in [0, 1], where lower means more likely hallucinated.
 All types here are immutable after construction and safe to share across
 threads.
+
+The file layer every module shares lives here too: ``atomic_write`` writes
+every whole file, and every JSON input file is read by ``read_json`` (one
+value) or ``json_lines`` (one value a line) and checked by ``check_json``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
+import sys
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Generic, Hashable, Iterator, TextIO, TypeVar
+from pathlib import Path
+from typing import Callable, Generic, Hashable, Iterator, TextIO, TypeVar, get_args
 
 V = TypeVar("V")
 
@@ -61,6 +68,137 @@ def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+class SchemaError(HallucheckError):
+    """An input file violated the documented record schema."""
+
+
+@contextlib.contextmanager
+def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; bytes that do not decode raise a
+    SchemaError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_lines(path: str | os.PathLike) -> Iterator[tuple[int, str, object]]:
+    """``(line number, "<file>:<line>", value)`` for each non-blank line of a
+    JSON-lines file. A line json cannot decode, including an integer past the
+    digit limit or nesting past the recursion limit, raises SchemaError
+    naming the file and the line."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{os.fspath(path)}:{lineno}"
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+            yield lineno, where, value
+
+
+NUMBER = float | int  # a kind is named after its first type: "a number"
+NON_BLANK = "non-blank"  # the limit of a string that must hold more than whitespace
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    list: "a list", dict: "an object",
+}
+
+
+def check_json(value, spec, where: str, error: type[HallucheckError], path: str = ""):
+    """``value``, once it matches ``spec``; otherwise ``error`` with one line
+    that starts with ``where``: ``<field> must be <kind>, got <type>``, or
+    ``unknown key 'k' in <field>`` or ``missing key 'k' in <field>``, where
+    ``<field>`` is a dotted path such as ``detectors[4].n_samples``.
+
+    A spec is a kind or a ``(kind, limit)`` pair. Scalar kinds are ``str``,
+    ``int``, ``bool`` and ``NUMBER`` (finite; ``true`` and ``false`` are only
+    booleans), and ``| None`` also takes null; no string may hold a lone
+    surrogate. A scalar's limit is its least value, a tuple of its allowed
+    values or ``NON_BLANK``; a ``list``'s is the spec of every element, or a
+    list of one spec per position. ``dict`` with no limit takes any object
+    unread. Any other kind is the class an object is read into, with its key
+    table as the limit: no other key may appear, and a key is required unless
+    the class has an attribute of that name, as a dataclass field with a
+    default does.
+    """
+    # A value of exactly a str, int or bool kind (an ASCII one, for a string)
+    # meets it without a call of its own.
+    kind, limit = spec if type(spec) is tuple else (spec, None)
+    name = path or "top level"
+    if type(limit) is dict:
+        if type(value) is not dict:
+            raise error(f"{where}{name} must be an object, got {_json_type(value)}")
+        for key, item in value.items():
+            if key not in limit:
+                raise error(f"{where}unknown key {key!r}{' in ' + path if path else ''}")
+            sub = limit[key]
+            if type(item) is not sub or sub is str and not item.isascii():
+                check_json(item, sub, where, error, f"{path}.{key}" if path else key)
+        for key in limit:
+            if key not in value and not hasattr(kind, key):
+                raise error(f"{where}missing key {key!r}{' in ' + path if path else ''}")
+        return value
+    if value is None and isinstance(None, kind):
+        return value
+    if not isinstance(value, kind) or (type(value) is bool) != (kind is bool):
+        kind_name = _KIND_NAMES[(get_args(kind) or (kind,))[0]]
+        raise error(f"{where}{name} must be {kind_name}, got {_json_type(value)}")
+    if type(value) is str and not encodable(value):
+        raise error(f"{where}{name} must be UTF-8 text, got a lone surrogate")
+    if type(value) is list:
+        if type(limit) is list and len(value) != len(limit):
+            raise error(f"{where}{name} must be a list of {len(limit)} items, got {len(value)}")
+        for i, item in enumerate(value):
+            sub = limit[i] if type(limit) is list else limit
+            if type(item) is not sub or sub is str and not item.isascii():
+                check_json(item, sub, where, error, f"{path}[{i}]")
+    elif isinstance(0.0, kind) and not abs(value) <= sys.float_info.max:
+        raise error(f"{where}{name} must be a finite number, got {value}")
+    elif type(limit) is tuple and value not in limit:
+        raise error(f"{where}{name} must be one of {list(limit)}, got {value!r}")
+    elif limit is NON_BLANK and not value.strip():
+        raise error(f"{where}{name} must be a non-blank string, got {value!r}")
+    elif type(limit) is int and value < limit:
+        raise error(f"{where}{name} must be >= {limit}, got {value}")
+    return value
+
+
+def _json_type(value: object) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def read_json(path: str | os.PathLike, spec, error: type[HallucheckError]):
+    """The JSON value of the UTF-8 file at ``path``, once it matches ``spec``
+    (see check_json). A file that cannot be read, decoded or checked raises
+    ``error`` with one line that starts ``<path>: ``; so does an integer past
+    json's digit limit or nesting past the recursion limit."""
+    where = f"{os.fspath(path)}: "
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise error(f"{where}{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}not UTF-8 text ({exc.reason})") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}invalid JSON ({exc})") from None
+    return check_json(value, spec, where, error)
+
+
+def drop_torn_tail(path: str | os.PathLike) -> int:
+    """Truncate an unterminated last line, as a crash in the middle of a write
+    leaves it, and return the number of bytes dropped."""
+    data = Path(path).read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        os.truncate(path, keep)
+    return len(data) - keep
 
 
 def normalize_text(raw: str) -> str:

@@ -15,21 +15,20 @@ so artifact bytes depend only on inputs and configuration.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
 import os
 import re
-import sys
 import threading
 from dataclasses import asdict, dataclass, replace
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO, get_args
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    DetectorMethod, HallucheckError, Label, ScoreRecord, Triple, atomic_write, encodable
+    NON_BLANK, NUMBER, DetectorMethod, HallucheckError, Label, SchemaError, ScoreRecord, Triple,
+    atomic_write, check_json, json_lines, open_text, read_json,
 )
 from .embed import MemoizingEmbedder, cosine_sim
 from .kgx import load_prompt_resource
@@ -38,10 +37,6 @@ from .provider import ChatClient, ChatRequest, DETECT_PROFILE
 WIKIBIO_EXPECTED_SAMPLES = 20
 
 _WORD = re.compile(r"\S+")
-
-
-class SchemaError(HallucheckError):
-    """An input file violated the documented record schema."""
 
 
 class NotFound(HallucheckError):
@@ -54,103 +49,6 @@ class StoreConflict(HallucheckError):
 
 class JudgeParseError(HallucheckError):
     """A grading reply contained no recognizable verdict token."""
-
-
-@contextlib.contextmanager
-def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text; bytes that do not decode raise a
-    SchemaError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
-
-
-def _json_lines(path: str | os.PathLike) -> Iterator[tuple[int, str, object]]:
-    """``(line number, "<file>:<line>", value)`` for each non-blank line of a
-    JSON-lines file. A line json cannot decode, including an integer past the
-    digit limit or nesting past the recursion limit, raises SchemaError
-    naming the file and the line."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{os.fspath(path)}:{lineno}"
-            try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-            yield lineno, where, value
-
-
-NUMBER = float | int  # a kind is named after its first type: "a number"
-NON_BLANK = "non-blank"  # the limit of a string that must hold more than whitespace
-_KIND_NAMES = {
-    str: "a string", int: "an integer", float: "a number", bool: "true or false", list: "a list"
-}
-
-
-def check_json(value, spec, where: str, error: type[HallucheckError], path: str = ""):
-    """``value``, once it matches ``spec``; otherwise ``error`` with one line
-    that starts with ``where``: ``<field> must be <kind>, got <type>``, or
-    ``unknown key 'k' in <field>`` or ``missing key 'k' in <field>``, where
-    ``<field>`` is a dotted path such as ``detectors[4].n_samples``.
-
-    A spec is a kind or a ``(kind, limit)`` pair. Scalar kinds are ``str``,
-    ``int``, ``bool`` and ``NUMBER`` (finite; ``true`` and ``false`` are only
-    booleans), and ``| None`` also takes null; no string may hold a lone
-    surrogate. A scalar's limit is its least value, a tuple of its allowed
-    values or ``NON_BLANK``; a ``list``'s is the spec of every element, or a
-    list of one spec per position. Any other kind is the class an object is
-    read into, with its key table as the limit: no other key may appear, and
-    a key is required unless the class has an attribute of that name, as a
-    dataclass field with a default does.
-    """
-    # A value of exactly a str, int or bool kind (an ASCII one, for a string)
-    # meets it without a call of its own.
-    kind, limit = spec if type(spec) is tuple else (spec, None)
-    name = path or "top level"
-    if type(limit) is dict:
-        if type(value) is not dict:
-            raise error(f"{where}{name} must be an object, got {_json_type(value)}")
-        for key, item in value.items():
-            if key not in limit:
-                raise error(f"{where}unknown key {key!r}{' in ' + path if path else ''}")
-            sub = limit[key]
-            if type(item) is not sub or sub is str and not item.isascii():
-                check_json(item, sub, where, error, f"{path}.{key}" if path else key)
-        for key in limit:
-            if key not in value and not hasattr(kind, key):
-                raise error(f"{where}missing key {key!r}{' in ' + path if path else ''}")
-        return value
-    if value is None and isinstance(None, kind):
-        return value
-    if not isinstance(value, kind) or (type(value) is bool) != (kind is bool):
-        kind_name = _KIND_NAMES[(get_args(kind) or (kind,))[0]]
-        raise error(f"{where}{name} must be {kind_name}, got {_json_type(value)}")
-    if type(value) is str and not encodable(value):
-        raise error(f"{where}{name} must be UTF-8 text, got a lone surrogate")
-    if type(value) is list:
-        if type(limit) is list and len(value) != len(limit):
-            raise error(f"{where}{name} must be a list of {len(limit)} items, got {len(value)}")
-        for i, item in enumerate(value):
-            sub = limit[i] if type(limit) is list else limit
-            if type(item) is not sub or sub is str and not item.isascii():
-                check_json(item, sub, where, error, f"{path}[{i}]")
-    elif isinstance(0.0, kind) and not abs(value) <= sys.float_info.max:
-        raise error(f"{where}{name} must be a finite number, got {value}")
-    elif type(limit) is tuple and value not in limit:
-        raise error(f"{where}{name} must be one of {list(limit)}, got {value!r}")
-    elif limit is NON_BLANK and not value.strip():
-        raise error(f"{where}{name} must be a non-blank string, got {value!r}")
-    elif type(limit) is int and value < limit:
-        raise error(f"{where}{name} must be >= {limit}, got {value}")
-    return value
-
-
-def _json_type(value: object) -> str:
-    return "null" if value is None else type(value).__name__
 
 
 def word_count(text: str) -> int:
@@ -204,7 +102,7 @@ def load_wikibio(
     """
     records: list[WikiBioRecord] = []
     first_line: dict[tuple[str, int], int] = {}
-    for lineno, where, obj in _json_lines(path):
+    for lineno, where, obj in json_lines(path):
         check_json(obj, (WikiBioRecord, _WIKIBIO_ROW), f"{where}: ", SchemaError)
         if expected_samples is not None and len(obj["samples"]) != expected_samples:
             raise SchemaError(
@@ -309,7 +207,7 @@ def load_simpleqa(path: str | os.PathLike) -> list[SimpleQARecord]:
 
 def save_simpleqa(records: Iterable[SimpleQARecord], path: str | os.PathLike) -> None:
     """Write the extended CSV layout; load_simpleqa reads it back unchanged."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(_SIMPLEQA_EXTENDED)
         for r in records:
@@ -375,9 +273,6 @@ class DatasetStats:
     similarity_method: str = "centroid_cosine"
 
     def __post_init__(self) -> None:
-        for name in ("sentence_count", "paragraph_count", "hallucinated_count", "accurate_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} negative")
         if self.hallucinated_count + self.accurate_count != self.sentence_count:
             raise ValueError("label counts do not sum to sentence count")
 
@@ -461,7 +356,7 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         with self._lock:
             if path.exists():
-                if self._read(path)["digest"] == digest:
+                if read_json(path, (dict, _STORE_FILE), SchemaError)["digest"] == digest:
                     return
                 raise StoreConflict(
                     f"paragraph {paragraph_id!r} already stored with different samples"
@@ -478,17 +373,7 @@ class SampleStore:
         path = self._path_for(paragraph_id)
         if not path.exists():
             raise NotFound(f"no samples stored for paragraph {paragraph_id!r}")
-        return self._read(path)["samples"]
-
-    @staticmethod
-    def _read(path: Path) -> dict:
-        """The stored file, checked against ``_STORE_FILE``; an unreadable
-        file is a SchemaError naming it."""
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"{path}: not a sample-store file ({exc})") from exc
-        return check_json(obj, (dict, _STORE_FILE), f"{path}: ", SchemaError)
+        return read_json(path, (dict, _STORE_FILE), SchemaError)["samples"]
 
     def has(self, paragraph_id: str) -> bool:
         return self._path_for(paragraph_id).exists()
@@ -565,7 +450,7 @@ def read_score_records(
     method, kg_used) key of an earlier line, raises SchemaError naming the
     file and the line."""
     seen: set[tuple[str, str, bool]] = set()
-    for lineno, where, obj in _json_lines(path):
+    for lineno, where, obj in json_lines(path):
         if isinstance(obj, dict) and obj.get("_meta"):
             if lineno > 1:
                 raise SchemaError(f"{where}: a meta line may only be line 1")
@@ -581,13 +466,3 @@ def read_score_records(
             raise SchemaError(f"{where}: duplicate row for {key}")
         seen.add(key)
         yield record
-
-
-def drop_torn_tail(path: str | os.PathLike) -> int:
-    """Truncate an unterminated last line, as a crash in the middle of a write
-    leaves it, and return the number of bytes dropped."""
-    data = Path(path).read_bytes()
-    keep = data.rfind(b"\n") + 1
-    if keep < len(data):
-        os.truncate(path, keep)
-    return len(data) - keep

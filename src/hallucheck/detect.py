@@ -121,6 +121,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        object.__setattr__(self, "method", DetectorMethod(self.method))
 
 
 @dataclass
@@ -222,7 +223,7 @@ def graph_consistency_scores(
         raise ConfigError("consistency needs at least one sample graph")
     if sample_norms is None:
         sample_norms = [_norms(graph) for graph in sample_graphs]
-    # Every similarity is the same float ``clamp0(cosine_sim(a, b))`` gives:
+    # Every similarity is the same float as ``max(cosine_sim(a, b), 0.0)``:
     # ``np.vecdot`` computes each dot product as ``np.dot`` does and the norms
     # as ``np.linalg.norm`` does. Pre-normalised rows or a matrix product
     # would round differently.
@@ -326,9 +327,7 @@ def run_detector(
                 rows, norms = _sample_side(ctx, False, chosen)
                 score = _sentence_consistency(embedder.embed(output.text), rows, norms)
         else:
-            score_one = _STATEMENT_SCORERS.get(config.method)
-            if score_one is None:
-                raise ConfigError(f"unknown detector method {config.method!r}")
+            score_one = _STATEMENT_SCORERS[config.method]
             if config.use_kg:
                 kg = ctx.require_extractor().extract(output.text, output.context)
                 triple_scores, misses = _score_triples(

@@ -45,11 +45,6 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     return max(-1.0, min(1.0, sim))
 
 
-def clamp0(sim: float) -> float:
-    """Negative similarity is floored at 0 before use as a factuality score."""
-    return sim if sim > 0.0 else 0.0
-
-
 def triple_text(t: Triple) -> str:
     """Linearize a triple for embedding: fields joined by single spaces."""
     return f"{t.subject} {t.relation} {t.obj}"

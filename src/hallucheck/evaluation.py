@@ -533,8 +533,6 @@ class EvalReport:
             ci: BootstrapCI = getattr(self, name)
             if not 0.0 <= ci.mean <= 1.0:
                 raise ValueError(f"{name} mean {ci.mean} outside [0, 1]")
-            if ci.half_width < 0.0:
-                raise ValueError(f"{name} half-width {ci.half_width} negative")
 
     def as_record(self) -> dict:
         return {

@@ -7,6 +7,10 @@ reply or a sequence of replies consumed one per match, sticking on the last.
 Calls can be scripted to fail by 1-based global call index, which exercises
 retry and partial-failure handling without a network.
 
+A script refuses an unknown key, a rule with both ``reply`` and ``replies``, an
+empty ``match`` or ``replies`` and a ``fail_calls`` entry below 1. Only a rule's
+replies may hold a lone surrogate, to script a reply the client must refuse.
+
 Reply sequences and failing call indices follow the global order of calls. When
 several threads share the backend (``parallelism`` above 1), that order varies
 from run to run, so only single-reply rules stay deterministic.
@@ -14,11 +18,11 @@ from run to run, so only single-reply rules stay deterministic.
 
 from __future__ import annotations
 
-import json
+import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from ..core import check_json, read_json
 from .types import ChatRequest, ConfigError, TransportError
 
 
@@ -37,16 +41,24 @@ class MockRule:
         return reply
 
 
-def _strings(value: object, what: str) -> tuple[str, ...]:
+def _strings(value: object, where: str) -> tuple[str, ...]:
     """``value``, one string or a non-empty list of strings, as a tuple."""
     items = [value] if isinstance(value, str) else value
     if not isinstance(items, list) or not items or not all(isinstance(s, str) for s in items):
-        raise ValueError(f"{what} must be a string or a non-empty list of strings")
+        raise ConfigError(f"{where} must be a string or a non-empty list of strings")
     return tuple(items)
+
+
+# A script's key table, for check_json. A rule is checked by hand: its ``match``
+# may be a string or a list, and its replies may hold a lone surrogate, which
+# the checker refuses in any string.
+_SCRIPT = {"rules": (list, dict), "default": str, "fail_calls": (list, (int, 1))}
 
 
 class MockChatBackend:
     name = "mock"
+    # A script may leave out any key: check_json reads a class attribute as a default.
+    rules, default, fail_calls = (), "", ()
 
     def __init__(
         self,
@@ -61,30 +73,28 @@ class MockChatBackend:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_script_file(cls, path: str | Path) -> "MockChatBackend":
-        try:
-            return cls.from_script(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
+    def from_script_file(cls, path: str | os.PathLike) -> "MockChatBackend":
+        return cls.from_script(read_json(path, dict, ConfigError), f"{os.fspath(path)}: ")
 
     @classmethod
-    def from_script(cls, script: dict) -> "MockChatBackend":
-        """The backend a parsed script describes; a malformed script raises
-        ValueError."""
-        if not isinstance(script, dict) or not isinstance(script.get("rules", []), list):
-            raise ValueError("a script is a JSON object whose 'rules' is a list")
-        default, fail_calls = script.get("default", ""), script.get("fail_calls", [])
-        calls_ok = isinstance(fail_calls, list) and all(type(c) is int for c in fail_calls)
-        if not isinstance(default, str) or not calls_ok:
-            raise ValueError("'default' must be a string and 'fail_calls' a list of integers")
+    def from_script(cls, script: dict, where: str = "") -> "MockChatBackend":
+        """The backend a parsed script describes. A malformed script raises a
+        ConfigError with one line that starts with ``where``."""
+        check_json(script, (cls, _SCRIPT), where, ConfigError)
         rules = []
-        for i, entry in enumerate(script.get("rules", [])):
-            if not isinstance(entry, dict):
-                raise ValueError(f"rule {i} is not a JSON object")
-            match = _strings(entry.get("match"), f"rule {i} 'match'")
-            replies = _strings(entry.get("replies", entry.get("reply")), f"rule {i} reply")
-            rules.append(MockRule(match=match, replies=replies))
-        return cls(rules=rules, default_reply=default, fail_calls=set(fail_calls))
+        for i, rule in enumerate(script.get("rules", ())):
+            name = f"rules[{i}]"
+            for key in rule:
+                if key not in ("match", "reply", "replies"):
+                    raise ConfigError(f"{where}unknown key {key!r} in {name}")
+            if ("reply" in rule) == ("replies" in rule):
+                raise ConfigError(f"{where}{name} must have exactly one of 'reply' and 'replies'")
+            match = _strings(rule.get("match"), f"{where}{name}.match")
+            if "" in match:
+                raise ConfigError(f"{where}{name}.match must not hold an empty string")
+            key = "reply" if "reply" in rule else "replies"
+            rules.append(MockRule(match, _strings(rule[key], f"{where}{name}.{key}")))
+        return cls(rules, script.get("default", ""), set(script.get("fail_calls", ())))
 
     def complete_once(self, request: ChatRequest) -> str:
         text = "\n".join(f"{m.role}: {m.content}" for m in request.messages)

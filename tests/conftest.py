@@ -134,6 +134,12 @@ def run_cli(argv: list[str]) -> int:
     return main(argv)
 
 
+def clamp0(sim: float) -> float:
+    """The selfcheck similarity of one pair, the oracle the vectorised kernels
+    are held to: a negative cosine similarity is floored at 0."""
+    return sim if sim > 0.0 else 0.0
+
+
 class PinnedEmbedder(MemoizingEmbedder):
     """Embeds each text as the vector pinned for it in ``vectors``."""
 

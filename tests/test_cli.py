@@ -290,8 +290,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", ["score", "evaluate"])
     def test_negative_seed_is_one_line(self, tmp_path, fixture_dir, capsys, command):
         workdir = copy_fixture(fixture_dir, tmp_path, seed=-1)
-        assert main([command, "--config", str(workdir / "run_config.json")]) == 2
-        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        config = workdir / "run_config.json"
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {config}: seed must be >= 0, got -1\n"
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("resamples", ["0", "-5", "1000001"])
@@ -480,7 +481,7 @@ class TestInputChecks:
         config, command = config_path, "score"
         if input_name == "config":
             edit_json(config_path, lambda obj: obj["embedding"].update(dim="64"))
-            message = "config error: embedding.dim must be an integer, got str"
+            message = f"config error: {config_path}: embedding.dim must be an integer, got str"
         elif input_name == "dataset":
             path = workdir / "fixture_dataset.jsonl"
             edit_json(path, lambda row: row.update(sentence_index="1"), line=3)
@@ -942,6 +943,34 @@ class TestEvaluate:
         assert f"{scores_path}:4: kg_used must be true or false, got str" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda row: row.update(score=1.5), "score 1.5 outside [0, 1]"),
+            (
+                lambda row: row.update(score=0.0 if row["score"] > 0.5 else 1.0),
+                "is not the mean of its triple scores",
+            ),
+            (
+                lambda row: row["triple_scores"][0][0].__setitem__(1, " "),
+                "triple field 'relation' is empty",
+            ),
+        ],
+        ids=["score-above-one", "score-not-the-mean", "blank-triple-field"],
+    )
+    def test_row_the_record_refuses_is_data_error(
+        self, scored, config_path, capsys, edit, message
+    ):
+        scores_path = scored / "out" / "scores.jsonl"
+        lines = scores_path.read_text(encoding="utf-8").splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if '"triple_scores"' in text)
+        edit_json(scores_path, edit, line=line)
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scores_path}:{line}: ") and message in err
+        assert err.count("\n") == 1
+
     def test_missing_scores_is_data_error(self, workdir, config_path):
         assert self.evaluate(config_path) == 4
 
@@ -966,6 +995,24 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert str(report) in err
+
+    @pytest.mark.parametrize("target", ["DIR", "missing/r.json"], ids=["directory", "no-parent"])
+    def test_unwritable_report_is_refused_before_any_bootstrap(
+        self, scored, config_path, capsys, monkeypatch, target
+    ):
+        (scored / "DIR").mkdir()
+        before = sorted(scored.rglob("*"))
+        calls = []
+        evaluate_method = cli.evaluate_method
+        monkeypatch.setattr(
+            cli, "evaluate_method", lambda *args: calls.append(args) or evaluate_method(*args)
+        )
+        report = scored / target
+        capsys.readouterr()
+        assert self.evaluate(config_path, "--report", str(report)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1 and str(report) in err
+        assert calls == [] and sorted(scored.rglob("*")) == before
 
     def test_report_has_the_mode_open_gives_a_new_file(self, scored, config_path):
         umask = os.umask(0o027)

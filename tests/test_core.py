@@ -181,6 +181,10 @@ class TestScoreRecord:
         with pytest.raises(ValueError):
             self._record(score=-0.1)
 
+    def test_negative_misses(self):
+        with pytest.raises(ValueError, match="misses must be >= 0, got -1"):
+            self._record(misses=-1)
+
     def test_triple_scores_must_average_to_score(self):
         triples = ((Triple("a", "r", "b"), 0.2), (Triple("c", "r", "d"), 0.8))
         record = self._record(score=0.5, triple_scores=triples, kg_used=True)
@@ -268,14 +272,24 @@ class TestAtomicWrite:
 
 # The calls in the package that write a file, by function: every file written
 # whole goes through core.atomic_write. The score stream is appended and
-# flushed row by row so that a run resumes, the score lock is opened for
-# append, and the SimpleQA CSV writer is left as it is.
+# flushed row by row so that a run resumes, and the score lock is opened for
+# append.
 EXPECTED_FILE_WRITES = [
     ("cli._score_lock", "open"),
     ("core.atomic_write", "open"),
     ("core.atomic_write", "os.replace"),
-    ("data.save_simpleqa", "open"),
     ("data.write_score_records", "open"),
+]
+
+# The calls in the package that decode JSON, by function: every JSON input file
+# is read by one of core's two readers. The others decode a model reply, an
+# HTTP body and a response-cache entry, whose failures are not input errors.
+EXPECTED_JSON_DECODES = [
+    ("core.json_lines", "loads"),
+    ("core.read_json", "load"),
+    ("kgx.parse_triples", "loads"),
+    ("provider.cache.ResponseCache.get", "loads"),
+    ("provider.remote.post_json", "loads"),
 ]
 
 
@@ -326,6 +340,16 @@ def file_writes():
 
 def test_every_whole_file_write_goes_through_atomic_write():
     assert sorted(file_writes()) == EXPECTED_FILE_WRITES
+
+
+def test_every_json_input_file_is_decoded_in_core():
+    decodes = [
+        (scope, name)
+        for scope, call in package_calls()
+        if (name := call_name(call)) in ("load", "loads")
+        and getattr(getattr(call.func, "value", None), "id", "") == "json"
+    ]
+    assert sorted(decodes) == EXPECTED_JSON_DECODES
 
 
 def test_only_the_fan_out_starts_threads():

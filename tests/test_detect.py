@@ -25,12 +25,13 @@ from hallucheck.embed import (
     DimensionMismatch,
     HashEmbedder,
     ZeroVector,
-    clamp0,
     cosine_sim,
     triple_text,
 )
 from hallucheck.kgx import KGExtractor
 from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
+
+from conftest import clamp0
 
 
 def make_ctx(script=None, embedder=None, fail_calls=None):

@@ -11,12 +11,11 @@ from hallucheck.embed import (
     EmbedBackendError,
     HashEmbedder,
     ZeroVector,
-    clamp0,
     cosine_sim,
     triple_text,
 )
 
-from conftest import PinnedEmbedder
+from conftest import PinnedEmbedder, clamp0
 
 
 def vec(*values):

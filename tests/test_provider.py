@@ -262,14 +262,30 @@ class TestMockBackend:
             {"rules": [{"match": 3, "reply": "r"}]},
             {"default": 0},
             {"fail_calls": [1.5]},
+            {"rulez": [{"match": "m", "reply": "r"}], "fail_call": [1], "defualt": "0.9"},
+            {"rules": [{"match": "m", "reply": "r", "replys": ["s"]}]},
+            {"rules": [{"match": "m", "reply": "r", "replies": ["s"]}]},
+            {"rules": [{"match": "", "reply": "r"}]},
+            {"rules": [{"match": [], "reply": "r"}]},
+            {"rules": [{"match": ["m", ""], "reply": "r"}]},
+            {"fail_calls": [0]},
+            {"default": "\ud800"},
         ],
     )
     def test_malformed_script_is_a_config_error(self, tmp_path, script):
         path = tmp_path / "script.json"
         path.write_text(json.dumps(script), encoding="utf-8")
-        with pytest.raises(ConfigError, match="cannot load mock script") as exc_info:
+        with pytest.raises(ConfigError) as exc_info:
             MockChatBackend.from_script_file(path)
-        assert str(path) in str(exc_info.value) and "\n" not in str(exc_info.value)
+        message = str(exc_info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+
+    @pytest.mark.parametrize("rule", [{"reply": "\udfff"}, {"replies": ["ok", "\ud800"]}])
+    def test_a_reply_with_a_lone_surrogate_loads(self, tmp_path, rule):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"rules": [{"match": "x", **rule}]}), encoding="utf-8")
+        replies = MockChatBackend.from_script_file(path).rules[0].replies
+        assert replies == tuple(rule.get("replies", [rule.get("reply")]))
 
 
 class TestChatClient:
