@@ -139,6 +139,10 @@ MAX_EMBEDDING_DIM = 4096
 # The largest ``evaluate --resamples``: each interval holds a float64 and a
 # flag per resample, and a larger count asks for memory the host may not have.
 MAX_RESAMPLES = 1_000_000
+# The largest ``samples --n``, 500 times the paper's 20: every draw request is
+# built before the first call, and a larger count asks for memory the host may
+# not have.
+MAX_SAMPLES = 10_000
 
 # The config's field tables, for core.check_json; defaults come from the
 # dataclasses.
@@ -497,8 +501,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_samples(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if args.n < 1:
-        raise ConfigError(f"sample count must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_SAMPLES:
+        raise ConfigError(f"--n must be 1 to {MAX_SAMPLES}, got {args.n}")
     if not cfg.samples_dir:
         raise ConfigError("config has no samples_dir to store the samples in")
     records = _load_dataset(cfg)

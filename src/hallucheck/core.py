@@ -60,7 +60,10 @@ def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
     if os.path.isdir(path):
         raise IsADirectoryError(f"{os.fspath(path)} is a directory")
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
@@ -75,10 +78,10 @@ class SchemaError(HallucheckError):
 
 
 @contextlib.contextmanager
-def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
+def open_text(path: str | os.PathLike) -> Iterator[TextIO]:
     """``path`` opened as UTF-8 text; bytes that do not decode raise a
     SchemaError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -1,11 +1,9 @@
 """Dataset ingestion and persistence.
 
-Three kinds of on-disk artifacts:
+Two kinds of on-disk artifacts:
 
 * biography benchmark records, one JSON object per line, each carrying a
   labeled sentence plus the stochastic samples drawn for its paragraph;
-* short-form QA records in CSV, either the published two-column benchmark
-  layout or this package's extended layout with grading columns;
 * a sample store, one JSON file per paragraph, digest-checked so repeated
   writes are idempotent and conflicting rewrites are refused.
 
@@ -15,24 +13,21 @@ so artifact bytes depend only on inputs and configuration.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import re
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     NON_BLANK, NUMBER, DetectorMethod, HallucheckError, Label, SchemaError, ScoreRecord, Triple,
-    atomic_write, check_json, json_lines, open_text, read_json,
+    atomic_write, check_json, json_lines, read_json,
 )
 from .embed import MemoizingEmbedder, cosine_sim
-from .kgx import load_prompt_resource
-from .provider import ChatClient, ChatRequest, DETECT_PROFILE
 
 WIKIBIO_EXPECTED_SAMPLES = 20
 
@@ -45,10 +40,6 @@ class NotFound(HallucheckError):
 
 class StoreConflict(HallucheckError):
     """A store key was rewritten with different content."""
-
-
-class JudgeParseError(HallucheckError):
-    """A grading reply contained no recognizable verdict token."""
 
 
 def word_count(text: str) -> int:
@@ -122,141 +113,6 @@ def load_wikibio(
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records
-
-
-@dataclass(frozen=True)
-class SimpleQARecord:
-    question: str
-    gold_answer: str
-    model_answer: str | None = None
-    label: Label | None = None
-    judge_verdict: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.question.strip():
-            raise ValueError("question must be non-empty")
-        if not self.gold_answer.strip():
-            raise ValueError("gold_answer must be non-empty")
-        if self.label is not None:
-            if self.model_answer is None:
-                raise ValueError("label requires a model_answer")
-            object.__setattr__(self, "label", Label(self.label))
-
-
-_SIMPLEQA_PUBLISHED = ("metadata", "problem", "answer")
-_SIMPLEQA_EXTENDED = ("question", "gold_answer", "model_answer", "label", "judge_verdict")
-
-
-def load_simpleqa(path: str | os.PathLike) -> list[SimpleQARecord]:
-    """Read QA pairs from CSV.
-
-    Accepts the published benchmark header (metadata, problem, answer) and
-    this package's extended header with grading columns.
-    """
-    records: list[SimpleQARecord] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{os.fspath(path)}: empty file")
-        names = tuple(reader.fieldnames)
-        if set(_SIMPLEQA_PUBLISHED) <= set(names):
-            question_key, gold_key = "problem", "answer"
-            extended = False
-        elif set(("question", "gold_answer")) <= set(names):
-            question_key, gold_key = "question", "gold_answer"
-            extended = True
-        else:
-            raise SchemaError(
-                f"{os.fspath(path)}: unrecognized header {names}; expected "
-                f"{_SIMPLEQA_PUBLISHED} or {_SIMPLEQA_EXTENDED}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{os.fspath(path)}:{lineno}"
-            question = (row.get(question_key) or "").strip()
-            gold = (row.get(gold_key) or "").strip()
-            if not question:
-                raise SchemaError(f"{where}: empty question")
-            if not gold:
-                raise SchemaError(f"{where}: empty gold answer")
-            model_answer = label = verdict = None
-            if extended:
-                model_answer = row.get("model_answer") or None
-                raw_label = row.get("label") or None
-                verdict = row.get("judge_verdict") or None
-                if raw_label is not None:
-                    try:
-                        label = Label(raw_label)
-                    except ValueError:
-                        raise SchemaError(f"{where}: bad label {raw_label!r}")
-            try:
-                records.append(
-                    SimpleQARecord(
-                        question=question,
-                        gold_answer=gold,
-                        model_answer=model_answer,
-                        label=label,
-                        judge_verdict=verdict,
-                    )
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}")
-    if not records:
-        raise SchemaError(f"{os.fspath(path)}: no records")
-    return records
-
-
-def save_simpleqa(records: Iterable[SimpleQARecord], path: str | os.PathLike) -> None:
-    """Write the extended CSV layout; load_simpleqa reads it back unchanged."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SIMPLEQA_EXTENDED)
-        for r in records:
-            writer.writerow(
-                [
-                    r.question,
-                    r.gold_answer,
-                    r.model_answer or "",
-                    r.label.value if r.label else "",
-                    r.judge_verdict or "",
-                ]
-            )
-
-
-# INCORRECT is checked before CORRECT; \b keeps CORRECT from matching inside it.
-_VERDICTS = (
-    ("NOT_ATTEMPTED", re.compile(r"\bNOT_ATTEMPTED\b"), None),
-    ("INCORRECT", re.compile(r"\bINCORRECT\b"), Label.HALLUCINATED),
-    ("CORRECT", re.compile(r"\bCORRECT\b"), Label.ACCURATE),
-)
-
-
-def parse_judge_verdict(reply: str) -> tuple[str, Label | None]:
-    """Map a judge reply to (verdict token, label); None = excluded."""
-    for token, pattern, label in _VERDICTS:
-        if pattern.search(reply):
-            return token, label
-    raise JudgeParseError(f"no verdict token in judge reply {reply!r}")
-
-
-def grade_simpleqa(
-    record: SimpleQARecord, client: ChatClient, model_id: str
-) -> SimpleQARecord:
-    """Ask the judge model to compare the model answer against gold.
-
-    A NOT_ATTEMPTED verdict stores the verdict but leaves the label unset;
-    such records are excluded from scoring downstream.
-    """
-    if record.model_answer is None:
-        raise ValueError("cannot grade a record without a model_answer")
-    prompt = (
-        load_prompt_resource("simpleqa_judge.txt")
-        .replace("{{QUESTION}}", record.question)
-        .replace("{{GOLD}}", record.gold_answer)
-        .replace("{{PREDICTED}}", record.model_answer)
-    )
-    reply = client.complete(ChatRequest.user(model_id, prompt, DETECT_PROFILE)).content
-    verdict, label = parse_judge_verdict(reply)
-    return replace(record, label=label, judge_verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -706,6 +706,17 @@ class TestSamples:
         config = no_sample_config(workdir, with_store=True)
         assert main(["samples", "--config", str(config), "--n", "0"]) == 2
 
+    def test_more_samples_than_the_cap_are_refused_before_any_call(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = no_sample_config(workdir, with_store=True)
+        calls = record_backend_calls(monkeypatch)
+        n = cli.MAX_SAMPLES + 1
+        assert main(["samples", "--config", str(config), "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --n must be 1 to {cli.MAX_SAMPLES}, got {n}\n"
+        assert calls == [] and not (workdir / "samples").exists()
+
     def test_second_run_takes_every_draw_from_the_cache(self, workdir, monkeypatch):
         config = str(no_sample_config(workdir, with_store=True))
         calls = record_backend_calls(monkeypatch)
@@ -994,7 +1005,7 @@ class TestEvaluate:
         assert self.evaluate(config_path, "--report", str(report)) == 4
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
-        assert str(report) in err
+        assert str(report) in err and ".tmp" not in err
 
     @pytest.mark.parametrize("target", ["DIR", "missing/r.json"], ids=["directory", "no-parent"])
     def test_unwritable_report_is_refused_before_any_bootstrap(

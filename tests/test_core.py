@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import errno
 import math
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hallucheck import core
+from hallucheck import core, data
 from hallucheck.core import (
     DEGENERATE_RELATION,
     DEGENERATE_SUBJECT,
@@ -269,6 +270,14 @@ class TestAtomicWrite:
             os.umask(umask)
         assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
 
+    def test_a_missing_directory_is_an_error_naming_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        with pytest.raises(FileNotFoundError) as exc_info:
+            with atomic_write(target):
+                pass
+        assert exc_info.value.errno == errno.ENOENT
+        assert exc_info.value.filename == str(target) and ".tmp" not in str(exc_info.value)
+
 
 # The calls in the package that write a file, by function: every file written
 # whole goes through core.atomic_write. The score stream is appended and
@@ -293,23 +302,32 @@ EXPECTED_JSON_DECODES = [
 ]
 
 
-def scoped_calls(node, scope):
-    """(function, call) for each call under ``node``, by the innermost function
-    or class around it."""
+# The package modules that data imports, by function: the data layer reaches
+# neither the provider nor extraction. compute_stats imports the error it raises.
+EXPECTED_DATA_IMPORTS = [
+    ("data", "core"),
+    ("data", "embed"),
+    ("data.compute_stats", "evaluation"),
+]
+
+
+def scoped_nodes(node, scope, kind=ast.Call):
+    """(function, node) for each node of ``kind`` under ``node``, by the
+    innermost function or class around it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from scoped_calls(child, f"{scope}.{child.name}")
+            yield from scoped_nodes(child, f"{scope}.{child.name}", kind)
             continue
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield scope, child
-        yield from scoped_calls(child, scope)
+        yield from scoped_nodes(child, scope, kind)
 
 
 def package_calls():
     package = Path(core.__file__).parent
     for path in sorted(package.rglob("*.py")):
         module = ".".join(path.relative_to(package).with_suffix("").parts)
-        yield from scoped_calls(ast.parse(path.read_text(encoding="utf-8")), module)
+        yield from scoped_nodes(ast.parse(path.read_text(encoding="utf-8")), module)
 
 
 def call_name(call):
@@ -350,6 +368,16 @@ def test_every_json_input_file_is_decoded_in_core():
         and getattr(getattr(call.func, "value", None), "id", "") == "json"
     ]
     assert sorted(decodes) == EXPECTED_JSON_DECODES
+
+
+def test_data_imports_neither_the_provider_nor_extraction():
+    tree = ast.parse(Path(data.__file__).read_text(encoding="utf-8"))
+    imports = [
+        (scope, node.module.removeprefix("hallucheck."))
+        for scope, node in scoped_nodes(tree, "data", ast.ImportFrom)
+        if node.level or node.module.startswith("hallucheck")
+    ]
+    assert sorted(imports) == EXPECTED_DATA_IMPORTS
 
 
 def test_only_the_fan_out_starts_threads():

@@ -9,27 +9,21 @@ from hallucheck.cli import load_config
 from hallucheck.core import DetectorMethod, Label, ScoreRecord, Triple
 from hallucheck.data import (
     DatasetStats,
-    JudgeParseError,
     NotFound,
     SampleStore,
     SchemaError,
-    SimpleQARecord,
     StoreConflict,
     WikiBioRecord,
     compute_stats,
-    grade_simpleqa,
-    load_simpleqa,
     load_wikibio,
-    parse_judge_verdict,
     read_score_records,
-    save_simpleqa,
     score_record_from_dict,
     score_record_to_dict,
     word_count,
     write_score_records,
 )
 from hallucheck.evaluation import DegenerateLabels
-from hallucheck.provider import ChatClient, ConfigError, MockChatBackend
+from hallucheck.provider import ConfigError
 
 from conftest import FIXTURES, PinnedEmbedder
 
@@ -236,137 +230,6 @@ class TestWikiBioIO:
         path.write_text(json.dumps(valid_row()) + "\n" + line + "\n")
         with pytest.raises(SchemaError, match=r"d\.jsonl:2: invalid JSON"):
             load_wikibio(path, expected_samples=3)
-
-
-class TestSimpleQA:
-    def test_published_header(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text(
-            "metadata,problem,answer\n"
-            '"{\'topic\': \'Science\'}",What is the capital of France?,Paris\n'
-        )
-        records = load_simpleqa(path)
-        assert records == [
-            SimpleQARecord(question="What is the capital of France?", gold_answer="Paris")
-        ]
-
-    def test_extended_roundtrip(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        originals = [
-            SimpleQARecord(question="Q1?", gold_answer="G1"),
-            SimpleQARecord(
-                question="Q2?",
-                gold_answer="G2",
-                model_answer="M2",
-                label=H,
-                judge_verdict="INCORRECT",
-            ),
-        ]
-        save_simpleqa(originals, path)
-        assert load_simpleqa(path) == originals
-
-    def test_empty_question(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text("question,gold_answer\n,Paris\n")
-        with pytest.raises(SchemaError, match="empty question"):
-            load_simpleqa(path)
-
-    def test_unrecognized_header(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(SchemaError, match="unrecognized header"):
-            load_simpleqa(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text("")
-        with pytest.raises(SchemaError, match="empty file"):
-            load_simpleqa(path)
-
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text("question,gold_answer\n")
-        with pytest.raises(SchemaError, match="no records"):
-            load_simpleqa(path)
-
-    def test_bad_label(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_text(
-            "question,gold_answer,model_answer,label,judge_verdict\n"
-            "Q?,G,M,likely,\n"
-        )
-        with pytest.raises(SchemaError, match="bad label"):
-            load_simpleqa(path)
-
-    def test_undecodable_file_is_a_schema_error_naming_it(self, tmp_path):
-        path = tmp_path / "qa.csv"
-        path.write_bytes(b"question,gold_answer\nWhat is \xff?,Paris\n")
-        with pytest.raises(SchemaError, match=r"qa\.csv: not UTF-8 text"):
-            load_simpleqa(path)
-
-    def test_label_requires_model_answer(self):
-        with pytest.raises(ValueError, match="model_answer"):
-            SimpleQARecord(question="Q?", gold_answer="G", label=A)
-
-
-class TestJudgeVerdicts:
-    @pytest.mark.parametrize(
-        "reply,token,label",
-        [
-            ("CORRECT", "CORRECT", A),
-            ("The verdict is: CORRECT.", "CORRECT", A),
-            ("INCORRECT", "INCORRECT", H),
-            ("Verdict: INCORRECT, the year is wrong.", "INCORRECT", H),
-            ("NOT_ATTEMPTED", "NOT_ATTEMPTED", None),
-        ],
-    )
-    def test_parse(self, reply, token, label):
-        assert parse_judge_verdict(reply) == (token, label)
-
-    def test_incorrect_does_not_read_as_correct(self):
-        token, label = parse_judge_verdict("INCORRECT")
-        assert token == "INCORRECT"
-        assert label is H
-
-    def test_word_boundary(self):
-        with pytest.raises(JudgeParseError):
-            parse_judge_verdict("MISCORRECTED")
-
-    def test_no_token(self):
-        with pytest.raises(JudgeParseError):
-            parse_judge_verdict("the answer looks fine to me")
-
-    def test_grade_simpleqa(self):
-        backend = MockChatBackend.from_script(
-            {
-                "rules": [
-                    {"match": ["Grade the predicted answer", "capital"], "reply": "CORRECT"},
-                    {"match": ["Grade the predicted answer", "mountain"], "reply": "Verdict: INCORRECT."},
-                    {"match": ["Grade the predicted answer", "quantum"], "reply": "NOT_ATTEMPTED"},
-                ],
-                "default": "??",
-            }
-        )
-        client = ChatClient(backend)
-        graded = [
-            grade_simpleqa(
-                SimpleQARecord(question=q, gold_answer="g", model_answer="m"),
-                client,
-                "judge-model",
-            )
-            for q in (
-                "What is the capital of France?",
-                "Name the tallest mountain.",
-                "Explain quantum tunneling.",
-            )
-        ]
-        assert [g.label for g in graded] == [A, H, None]
-        assert [g.judge_verdict for g in graded] == ["CORRECT", "INCORRECT", "NOT_ATTEMPTED"]
-
-    def test_grade_requires_model_answer(self):
-        client = ChatClient(MockChatBackend())
-        with pytest.raises(ValueError):
-            grade_simpleqa(SimpleQARecord(question="Q?", gold_answer="G"), client, "m")
 
 
 class TestStats:
