@@ -42,7 +42,7 @@ from .core import (
     read_json,
 )
 from .data import NotFound, SampleStore, load_wikibio, read_score_records, write_score_records
-from .detect import DetectorConfig, DetectorContext, run_detector
+from .detect import DetectorConfig, DetectorContext, chosen_samples, run_detector
 from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
     DEFAULT_RESAMPLES,
@@ -272,6 +272,8 @@ def _read_sentences(path: Path) -> list[str]:
 def _fan_out(fn: Callable, units: Sequence, parallelism: int) -> Iterator[Iterator]:
     """``fn``'s results over ``units``, in order, from ``2 * parallelism - 1`` threads that start
     when the first is asked for. After a unit fails no unit starts; the results raise there."""
+    # The client caps calls in flight at ``parallelism``. Units also wait on memos other units
+    # fill and embed between calls, so the extra threads keep the cap busy: fewer ran slower.
     pool = ThreadPoolExecutor(2 * parallelism - 1, thread_name_prefix="hallucheck-unit")
     failures: list[BaseException] = []
 
@@ -398,14 +400,14 @@ def cmd_score(args: argparse.Namespace) -> int:
             for detector in cfg.detectors:
                 if (ref, detector.method.value, detector.use_kg) in done:
                     continue
-                # run_detector refuses a pair with too few samples before any
-                # call, so no sample of such a pair is queued.
-                kg_selfcheck = detector.method is DetectorMethod.SELFCHECK and detector.use_kg
-                if kg_selfcheck and len(samples) >= detector.n_samples:
-                    for text in samples[: detector.n_samples]:
-                        if text not in queued:
-                            queued.add(text)
-                            units.append(text)
+                if detector.method is DetectorMethod.SELFCHECK:
+                    # Too few samples is refused here, before any backend call.
+                    chosen = chosen_samples(detector, samples)
+                    if detector.use_kg:
+                        for text in chosen:
+                            if text not in queued:
+                                queued.add(text)
+                                units.append(text)
                 units.append((detector, output, samples))
         skipped = len(records) * len(cfg.detectors) - (len(units) - len(queued))
 

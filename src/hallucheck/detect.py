@@ -131,9 +131,9 @@ class DetectorContext:
     A detector call does all its work on the calling thread; any number of
     threads may share one context. Given a client and a model id, the context
     builds its own extractor unless one is passed, so every ``+kg`` call
-    shares one extraction memo. selfcheck's sample side belongs to the
-    paragraph: it is built once per context and shared by every record that
-    draws on the same samples.
+    shares one extraction memo. ``selfcheck+kg``'s sample graphs belong to
+    the paragraph: they are built once per context and shared by every record
+    that draws on the same samples.
     """
 
     client: ChatClient | None = None
@@ -209,10 +209,11 @@ def graph_consistency_scores(
     sample_graphs: Sequence[np.ndarray],
     sample_norms: Sequence[np.ndarray] | None = None,
 ) -> list[float]:
-    """Per-triple consistency against sampled graphs.
+    """Per-target consistency against sampled graphs; the one similarity
+    kernel of both selfcheck variants.
 
-    ``targets`` is a ``(t, d)`` matrix of target triple vectors and each
-    sample graph a ``(k, d)`` matrix of its triple vectors. For each target:
+    ``targets`` is a ``(t, d)`` matrix of target vectors and each sample
+    graph a ``(k, d)`` matrix of its triple vectors. For each target:
     average, over the sample graphs, of the best zero-floored cosine
     similarity to any triple in that graph; a graph with no triples
     contributes zero. Exactly-rounded summation keeps the result independent
@@ -246,38 +247,22 @@ def graph_consistency_scores(
     return [mean_score(column) for column in best.T.tolist()]
 
 
-def _sentence_consistency(target: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> float:
-    """Sentence-level selfcheck: the mean zero-floored cosine similarity of
-    ``target`` to each sample row, each the float a one-row sample graph gives."""
-    if rows.shape[1] != target.shape[0]:
-        raise DimensionMismatch(f"vector lengths differ: {target.shape[0]} vs {rows.shape[1]}")
-    target_norm = _norms(target)
-    if not (target_norm and norms.all()):
-        raise ZeroVector("cosine similarity with a zero vector")
-    sims = np.clip(np.vecdot(target, rows) / (target_norm * norms), -1.0, 1.0)
-    return mean_score(np.where(sims > 0.0, sims, 0.0).tolist())
-
-
 def _norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(matrix, matrix))
 
 
-def _sample_side(ctx: DetectorContext, use_kg: bool, chosen: tuple[str, ...]) -> tuple:
-    """What selfcheck compares a record against, with its row norms: for
-    ``+kg`` the list of per-sample triple matrices, otherwise the ``(n, d)``
-    sample matrix. The matrices are the embedder's memoized arrays, never
-    copies, and the side is built once per context, variant and samples."""
+def _sample_side(ctx: DetectorContext, chosen: tuple[str, ...]) -> tuple:
+    """What ``selfcheck+kg`` compares a record against: the per-sample triple
+    matrices, with their row norms. The matrices are the embedder's memoized
+    arrays, never copies, and the side is built once per context and samples."""
 
     def build() -> tuple:
         embedder = ctx.require_embedder()
-        if not use_kg:
-            rows = embedder.embed_many(chosen)
-            return rows, _norms(rows)
         extractor = ctx.require_extractor()
         graphs = [embedder.embed_many(_triple_statements(extractor.extract(s))) for s in chosen]
         return graphs, [_norms(graph) for graph in graphs]
 
-    return ctx._sample_sides.get((use_kg, chosen), build)
+    return ctx._sample_sides.get(chosen, build)
 
 
 _STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]] = {
@@ -286,7 +271,8 @@ _STATEMENT_SCORERS: dict[DetectorMethod, Callable[[DetectorContext, str], float]
 }
 
 
-def _chosen_samples(config: DetectorConfig, samples: Sequence[str] | None) -> tuple[str, ...]:
+def chosen_samples(config: DetectorConfig, samples: Sequence[str] | None) -> tuple[str, ...]:
+    """selfcheck's first ``n_samples`` samples; too few is a config error."""
     if not samples:
         raise ConfigError("selfcheck configured but no samples provided")
     if len(samples) < config.n_samples:
@@ -314,18 +300,21 @@ def run_detector(
     misses = 0
     try:
         if config.method is DetectorMethod.SELFCHECK:
-            chosen = _chosen_samples(config, samples)
+            chosen = chosen_samples(config, samples)
             embedder = ctx.require_embedder()
             if config.use_kg:
                 kg = ctx.require_extractor().extract(output.text, output.context)
-                graphs, norms = _sample_side(ctx, True, chosen)
+                graphs, norms = _sample_side(ctx, chosen)
                 per_triple = graph_consistency_scores(
                     embedder.embed_many(_triple_statements(kg)), graphs, norms
                 )
                 triple_scores = tuple(zip(kg.triples, per_triple))
             else:
-                rows, norms = _sample_side(ctx, False, chosen)
-                score = _sentence_consistency(embedder.embed(output.text), rows, norms)
+                # Samples as targets, the sentence as the one graph: each cosine is the
+                # same float either way round, a one-row graph's best match is that
+                # value, and ``mean_score`` does not depend on the sample order.
+                graphs = [embedder.embed(output.text)[None]]
+                score = mean_score(graph_consistency_scores(embedder.embed_many(chosen), graphs))
         else:
             score_one = _STATEMENT_SCORERS[config.method]
             if config.use_kg:

@@ -1442,9 +1442,15 @@ class TestOnePool:
     def test_too_few_samples_is_refused_before_any_call(
         self, tmp_path, fixture_dir, monkeypatch, capsys
     ):
-        detectors = [{"method": "selfcheck", "use_kg": True, "n_samples": 5}]
-        workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4, detectors=detectors)
+        # The fixture's six detectors, with sentence-level selfcheck after four
+        # provider-backed detectors.
+        six = json.loads((fixture_dir / "run_config.json").read_text(encoding="utf-8"))["detectors"]
+        six[4]["n_samples"] = 5
+        kg_only = [{"method": "selfcheck", "use_kg": True, "n_samples": 5}]
         calls = timed_backend_calls(monkeypatch)
-        assert main(["score", "--config", str(workdir / "run_config.json")]) == 2
-        assert "selfcheck needs 5 samples, got 3" in capsys.readouterr().err
-        assert calls == []
+        for name, detectors in (("kg", kg_only), ("six", six)):
+            workdir = copy_fixture(fixture_dir, tmp_path / name, parallelism=4, detectors=detectors)
+            assert main(["score", "--config", str(workdir / "run_config.json")]) == 2, name
+            assert "selfcheck needs 5 samples, got 3" in capsys.readouterr().err, name
+            assert calls == [], name
+            assert not (workdir / "out" / "scores.jsonl").exists(), name

@@ -389,3 +389,10 @@ def test_only_the_fan_out_starts_threads():
         if (name := call_name(call)) in ("ThreadPoolExecutor", "Thread")
     ]
     assert starts == [("cli._fan_out", "ThreadPoolExecutor")]
+
+
+def test_one_similarity_kernel():
+    """Both selfcheck variants compare vectors in detect.graph_consistency_scores,
+    so no other function computes a dot product of its own."""
+    dots = sorted(scope for scope, call in package_calls() if call_name(call) == "vecdot")
+    assert dots == ["detect._norms", "detect.graph_consistency_scores"]

@@ -404,12 +404,16 @@ class TestSharedSampleSide:
         want = outcome(per_graph_loop, targets, graphs)
         assert outcome(graph_consistency_scores, targets, graphs, norms) == want
         assert outcome(graph_consistency_scores, targets, graphs) == want
-        row_norms = np.sqrt(np.vecdot(rows, rows))
+        # Sentence-level selfcheck: the samples are the targets and the
+        # sentence the one graph.
         one_row_graphs = [rows[i : i + 1] for i in range(len(rows))]
         for target in targets:
             want = outcome(per_graph_loop, target[None, :], one_row_graphs)
-            got = outcome(detect_module._sentence_consistency, target, rows, row_norms)
-            assert got == (want if isinstance(want, type) else want[0])
+            got = outcome(graph_consistency_scores, rows, [target[None, :]])
+            if isinstance(want, type):
+                assert got == want
+            else:
+                assert mean_score(got) == want[0]
 
 
 SELFCHECK_KG_SCRIPT = {
@@ -563,13 +567,13 @@ class TestSampleSideOncePerParagraph:
 
     def test_sentence_side_holds_the_embedders_matrix(self, monkeypatch):
         seen = []
-        consistency = detect_module._sentence_consistency
+        consistency = detect_module.graph_consistency_scores
 
-        def spy(target, rows, norms):
-            seen.append(rows)
-            return consistency(target, rows, norms)
+        def spy(targets, graphs, norms=None):
+            seen.append(targets)
+            return consistency(targets, graphs, norms)
 
-        monkeypatch.setattr(detect_module, "_sentence_consistency", spy)
+        monkeypatch.setattr(detect_module, "graph_consistency_scores", spy)
         embedder = HashEmbedder(dim=32)
         records = self.score_paragraph(DetectorContext(embedder=embedder), False)
         assert len(seen) == len(self.TEXTS)
