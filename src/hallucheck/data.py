@@ -16,10 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
-from dataclasses import asdict, dataclass
-from math import fsum
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -27,11 +25,8 @@ from .core import (
     NON_BLANK, NUMBER, DetectorMethod, HallucheckError, Label, SchemaError, ScoreRecord, Triple,
     atomic_write, check_json, json_lines, read_json,
 )
-from .embed import MemoizingEmbedder, cosine_sim
 
 WIKIBIO_EXPECTED_SAMPLES = 20
-
-_WORD = re.compile(r"\S+")
 
 
 class NotFound(HallucheckError):
@@ -40,10 +35,6 @@ class NotFound(HallucheckError):
 
 class StoreConflict(HallucheckError):
     """A store key was rewritten with different content."""
-
-
-def word_count(text: str) -> int:
-    return len(_WORD.findall(text))
 
 
 @dataclass(frozen=True)
@@ -113,71 +104,6 @@ def load_wikibio(
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    sentence_count: int
-    paragraph_count: int
-    hallucinated_count: int
-    accurate_count: int
-    sentences_per_paragraph: float
-    avg_sample_length_words: float
-    avg_hallucinated_length_words: float
-    avg_accurate_length_words: float
-    semantic_similarity_h_vs_a: float
-    similarity_method: str = "centroid_cosine"
-
-    def __post_init__(self) -> None:
-        if self.hallucinated_count + self.accurate_count != self.sentence_count:
-            raise ValueError("label counts do not sum to sentence count")
-
-    def as_record(self) -> dict:
-        return asdict(self)
-
-
-def _mean(values: Sequence[float]) -> float:
-    return fsum(values) / len(values) if values else 0.0
-
-
-def compute_stats(records: Sequence[WikiBioRecord], embedder: MemoizingEmbedder) -> DatasetStats:
-    """Counts, whitespace word-length averages, and the class-separation
-    similarity: cosine between the centroid embeddings of the two classes.
-
-    Sample lengths are averaged per paragraph (each paragraph's samples count
-    once, however many sentence rows repeat them).
-
-    The centroid-cosine procedure is this package's own definition; the
-    resulting number is comparable across runs of this package, not across
-    other implementations.
-    """
-    if not records:
-        raise SchemaError("no records")
-    from .evaluation import DegenerateLabels
-
-    by_paragraph: dict[str, WikiBioRecord] = {}
-    for r in records:
-        by_paragraph.setdefault(r.paragraph_id, r)
-    sample_lengths = [
-        float(word_count(s)) for r in by_paragraph.values() for s in r.samples
-    ]
-    hallucinated = [r.sentence for r in records if r.label == Label.HALLUCINATED]
-    accurate = [r.sentence for r in records if r.label == Label.ACCURATE]
-    if not hallucinated or not accurate:
-        raise DegenerateLabels("need sentences in both classes to compute similarity")
-    centroid_h = embedder.embed_many(hallucinated).mean(axis=0)
-    centroid_a = embedder.embed_many(accurate).mean(axis=0)
-    return DatasetStats(
-        sentence_count=len(records),
-        paragraph_count=len(by_paragraph),
-        hallucinated_count=len(hallucinated),
-        accurate_count=len(accurate),
-        sentences_per_paragraph=len(records) / len(by_paragraph),
-        avg_sample_length_words=_mean(sample_lengths),
-        avg_hallucinated_length_words=_mean([float(word_count(s)) for s in hallucinated]),
-        avg_accurate_length_words=_mean([float(word_count(s)) for s in accurate]),
-        semantic_similarity_h_vs_a=cosine_sim(centroid_h, centroid_a),
-    )
 
 
 def _samples_digest(samples: Sequence[str]) -> str:

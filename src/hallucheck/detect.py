@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,11 +140,9 @@ class DetectorContext:
     model_id: str = ""
     embedder: MemoizingEmbedder | None = None
     extractor: KGExtractor | None = None
-    prompts: DetectorPrompts | None = None
+    prompts: DetectorPrompts = field(default_factory=DetectorPrompts.default)
 
     def __post_init__(self) -> None:
-        if self.prompts is None:
-            self.prompts = DetectorPrompts.default()
         if self.extractor is None and self.client is not None and self.model_id:
             self.extractor = KGExtractor(self.client, self.model_id)
         self._sample_sides: OnceMemo[tuple] = OnceMemo()
@@ -172,16 +170,13 @@ class DetectorContext:
 def verify_statement(ctx: DetectorContext, statement: str) -> float:
     """Question -> answer -> agreement, all against the same model."""
     prompts = ctx.prompts
-    assert prompts is not None
     question = ctx._complete(prompts.render_question(statement)).strip()
     answer = ctx._complete(prompts.render_answer(question)).strip()
     return parse_score(ctx._complete(prompts.render_consistency(statement, answer)))
 
 
 def _elicit_confidence(ctx: DetectorContext, statement: str) -> float:
-    prompts = ctx.prompts
-    assert prompts is not None
-    return parse_score(ctx._complete(prompts.render_confidence(statement)))
+    return parse_score(ctx._complete(ctx.prompts.render_confidence(statement)))
 
 
 def _triple_statements(kg: KnowledgeGraph) -> list[str]:
@@ -334,7 +329,6 @@ def run_detector(
         ) from exc
     if triple_scores is not None:
         score = mean_score([c for _, c in triple_scores])
-    assert ctx.prompts is not None
     return ScoreRecord(
         output_ref=output.prompt_id,
         method=config.method,

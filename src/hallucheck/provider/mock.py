@@ -22,7 +22,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-from ..core import check_json, read_json
+from ..core import check_json, encodable, read_json
 from .types import ChatRequest, ConfigError, TransportError
 
 
@@ -92,6 +92,8 @@ class MockChatBackend:
             match = _strings(rule.get("match"), f"{where}{name}.match")
             if "" in match:
                 raise ConfigError(f"{where}{name}.match must not hold an empty string")
+            if not all(map(encodable, match)):
+                raise ConfigError(f"{where}{name}.match must be UTF-8 text, got a lone surrogate")
             key = "reply" if "reply" in rule else "replies"
             rules.append(MockRule(match, _strings(rule[key], f"{where}{name}.{key}")))
         return cls(rules, script.get("default", ""), set(script.get("fail_calls", ())))

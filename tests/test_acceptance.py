@@ -25,7 +25,7 @@ from hallucheck.core import (
     Label,
     mean_score,
 )
-from hallucheck.data import compute_stats, load_wikibio
+from hallucheck.data import load_wikibio
 from hallucheck.detect import (
     DetectorConfig,
     DetectorContext,
@@ -38,6 +38,7 @@ from hallucheck.evaluation import (
     THRESHOLD_GRID,
     auc_pr,
     bootstrap_ci,
+    compute_stats,
     threshold_metric,
     threshold_search,
 )

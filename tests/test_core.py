@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hallucheck import core, data
+from hallucheck import core
 from hallucheck.core import (
     DEGENERATE_RELATION,
     DEGENERATE_SUBJECT,
@@ -302,13 +302,19 @@ EXPECTED_JSON_DECODES = [
 ]
 
 
-# The package modules that data imports, by function: the data layer reaches
-# neither the provider nor extraction. compute_stats imports the error it raises.
-EXPECTED_DATA_IMPORTS = [
-    ("data", "core"),
-    ("data", "embed"),
-    ("data.compute_stats", "evaluation"),
+# The package's layers, lowest first, by a module's top-level name. A module
+# may import only from a lower layer or from its own subpackage, so a layer
+# loads none of the layers at or above it. prompts holds only text files.
+LAYERS = [
+    ["core", "prompts"],
+    ["data", "provider"],
+    ["kgx", "embed"],
+    ["detect"],
+    ["evaluation"],
+    ["cli"],
+    ["__init__", "__main__"],
 ]
+LAYER_OF = {top: rank for rank, tops in enumerate(LAYERS) for top in tops}
 
 
 def scoped_nodes(node, scope, kind=ast.Call):
@@ -323,11 +329,17 @@ def scoped_nodes(node, scope, kind=ast.Call):
         yield from scoped_nodes(child, scope, kind)
 
 
-def package_calls():
+def package_trees():
+    """(path parts, syntax tree) of each module of the package."""
     package = Path(core.__file__).parent
     for path in sorted(package.rglob("*.py")):
-        module = ".".join(path.relative_to(package).with_suffix("").parts)
-        yield from scoped_nodes(ast.parse(path.read_text(encoding="utf-8")), module)
+        parts = path.relative_to(package).with_suffix("").parts
+        yield parts, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_calls():
+    for parts, tree in package_trees():
+        yield from scoped_nodes(tree, ".".join(parts))
 
 
 def call_name(call):
@@ -370,14 +382,37 @@ def test_every_json_input_file_is_decoded_in_core():
     assert sorted(decodes) == EXPECTED_JSON_DECODES
 
 
-def test_data_imports_neither_the_provider_nor_extraction():
-    tree = ast.parse(Path(data.__file__).read_text(encoding="utf-8"))
-    imports = [
-        (scope, node.module.removeprefix("hallucheck."))
-        for scope, node in scoped_nodes(tree, "data", ast.ImportFrom)
-        if node.level or node.module.startswith("hallucheck")
+def package_imports():
+    """(module's path parts, function, imported module) for each import of a
+    package module, at module or function level, relative or absolute. The
+    imported module is named relative to the package, the package itself
+    "__init__"."""
+    for parts, tree in package_trees():
+        for scope, node in scoped_nodes(tree, ".".join(parts), (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif node.level:
+                # A relative import starts from the module's own package.
+                base = ("hallucheck", *parts[: len(parts) - node.level])
+                names = [".".join(base + ((node.module,) if node.module else ()))]
+            else:
+                names = [node.module]
+            for name in names:
+                if name == "hallucheck":
+                    yield parts, scope, "__init__"
+                elif name.startswith("hallucheck."):
+                    yield parts, scope, name.removeprefix("hallucheck.")
+
+
+def test_imports_follow_the_layer_order():
+    """Every package import names a lower layer or the importer's own subpackage."""
+    upward = [
+        (scope, target)
+        for parts, scope, target in package_imports()
+        if LAYER_OF[target.split(".")[0]] >= LAYER_OF[parts[0]]
+        and not (len(parts) > 1 and target.split(".")[0] == parts[0])
     ]
-    assert sorted(imports) == EXPECTED_DATA_IMPORTS
+    assert upward == []
 
 
 def test_only_the_fan_out_starts_threads():

@@ -8,21 +8,18 @@ from hypothesis import given, strategies as st
 from hallucheck.cli import load_config
 from hallucheck.core import DetectorMethod, Label, ScoreRecord, Triple
 from hallucheck.data import (
-    DatasetStats,
     NotFound,
     SampleStore,
     SchemaError,
     StoreConflict,
     WikiBioRecord,
-    compute_stats,
     load_wikibio,
     read_score_records,
     score_record_from_dict,
     score_record_to_dict,
-    word_count,
     write_score_records,
 )
-from hallucheck.evaluation import DegenerateLabels
+from hallucheck.evaluation import DatasetStats, DegenerateLabels, compute_stats
 from hallucheck.provider import ConfigError
 
 from conftest import FIXTURES, PinnedEmbedder
@@ -34,18 +31,6 @@ A = Label.ACCURATE
 # JSONDecodeError: an integer past the digit limit and nesting past the
 # recursion limit.
 PAST_JSON_LIMITS = ["[" + "1" * 5000 + "]", "[" * 100_000]
-
-
-class TestWordCount:
-    def test_basic(self):
-        assert word_count("a b  c") == 3
-        assert word_count("") == 0
-        assert word_count("   ") == 0
-        assert word_count("one.") == 1
-
-    @given(st.text(max_size=200))
-    def test_agrees_with_split(self, text):
-        assert word_count(text) == len(text.split())
 
 
 def wikibio(pid="p1", idx=0, sentence="She was born in 1901.", label=A, samples=("s1", "s2")):
@@ -318,7 +303,7 @@ class TestStats:
                 "six seven eight nine": [0.0, 1.0],
             }
         )
-        record = compute_stats(records, embedder).as_record()
+        record = dataclasses.asdict(compute_stats(records, embedder))
         assert record["sentence_count"] == 3
         assert record["similarity_method"] == "centroid_cosine"
 

@@ -22,7 +22,6 @@ from hallucheck.evaluation import (
     auc_pr,
     auc_pr_metric,
     bootstrap_ci,
-    classify,
     compare_methods,
     evaluate_method,
     metrics_at,
@@ -62,21 +61,21 @@ class TestGridAndClassify:
         assert THRESHOLD_GRID[-1] == 1.0
 
     def test_separable_at_cut(self):
-        c = classify(SEPARABLE, 0.40, positive=H)
+        c = metrics_at(SEPARABLE, 0.40, positive=H)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 2, 0)
         assert c.accuracy == 1.0
 
     def test_strictly_above_is_accurate(self):
-        c = classify([ls(0.40, H)], 0.40, positive=H)
+        c = metrics_at([ls(0.40, H)], 0.40, positive=H)
         assert c.tp == 1
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
-            classify(SEPARABLE, 1.5)
+            metrics_at(SEPARABLE, 1.5)
 
     def test_positive_accurate_swaps_roles(self):
-        c_h = classify(SEPARABLE, 0.40, positive=H)
-        c_a = classify(SEPARABLE, 0.40, positive=A)
+        c_h = metrics_at(SEPARABLE, 0.40, positive=H)
+        c_a = metrics_at(SEPARABLE, 0.40, positive=A)
         assert (c_a.tp, c_a.tn) == (c_h.tn, c_h.tp)
         assert c_a.accuracy == c_h.accuracy
 
@@ -94,7 +93,7 @@ class TestConfusion:
             [ls(0.2, H), ls(0.3, H), ls(0.7, H), ls(0.4, A)]
             + [ls(0.6 + i / 100, A) for i in range(6)]
         )
-        c = classify(scores, 0.5, positive=H)
+        c = metrics_at(scores, 0.5, positive=H)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 6, 1)
 
     def test_zero_denominators(self):
@@ -551,11 +550,11 @@ class TestKernelsEqualPerSamplePath:
 
     @settings(max_examples=150, deadline=None)
     @given(grid_sets, positives)
-    def test_threshold_search_equals_per_threshold_classify(self, scores, positive):
+    def test_threshold_search_equals_per_threshold_metrics_at(self, scores, positive):
         for objective in ("accuracy", "f1"):
             expected = DegenerateLabels
             if len({s.label for s in scores}) == 2:
-                values = [getattr(classify(scores, t, positive), objective) for t in THRESHOLD_GRID]
+                values = [getattr(metrics_at(scores, t, positive), objective) for t in THRESHOLD_GRID]
                 best = values.index(max(values))
                 expected = (THRESHOLD_GRID[best], values[best])
             assert outcome(threshold_search, scores, objective, positive) == expected

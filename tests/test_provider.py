@@ -270,6 +270,7 @@ class TestMockBackend:
             {"rules": [{"match": ["m", ""], "reply": "r"}]},
             {"fail_calls": [0]},
             {"default": "\ud800"},
+            {"rules": [{"match": ["m", "\ud800"], "reply": "r"}]},
         ],
     )
     def test_malformed_script_is_a_config_error(self, tmp_path, script):
