@@ -21,7 +21,7 @@ from .core import (
 )
 from .detect import DetectorConfig, DetectorContext, DetectorError, DetectorPrompts, run_detector
 from .embed import HashEmbedder, SbertEmbedder
-from .evaluation import LabeledScore, compare_methods, evaluate_method
+from .evaluation import LabeledScores, compare_methods, evaluate_method
 from .kgx import ExtractionPromptTemplate, KGExtractor
 from .provider import (
     ChatClient,
@@ -55,7 +55,7 @@ __all__ = [
     "KGExtractor",
     "KnowledgeGraph",
     "Label",
-    "LabeledScore",
+    "LabeledScores",
     "MockChatBackend",
     "OpenAIChatBackend",
     "ProviderError",

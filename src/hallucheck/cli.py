@@ -46,7 +46,7 @@ from .detect import DetectorConfig, DetectorContext, chosen_samples, run_detecto
 from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
     DEFAULT_RESAMPLES,
-    LabeledScore,
+    LabeledScores,
     RefMismatch,
     auc_pr,  # noqa: F401  (unused; bench/tracing.py wraps cli.auc_pr by name)
     auc_pr_metric,
@@ -317,18 +317,20 @@ def _load_dataset(cfg: RunConfig):
     return load_wikibio(cfg.resolve(cfg.dataset.path), cfg.dataset.expected_samples)
 
 
-def _scored_keys(path: Path, config_digest: str) -> set[tuple[str, str, bool]]:
+def _scored_keys(path: Path, expected: dict) -> set[tuple[str, str, bool]]:
     """The (ref, method, kg_used) keys already present in a score stream. A
-    stream that is not empty must open with the meta line of this config."""
+    stream that is not empty must open with a meta line of this config and
+    this prompt version, as ``expected`` holds them."""
     meta: dict = {}
     done = {(r.output_ref, r.method.value, r.kg_used) for r in read_score_records(path, meta=meta)}
-    if meta.get("config_digest") != config_digest and path.stat().st_size:
-        origin = (
-            f"was produced by a different config (digest {meta.get('config_digest')!r})"
-            if meta
-            else "has no meta line on line 1"
-        )
-        raise ConfigError(f"{path} {origin}; rerun with --fresh to discard it")
+    for key in ("config_digest", "prompt_version"):
+        if meta.get(key) != expected[key] and path.stat().st_size:
+            origin = (
+                f"was produced with {key} {meta.get(key)!r}, not {expected[key]!r}"
+                if meta
+                else "has no meta line on line 1"
+            )
+            raise ConfigError(f"{path} {origin}; to discard it, rerun with --fresh")
     return done
 
 
@@ -376,7 +378,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                     f"dropped an unterminated last line ({dropped} bytes) of {scores_path}",
                     file=sys.stderr,
                 )
-            done = _scored_keys(scores_path, cfg.config_digest)
+            done = _scored_keys(scores_path, _meta_record(cfg, embedder))
 
         needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
         store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
@@ -445,22 +447,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         make_output_ref(r.paragraph_id, r.sentence_index): r.label for r in _load_dataset(cfg)
     }
 
-    groups: dict[str, list[LabeledScore]] = {}
+    columns: dict[str, tuple[list[float], list[str]]] = {}
+    origins: set[tuple[str, str]] = set()
     for score in read_score_records(scores_path):
         if score.output_ref not in labels:
             raise RefMismatch(
                 f"score for {score.output_ref!r} has no matching dataset record"
             )
-        name = _method_name(score.method.value, score.kg_used)
-        groups.setdefault(name, []).append(
-            LabeledScore(
-                score=score.score,
-                label=labels[score.output_ref],
-                example_ref=score.output_ref,
-            )
-        )
-    if not groups:
+        origins.add((score.prompt_version, score.model_id))
+        values, refs = columns.setdefault(_method_name(score.method.value, score.kg_used), ([], []))
+        values.append(score.score)
+        refs.append(score.output_ref)
+    if not columns:
         raise SchemaError(f"{scores_path}: no score records")
+    if len(origins) > 1:
+        raise SchemaError(
+            f"{scores_path} mixes rows of (prompt_version, model_id) {sorted(origins)}"
+        )
+    groups = {
+        name: LabeledScores(values, map(labels.__getitem__, refs), refs)
+        for name, (values, refs) in columns.items()
+    }
 
     # Opened before the first bootstrap, so a target that cannot be written costs no work.
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -49,18 +49,43 @@ class RefMismatch(HallucheckError):
     """Paired score lists do not cover the same examples."""
 
 
-@dataclass(frozen=True)
-class LabeledScore:
-    """A detector score joined with its ground-truth label."""
+class LabeledScores:
+    """One method's detector scores joined with their ground-truth labels, as
+    columns in input order: read-only float64 ``scores``, a read-only bool
+    ``hallucinated`` column and the example ``refs`` ("" each when not given).
+    The constructor checks every score, label and length."""
 
-    score: float
-    label: Label
-    example_ref: str = ""
+    def __init__(
+        self, scores: Sequence[float], labels: Iterable[Label], refs: Iterable[str] = ()
+    ) -> None:
+        self.scores = np.array(scores, dtype=float)
+        self.hallucinated = np.array([Label(l) == Label.HALLUCINATED for l in labels], dtype=bool)
+        self.refs = tuple(refs) or ("",) * len(self.scores)
+        n = self.scores.size
+        if self.scores.ndim != 1 or not n == len(self.hallucinated) == len(self.refs):
+            raise ValueError(
+                f"{n} scores need as many labels and refs, got "
+                f"{len(self.hallucinated)} labels and {len(self.refs)} refs"
+            )
+        outside = ~((self.scores >= 0.0) & (self.scores <= 1.0))
+        if outside.any():
+            raise ValueError(f"score {self.scores[outside][0]} outside [0, 1]")
+        self.scores.flags.writeable = self.hallucinated.flags.writeable = False
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-        object.__setattr__(self, "label", Label(self.label))
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def positive(self, positive: Label) -> np.ndarray:
+        """Which examples carry the ``positive`` label."""
+        return self.hallucinated if positive == Label.HALLUCINATED else ~self.hallucinated
+
+    def take(self, order: Sequence[int]) -> LabeledScores:
+        """The examples at the positions in ``order``, in that order."""
+        taken = object.__new__(LabeledScores)
+        taken.scores, taken.hallucinated = self.scores[order], self.hallucinated[order]
+        taken.refs = tuple(map(self.refs.__getitem__, order))
+        taken.scores.flags.writeable = taken.hallucinated.flags.writeable = False
+        return taken
 
 
 def _ratio(num, den):
@@ -107,58 +132,36 @@ class Confusion:
         return _ratio(2 * p * r, p + r)
 
 
-def _require_both_labels(scores: Sequence[LabeledScore]) -> None:
-    labels = {s.label for s in scores}
-    if len(labels) < 2:
-        raise DegenerateLabels(f"need both labels, saw {sorted(l.value for l in labels)}")
-
-
-def _values(scores: Sequence[LabeledScore]) -> np.ndarray:
-    return np.array([s.score for s in scores], dtype=float)
-
-
-def _is_positive(scores: Sequence[LabeledScore], positive: Label) -> np.ndarray:
-    return np.array([s.label == positive for s in scores], dtype=bool)
-
-
-def _outcomes(
-    scores: Sequence[LabeledScore], threshold: float, positive: Label
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outcomes(scores: LabeledScores, threshold: float, positive: Label) -> tuple[np.ndarray, ...]:
     """Per-example true-positive, false-positive and false-negative flags at a
     cut-off: an example is predicted accurate iff its score > threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    accurate = _values(scores) > threshold
+    accurate = scores.scores > threshold
     predicted = accurate if positive == Label.ACCURATE else ~accurate
-    actual = _is_positive(scores, positive)
+    actual = scores.positive(positive)
     return predicted & actual, predicted & ~actual, ~predicted & actual
 
 
 def metrics_at(
-    scores: Sequence[LabeledScore],
-    threshold: float,
-    positive: Label = DEFAULT_POSITIVE,
+    scores: LabeledScores, threshold: float, positive: Label = DEFAULT_POSITIVE
 ) -> Confusion:
     """Confusion counts at a cut-off: predicted accurate iff score > threshold."""
     tp, fp, fn = (int(flags.sum()) for flags in _outcomes(scores, threshold, positive))
     return Confusion(tp=tp, fp=fp, tn=len(scores) - tp - fp - fn, fn=fn)
 
 
-_OBJECTIVES: dict[str, Callable[[Confusion], float | np.ndarray]] = {
-    "accuracy": lambda c: c.accuracy,
-    "f1": lambda c: c.f1,
-}
+# The threshold search objectives, each a ``Confusion`` property.
+_OBJECTIVES = ("accuracy", "f1")
 
 
 def _check_objective(objective: str) -> None:
     if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
+        raise ValueError(f"objective must be one of {list(_OBJECTIVES)}, got {objective!r}")
 
 
 def threshold_search(
-    scores: Sequence[LabeledScore],
-    objective: str = "accuracy",
-    positive: Label = DEFAULT_POSITIVE,
+    scores: LabeledScores, objective: str = "accuracy", positive: Label = DEFAULT_POSITIVE
 ) -> tuple[float, float]:
     """Best grid threshold for the objective; ties go to the lowest threshold.
 
@@ -166,14 +169,12 @@ def threshold_search(
     threshold at once; the first threshold reaching the best value wins.
     """
     _check_objective(objective)
-    if not scores:
-        raise DegenerateLabels("no scores to search over")
-    _require_both_labels(scores)
-    values = _values(scores)
-    actual = _is_positive(scores, positive)
+    if scores.hallucinated.all() or not scores.hallucinated.any():
+        raise DegenerateLabels(f"need both labels among the {len(scores)} examples")
+    actual = scores.positive(positive)
     # Examples at or below a threshold are the ones predicted hallucinated.
-    below = np.searchsorted(np.sort(values), THRESHOLD_GRID, side="right")
-    pos_below = np.searchsorted(np.sort(values[actual]), THRESHOLD_GRID, side="right")
+    below = np.searchsorted(np.sort(scores.scores), THRESHOLD_GRID, side="right")
+    pos_below = np.searchsorted(np.sort(scores.scores[actual]), THRESHOLD_GRID, side="right")
     neg_below = below - pos_below
     n_pos = int(actual.sum())
     n_neg = len(scores) - n_pos
@@ -181,7 +182,7 @@ def threshold_search(
         c = Confusion(tp=pos_below, fp=neg_below, tn=n_neg - neg_below, fn=n_pos - pos_below)
     else:
         c = Confusion(tp=n_pos - pos_below, fp=n_neg - neg_below, tn=neg_below, fn=pos_below)
-    objective_values = _OBJECTIVES[objective](c)
+    objective_values = getattr(c, objective)
     best = int(np.argmax(objective_values))
     return THRESHOLD_GRID[best], float(objective_values[best])
 
@@ -197,7 +198,7 @@ RowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # the work that depends only on them, once, and returns the kernel (see
 # ``RowFn``). A row is degenerate where the per-sample form of the metric
 # would raise ``DegenerateLabels``.
-RowMetric = Callable[[Sequence[LabeledScore]], RowFn]
+RowMetric = Callable[[LabeledScores], RowFn]
 
 
 def threshold_metric(
@@ -207,9 +208,8 @@ def threshold_metric(
     of ``getattr(metrics_at(s, threshold, positive), objective)``. It never
     degenerates."""
     _check_objective(objective)
-    score_fn = _OBJECTIVES[objective]
 
-    def bind(scores: Sequence[LabeledScore]) -> RowFn:
+    def bind(scores: LabeledScores) -> RowFn:
         tp, fp, fn = _outcomes(scores, threshold, positive)
         # One 0/1 column per confusion cell: tp, fp, tn, fn.
         flags = np.column_stack([tp, fp, ~(tp | fp | fn), fn]).astype(float)
@@ -217,7 +217,7 @@ def threshold_metric(
         def rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # Integer-valued sums below 2**53, so exact in any order.
             n_tp, n_fp, n_tn, n_fn = (counts @ flags).T
-            values = score_fn(Confusion(tp=n_tp, fp=n_fp, tn=n_tn, fn=n_fn))
+            values = getattr(Confusion(tp=n_tp, fp=n_fp, tn=n_tn, fn=n_fn), objective)
             return values, np.zeros(len(counts), dtype=bool)
 
         return rows
@@ -229,14 +229,14 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
     """Average precision (see ``auc_pr``) as a row metric. A row with no
     positive or no negative example is degenerate."""
 
-    def bind(scores: Sequence[LabeledScore]) -> RowFn:
+    def bind(scores: LabeledScores) -> RowFn:
         sign = 1.0 if positive == Label.HALLUCINATED else -1.0
         # Tie groups, numbered most-positive-first.
-        keys = sign * _values(scores)
+        keys = sign * scores.scores
         ranks = np.unique(keys)
         group = np.searchsorted(ranks, keys)
         n_groups = len(ranks)
-        is_pos = _is_positive(scores, positive)
+        is_pos = scores.positive(positive)
 
         def rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             n_rows, n = counts.shape
@@ -292,7 +292,7 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
     return bind
 
 
-def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -> float:
+def auc_pr(scores: LabeledScores, positive: Label = DEFAULT_POSITIVE) -> float:
     """Average precision over the ranking induced by the scores.
 
     Items are ranked most-positive-first: ascending score when the positive
@@ -300,8 +300,9 @@ def auc_pr(scores: Sequence[LabeledScore], positive: Label = DEFAULT_POSITIVE) -
     it is accurate. Equal scores form one rank group and take the precision at
     the group's end, which makes the value independent of input order.
     """
-    _require_both_labels(scores)
-    values, _ = auc_pr_metric(positive)(scores)(np.ones((1, len(scores))))
+    values, degenerate = auc_pr_metric(positive)(scores)(np.ones((1, len(scores))))
+    if degenerate[0]:
+        raise DegenerateLabels(f"need both labels among the {len(scores)} examples")
     return float(values[0])
 
 
@@ -412,10 +413,7 @@ def _percentile_interval(replicates: np.ndarray) -> tuple[float, float, float]:
 
 
 def bootstrap_ci(
-    scores: Sequence[LabeledScore],
-    metric_fn: RowMetric,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
+    scores: LabeledScores, metric_fn: RowMetric, resamples: int = DEFAULT_RESAMPLES, seed: int = 0
 ) -> BootstrapCI:
     """Resample examples with replacement and take empirical 2.5/97.5 quantiles.
 
@@ -455,13 +453,9 @@ class MethodComparison:
         )
 
 
-def _by_ref(scores: Sequence[LabeledScore]) -> list[LabeledScore]:
-    return sorted(scores, key=lambda s: s.example_ref)
-
-
 def compare_methods(
-    a: Sequence[LabeledScore],
-    b: Sequence[LabeledScore],
+    a: LabeledScores,
+    b: LabeledScores,
     metric_fn: RowMetric,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
@@ -473,20 +467,19 @@ def compare_methods(
     degenerates is skipped. Significant at the 95% level iff the percentile
     interval of the difference excludes zero.
     """
-    refs_a = sorted(s.example_ref for s in a)
-    refs_b = sorted(s.example_ref for s in b)
-    if refs_a != refs_b:
-        only_a = set(refs_a) - set(refs_b)
-        only_b = set(refs_b) - set(refs_a)
+    # Python's stable sort of the refs, so equal refs pair in input order.
+    paired_a = a.take(sorted(range(len(a)), key=a.refs.__getitem__))
+    paired_b = b.take(sorted(range(len(b)), key=b.refs.__getitem__))
+    if paired_a.refs != paired_b.refs:
+        only_a = set(a.refs) - set(b.refs)
+        only_b = set(b.refs) - set(a.refs)
         raise RefMismatch(
             f"methods cover different examples (only in a: {sorted(only_a)[:5]}, "
             f"only in b: {sorted(only_b)[:5]})"
         )
-    paired_a = _by_ref(a)
-    paired_b = _by_ref(b)
-    for sa, sb in zip(paired_a, paired_b):
-        if sa.label != sb.label:
-            raise RefMismatch(f"labels disagree for example {sa.example_ref!r}")
+    disagree = np.flatnonzero(paired_a.hallucinated != paired_b.hallucinated)
+    if len(disagree):
+        raise RefMismatch(f"labels disagree for example {paired_a.refs[disagree[0]]!r}")
     rows_a, rows_b = metric_fn(paired_a), metric_fn(paired_b)
 
     def differences(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,7 +533,7 @@ class EvalReport:
 
 def evaluate_method(
     method: str,
-    scores: Sequence[LabeledScore],
+    scores: LabeledScores,
     positive: Label = DEFAULT_POSITIVE,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,

@@ -1,5 +1,5 @@
-"""Shared fixtures: a statistics-faithful synthetic dataset, CLI helpers and
-an embedder with pinned vectors.
+"""Shared fixtures: a statistics-faithful synthetic dataset, CLI helpers, an
+embedder with pinned vectors and the per-example form of labelled scores.
 
 The real benchmark file is not bundled. When HALLUCHECK_WIKIBIO_PATH points
 at it, dataset-level tests use the real file; otherwise they run against a
@@ -16,11 +16,15 @@ import random
 import sys
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from hallucheck.core import Label
+from hallucheck.data import WikiBioRecord
 from hallucheck.embed import MemoizingEmbedder
+from hallucheck.evaluation import LabeledScores
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -138,6 +142,35 @@ def clamp0(sim: float) -> float:
     """The selfcheck similarity of one pair, the oracle the vectorised kernels
     are held to: a negative cosine similarity is floored at 0."""
     return sim if sim > 0.0 else 0.0
+
+
+def wikibio(
+    pid="p1", idx=0, sentence="She was born in 1901.", label=Label.ACCURATE, samples=("s1", "s2")
+):
+    """A dataset record with the given fields and the concept "Person"."""
+    return WikiBioRecord(
+        paragraph_id=pid,
+        concept="Person",
+        sentence_index=idx,
+        sentence=sentence,
+        label=label,
+        samples=samples,
+    )
+
+
+class Example(NamedTuple):
+    """One labelled score: the per-example form the evaluation oracles work on."""
+
+    score: float
+    label: Label
+    example_ref: str = ""
+
+
+def cols(examples) -> LabeledScores:
+    """The examples as the columns the evaluation API takes."""
+    return LabeledScores(
+        [e.score for e in examples], [e.label for e in examples], [e.example_ref for e in examples]
+    )
 
 
 class PinnedEmbedder(MemoizingEmbedder):

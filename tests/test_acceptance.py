@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import Example, cols
 from hallucheck.cli import main as cli_main
 from hallucheck.core import (
     DetectorMethod,
@@ -34,8 +35,8 @@ from hallucheck.detect import (
 )
 from hallucheck.embed import HashEmbedder, cosine_sim
 from hallucheck.evaluation import (
-    LabeledScore,
     THRESHOLD_GRID,
+    LabeledScores,
     auc_pr,
     bootstrap_ci,
     compute_stats,
@@ -159,9 +160,7 @@ def _random_labeled(rng, n, on_grid):
         values = (rng.integers(0, 101, n) / 100) if on_grid else rng.random(n)
         labels = [H if rng.random() < 0.5 else A for _ in range(n)]
         if len(set(labels)) == 2:
-            return [
-                LabeledScore(score=float(v), label=l) for v, l in zip(values, labels)
-            ]
+            return [Example(float(v), l) for v, l in zip(values, labels)]
 
 
 def _exhaustive_best(scores, objective, positive):
@@ -192,13 +191,11 @@ def test_a03_threshold_search_optimal():
         scores = _random_labeled(rng, int(rng.integers(4, 40)), on_grid=trial % 2 == 0)
         for objective in ("accuracy", "f1"):
             for positive in (H, A):
-                if threshold_search(scores, objective, positive) != _exhaustive_best(
+                if threshold_search(cols(scores), objective, positive) != _exhaustive_best(
                     scores, objective, positive
                 ):
                     ok = False
-    tie_threshold, tie_value = threshold_search(
-        [LabeledScore(0.2, H), LabeledScore(0.8, A)], "accuracy"
-    )
+    tie_threshold, tie_value = threshold_search(LabeledScores([0.2, 0.8], [H, A]), "accuracy")
     ties_ok = tie_threshold == 0.20 and tie_value == 1.0
     report(
         "A3 threshold search matches grid enumeration, lowest-tie rule",
@@ -228,23 +225,13 @@ def test_a04_auc_pr_oracle():
         scores = _random_labeled(rng, int(rng.integers(4, 60)), on_grid=False)
         for positive in (H, A):
             worst = max(
-                worst, abs(auc_pr(scores, positive) - _rank_walk_ap(scores, positive))
+                worst, abs(auc_pr(cols(scores), positive) - _rank_walk_ap(scores, positive))
             )
-    perfect = [
-        LabeledScore(0.1, H),
-        LabeledScore(0.2, H),
-        LabeledScore(0.8, A),
-        LabeledScore(0.9, A),
-    ]
+    perfect = LabeledScores([0.1, 0.2, 0.8, 0.9], [H, H, A, A])
     perfect_ok = auc_pr(perfect, H) == 1.0
-    tied = [LabeledScore(0.5, H)] * 3 + [LabeledScore(0.5, A)] * 7
+    tied = LabeledScores([0.5] * 10, [H] * 3 + [A] * 7)
     tied_ok = abs(auc_pr(tied, H) - 0.3) <= 1e-12
-    two_of_four = [
-        LabeledScore(0.1, H),
-        LabeledScore(0.2, A),
-        LabeledScore(0.3, H),
-        LabeledScore(0.4, A),
-    ]
+    two_of_four = LabeledScores([0.1, 0.2, 0.3, 0.4], [H, A, H, A])
     known_ok = abs(auc_pr(two_of_four, H) - 5 / 6) <= 1e-9
     report(
         "A4 AUC-PR equals rank-walk oracle; edge cases",
@@ -267,19 +254,16 @@ def _independent_bootstrap(scores, threshold, resamples, seed):
 
 
 def test_a05_bootstrap_determinism():
-    fixture = [
-        LabeledScore(round(0.05 * i, 2), H if i % 3 else A, example_ref=f"e{i}")
-        for i in range(20)
-    ]
+    fixture = [Example(round(0.05 * i, 2), H if i % 3 else A, f"e{i}") for i in range(20)]
     metric = threshold_metric("accuracy", 0.5)
-    first = bootstrap_ci(fixture, metric, resamples=500, seed=11)
-    second = bootstrap_ci(fixture, metric, resamples=500, seed=11)
+    first = bootstrap_ci(cols(fixture), metric, resamples=500, seed=11)
+    second = bootstrap_ci(cols(fixture), metric, resamples=500, seed=11)
     deterministic = first == second
 
     def constant(_):
         return lambda idx: (np.full(len(idx), 0.4), np.zeros(len(idx), bool))
 
-    flat = bootstrap_ci(fixture, constant, resamples=100, seed=0)
+    flat = bootstrap_ci(cols(fixture), constant, resamples=100, seed=0)
     zero_var = flat.half_width == 0.0 and flat.low == flat.high == flat.mean == 0.4
     mean, low, high = _independent_bootstrap(fixture, 0.5, 500, 11)
     dual = first.mean == mean and first.low == low and first.high == high
@@ -479,18 +463,16 @@ def test_a11_live_directional_check(wikibio_file):
     ctx = DetectorContext(
         client=client, model_id="gpt-4o", embedder=HashEmbedder(dim=64)
     )
-    results: dict[bool, list[LabeledScore]] = {False: [], True: []}
+    results: dict[bool, list[Example]] = {False: [], True: []}
     for use_kg in (False, True):
         config = DetectorConfig(method=DetectorMethod.SELF_CONFIDENCE, use_kg=use_kg)
         for r in records:
             ref = f"{r.paragraph_id}:{r.sentence_index}"
             out = GeneratedOutput(prompt_id=ref, text=r.sentence, context=r.concept)
             score = run_detector(config, out, ctx)
-            results[use_kg].append(
-                LabeledScore(score=score.score, label=r.label, example_ref=ref)
-            )
-    _, base_acc = threshold_search(results[False], "accuracy")
-    _, kg_acc = threshold_search(results[True], "accuracy")
+            results[use_kg].append(Example(score.score, r.label, ref))
+    _, base_acc = threshold_search(cols(results[False]), "accuracy")
+    _, kg_acc = threshold_search(cols(results[True]), "accuracy")
     report(
         "A11 live +kg directional check",
         kg_acc >= base_acc,

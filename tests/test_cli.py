@@ -548,6 +548,20 @@ class TestScore:
         assert self.run_score(config_path) == 2
         assert "--fresh" in capsys.readouterr().err
 
+    def test_stream_of_another_prompt_version_refuses_resume(self, workdir, config_path, capsys):
+        assert self.run_score(config_path) == 0
+        scores_path = workdir / "out" / "scores.jsonl"
+        lines = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        meta = {**json.loads(lines[0]), "prompt_version": "v0"}
+        stale = json.dumps(meta, sort_keys=True) + "\n" + "".join(lines[1:41])
+        scores_path.write_text(stale, encoding="utf-8")
+        capsys.readouterr()
+        assert self.run_score(config_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("rerun with --fresh\n")
+        assert str(scores_path) in err and "'v0'" in err
+        assert scores_path.read_text(encoding="utf-8") == stale
+
     def test_fresh_rewrites_identically(self, workdir, config_path):
         assert self.run_score(config_path) == 0
         scores_path = workdir / "out" / "scores.jsonl"
@@ -981,6 +995,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {scores_path}:{line}: ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["prompt_version", "model_id"])
+    def test_rows_of_more_than_one_origin_are_refused(self, scored, config_path, capsys, field):
+        scores_path = scored / "out" / "scores.jsonl"
+        edit_json(scores_path, lambda row: row.update({field: "other"}), line=5)
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scores_path} mixes rows") and "'other'" in err
+        assert err.count("\n") == 1
+        assert not (scored / "out" / "report.json").exists()
 
     def test_missing_scores_is_data_error(self, workdir, config_path):
         assert self.evaluate(config_path) == 4

@@ -19,10 +19,9 @@ from hallucheck.data import (
     score_record_to_dict,
     write_score_records,
 )
-from hallucheck.evaluation import DatasetStats, DegenerateLabels, compute_stats
 from hallucheck.provider import ConfigError
 
-from conftest import FIXTURES, PinnedEmbedder
+from conftest import FIXTURES, wikibio
 
 H = Label.HALLUCINATED
 A = Label.ACCURATE
@@ -31,17 +30,6 @@ A = Label.ACCURATE
 # JSONDecodeError: an integer past the digit limit and nesting past the
 # recursion limit.
 PAST_JSON_LIMITS = ["[" + "1" * 5000 + "]", "[" * 100_000]
-
-
-def wikibio(pid="p1", idx=0, sentence="She was born in 1901.", label=A, samples=("s1", "s2")):
-    return WikiBioRecord(
-        paragraph_id=pid,
-        concept="Person",
-        sentence_index=idx,
-        sentence=sentence,
-        label=label,
-        samples=samples,
-    )
 
 
 class TestWikiBioRecord:
@@ -215,97 +203,6 @@ class TestWikiBioIO:
         path.write_text(json.dumps(valid_row()) + "\n" + line + "\n")
         with pytest.raises(SchemaError, match=r"d\.jsonl:2: invalid JSON"):
             load_wikibio(path, expected_samples=3)
-
-
-class TestStats:
-    def build_records(self):
-        p1_samples = ("alpha beta", "gamma delta epsilon")
-        return [
-            wikibio(pid="p1", idx=0, sentence="one two three", label=H, samples=p1_samples),
-            wikibio(pid="p1", idx=1, sentence="four five", label=A, samples=p1_samples),
-            wikibio(pid="p2", idx=0, sentence="six seven eight nine", label=A, samples=("zeta",)),
-        ]
-
-    def test_hand_computed(self):
-        records = self.build_records()
-        embedder = PinnedEmbedder(
-            {
-                "one two three": [1.0, 0.0],
-                "four five": [0.0, 1.0],
-                "six seven eight nine": [0.0, 1.0],
-            }
-        )
-        stats = compute_stats(records, embedder)
-        assert stats.sentence_count == 3
-        assert stats.paragraph_count == 2
-        assert stats.hallucinated_count == 1
-        assert stats.accurate_count == 2
-        assert stats.sentences_per_paragraph == pytest.approx(1.5)
-        assert stats.avg_sample_length_words == pytest.approx(2.0)
-        assert stats.avg_hallucinated_length_words == pytest.approx(3.0)
-        assert stats.avg_accurate_length_words == pytest.approx(3.0)
-        assert stats.semantic_similarity_h_vs_a == pytest.approx(0.0, abs=1e-12)
-        assert stats.similarity_method == "centroid_cosine"
-
-    def test_identical_centroids_give_one(self):
-        records = self.build_records()
-        embedder = PinnedEmbedder(
-            {
-                "one two three": [0.6, 0.8],
-                "four five": [0.6, 0.8],
-                "six seven eight nine": [0.6, 0.8],
-            }
-        )
-        stats = compute_stats(records, embedder)
-        assert stats.semantic_similarity_h_vs_a == pytest.approx(1.0, abs=1e-9)
-
-    def test_samples_counted_once_per_paragraph(self):
-        records = self.build_records()
-        embedder = PinnedEmbedder(
-            {
-                "one two three": [1.0, 0.0],
-                "four five": [1.0, 0.0],
-                "six seven eight nine": [1.0, 0.0],
-            }
-        )
-        stats = compute_stats(records, embedder)
-        assert stats.avg_sample_length_words == pytest.approx((2 + 3 + 1) / 3)
-
-    def test_single_class_rejected(self):
-        records = [wikibio(pid="p1", label=A)]
-        with pytest.raises(DegenerateLabels):
-            compute_stats(records, PinnedEmbedder({}))
-
-    def test_empty_rejected(self):
-        with pytest.raises(SchemaError):
-            compute_stats([], PinnedEmbedder({}))
-
-    def test_stats_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            DatasetStats(
-                sentence_count=3,
-                paragraph_count=1,
-                hallucinated_count=1,
-                accurate_count=1,
-                sentences_per_paragraph=3.0,
-                avg_sample_length_words=1.0,
-                avg_hallucinated_length_words=1.0,
-                avg_accurate_length_words=1.0,
-                semantic_similarity_h_vs_a=0.5,
-            )
-
-    def test_as_record_keys(self):
-        records = self.build_records()
-        embedder = PinnedEmbedder(
-            {
-                "one two three": [1.0, 0.0],
-                "four five": [0.0, 1.0],
-                "six seven eight nine": [0.0, 1.0],
-            }
-        )
-        record = dataclasses.asdict(compute_stats(records, embedder))
-        assert record["sentence_count"] == 3
-        assert record["similarity_method"] == "centroid_cosine"
 
 
 class TestSampleStore:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Example, PinnedEmbedder, cols, wikibio
 from hallucheck import evaluation
-from hallucheck.core import Label
+from hallucheck.core import Label, SchemaError
 from hallucheck.evaluation import (
     BootstrapCI,
     Confusion,
+    DatasetStats,
     DegenerateLabels,
     EvalReport,
-    LabeledScore,
+    LabeledScores,
     MethodComparison,
     RefMismatch,
     THRESHOLD_GRID,
@@ -23,6 +26,7 @@ from hallucheck.evaluation import (
     auc_pr_metric,
     bootstrap_ci,
     compare_methods,
+    compute_stats,
     evaluate_method,
     metrics_at,
     render_report_table,
@@ -35,14 +39,24 @@ A = Label.ACCURATE
 
 
 def ls(score, label, ref=""):
-    return LabeledScore(score=score, label=label, example_ref=ref)
+    return Example(score, label, ref)
 
 
-SEPARABLE = [ls(0.2, H), ls(0.4, H), ls(0.6, A), ls(0.8, A)]
+def examples(scores):
+    """The per-example form of a ``LabeledScores``."""
+    return [
+        Example(score, H if hallucinated else A, ref)
+        for score, hallucinated, ref in zip(
+            scores.scores.tolist(), scores.hallucinated.tolist(), scores.refs
+        )
+    ]
+
+
+SEPARABLE = cols([ls(0.2, H), ls(0.4, H), ls(0.6, A), ls(0.8, A)])
 
 
 def random_scores(rng, n, on_grid=False):
-    """Random labeled set guaranteed to contain both classes."""
+    """Random labeled examples guaranteed to contain both classes."""
     while True:
         if on_grid:
             values = rng.integers(0, 101, n) / 100
@@ -66,7 +80,7 @@ class TestGridAndClassify:
         assert c.accuracy == 1.0
 
     def test_strictly_above_is_accurate(self):
-        c = metrics_at([ls(0.40, H)], 0.40, positive=H)
+        c = metrics_at(cols([ls(0.40, H)]), 0.40, positive=H)
         assert c.tp == 1
 
     def test_threshold_bounds(self):
@@ -93,7 +107,7 @@ class TestConfusion:
             [ls(0.2, H), ls(0.3, H), ls(0.7, H), ls(0.4, A)]
             + [ls(0.6 + i / 100, A) for i in range(6)]
         )
-        c = metrics_at(scores, 0.5, positive=H)
+        c = metrics_at(cols(scores), 0.5, positive=H)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 6, 1)
 
     def test_zero_denominators(self):
@@ -104,8 +118,30 @@ class TestConfusion:
         assert empty.f1 == 0.0
 
     def test_labeled_score_bounds(self):
-        with pytest.raises(ValueError):
-            ls(1.2, H)
+        for scores, labels, refs in [
+            ([1.2], [H], ()),
+            ([-0.1], [H], ()),
+            ([math.nan], [A], ()),
+            ([0.5, 0.5], [H], ()),
+            ([0.5], [H], ("r0", "r1")),
+            ([[0.5]], [H], ()),
+            ([0.5], ["unsure"], ()),
+        ]:
+            with pytest.raises(ValueError):
+                LabeledScores(scores, labels, refs)
+
+    def test_labeled_scores_are_read_only_columns_in_input_order(self):
+        scores = LabeledScores([0.25, 1.0, 0.0], [A, "hallucinated", H])
+        assert scores.scores.dtype == np.float64 and scores.hallucinated.dtype == bool
+        assert scores.scores.tolist() == [0.25, 1.0, 0.0]
+        assert scores.hallucinated.tolist() == [False, True, True]
+        assert scores.refs == ("", "", "") and len(scores) == 3
+        taken = LabeledScores([0.1, 0.2, 0.3], [H, A, H], ["x", "y", "z"]).take([2, 0])
+        assert (taken.scores.tolist(), taken.hallucinated.tolist()) == ([0.3, 0.1], [True, True])
+        assert taken.refs == ("z", "x")
+        for column in (scores.scores, scores.hallucinated, taken.scores, taken.hallucinated):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 def oracle_best_threshold(scores, objective, positive):
@@ -139,7 +175,7 @@ class TestThresholdSearch:
         assert value == 1.0
 
     def test_single_pair(self):
-        threshold, value = threshold_search([ls(0.3, A), ls(0.7, H)], "accuracy")
+        threshold, value = threshold_search(cols([ls(0.3, A), ls(0.7, H)]), "accuracy")
         assert threshold == 0.00
         assert value == 0.5
 
@@ -149,7 +185,7 @@ class TestThresholdSearch:
             scores = random_scores(rng, int(rng.integers(4, 40)), on_grid=trial % 2 == 0)
             for objective in ("accuracy", "f1"):
                 for positive in (H, A):
-                    got = threshold_search(scores, objective, positive)
+                    got = threshold_search(cols(scores), objective, positive)
                     assert got == oracle_best_threshold(scores, objective, positive)
 
     def test_rejects_unknown_objective(self):
@@ -158,11 +194,11 @@ class TestThresholdSearch:
 
     def test_rejects_single_class(self):
         with pytest.raises(DegenerateLabels):
-            threshold_search([ls(0.2, H), ls(0.4, H)])
+            threshold_search(cols([ls(0.2, H), ls(0.4, H)]))
 
     def test_rejects_empty(self):
         with pytest.raises(DegenerateLabels):
-            threshold_search([])
+            threshold_search(cols([]))
 
     def test_metrics_at_shape(self):
         m = metrics_at(SEPARABLE, 0.40)
@@ -186,20 +222,20 @@ def oracle_average_precision(scores, positive):
 
 class TestAucPr:
     def test_perfect_ranking(self):
-        scores = [ls(0.1, H), ls(0.2, H), ls(0.8, A), ls(0.9, A)]
+        scores = cols([ls(0.1, H), ls(0.2, H), ls(0.8, A), ls(0.9, A)])
         assert auc_pr(scores, positive=H) == 1.0
         assert auc_pr(scores, positive=A) == 1.0
 
     def test_positives_at_ranks_one_and_three(self):
-        scores = [ls(0.1, H), ls(0.2, A), ls(0.3, H), ls(0.4, A)]
+        scores = cols([ls(0.1, H), ls(0.2, A), ls(0.3, H), ls(0.4, A)])
         assert abs(auc_pr(scores, positive=H) - 5 / 6) <= 1e-9
 
     def test_all_tied_equals_prevalence(self):
-        scores = [ls(0.5, H)] * 3 + [ls(0.5, A)] * 7
+        scores = cols([ls(0.5, H)] * 3 + [ls(0.5, A)] * 7)
         assert auc_pr(scores, positive=H) == pytest.approx(0.3, abs=1e-12)
 
     def test_partial_tie_hand_value(self):
-        scores = [ls(0.2, H), ls(0.2, A), ls(0.8, H)]
+        scores = cols([ls(0.2, H), ls(0.2, A), ls(0.8, H)])
         expected = (1 * (1 / 2) + 1 * (2 / 3)) / 2
         assert auc_pr(scores, positive=H) == pytest.approx(expected, abs=1e-12)
 
@@ -208,7 +244,7 @@ class TestAucPr:
         for _ in range(60):
             scores = random_scores(rng, int(rng.integers(4, 50)))
             for positive in (H, A):
-                got = auc_pr(scores, positive)
+                got = auc_pr(cols(scores), positive)
                 want = oracle_average_precision(scores, positive)
                 assert abs(got - want) <= 1e-9
 
@@ -216,22 +252,22 @@ class TestAucPr:
         rng = np.random.default_rng(3)
         scores = random_scores(rng, 20)
         shuffled = [scores[i] for i in rng.permutation(len(scores))]
-        assert auc_pr(scores) == auc_pr(shuffled)
+        assert auc_pr(cols(scores)) == auc_pr(cols(shuffled))
 
     def test_monotone_transform_invariant(self):
         rng = np.random.default_rng(4)
         scores = random_scores(rng, 20)
         squared = [ls(s.score**2, s.label) for s in scores]
-        assert auc_pr(scores) == auc_pr(squared)
+        assert auc_pr(cols(scores)) == auc_pr(cols(squared))
 
     def test_mirror_symmetry(self):
         scores = [ls(0.25, H), ls(0.5, A), ls(0.75, A), ls(0.125, H)]
         mirrored = [ls(1.0 - s.score, A if s.label == H else H) for s in scores]
-        assert auc_pr(scores, positive=H) == auc_pr(mirrored, positive=A)
+        assert auc_pr(cols(scores), positive=H) == auc_pr(cols(mirrored), positive=A)
 
     def test_rejects_single_class(self):
         with pytest.raises(DegenerateLabels):
-            auc_pr([ls(0.5, A)])
+            auc_pr(cols([ls(0.5, A)]))
 
 
 def reference_bootstrap(scores, threshold, resamples, seed):
@@ -260,11 +296,13 @@ FIXTURE_20 = [
 
 
 def per_sample(metric):
-    """A RowMetric that applies ``metric`` to each resample's list of scores
+    """A RowMetric that applies ``metric`` to each resample's list of examples
     in turn, the multiset of a count row expanded in index order; a resample
     on which it raises DegenerateLabels is degenerate."""
 
-    def bind(scores):
+    def bind(columns):
+        scores = examples(columns)
+
         def rows(counts):
             values = np.zeros(len(counts))
             degenerate = np.zeros(len(counts), dtype=bool)
@@ -287,22 +325,22 @@ ACCURACY_AT_HALF = threshold_metric("accuracy", 0.5)
 class TestBootstrap:
     def test_deterministic(self):
         metric = ACCURACY_AT_HALF
-        first = bootstrap_ci(FIXTURE_20, metric, resamples=200, seed=42)
-        second = bootstrap_ci(FIXTURE_20, metric, resamples=200, seed=42)
+        first = bootstrap_ci(cols(FIXTURE_20), metric, resamples=200, seed=42)
+        second = bootstrap_ci(cols(FIXTURE_20), metric, resamples=200, seed=42)
         assert first == second
 
     def test_seed_changes_draws(self):
         metric = ACCURACY_AT_HALF
-        a = bootstrap_ci(FIXTURE_20, metric, resamples=200, seed=1)
-        b = bootstrap_ci(FIXTURE_20, metric, resamples=200, seed=2)
+        a = bootstrap_ci(cols(FIXTURE_20), metric, resamples=200, seed=1)
+        b = bootstrap_ci(cols(FIXTURE_20), metric, resamples=200, seed=2)
         assert a != b
 
     def test_zero_variance_metric(self):
-        ci = bootstrap_ci(FIXTURE_20, per_sample(lambda s: 0.25), resamples=50, seed=0)
+        ci = bootstrap_ci(cols(FIXTURE_20), per_sample(lambda s: 0.25), resamples=50, seed=0)
         assert ci == BootstrapCI(mean=0.25, half_width=0.0, low=0.25, high=0.25, skipped=0)
 
     def test_matches_independent_implementation(self):
-        ci = bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        ci = bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=300, seed=9)
         mean, low, high = reference_bootstrap(FIXTURE_20, 0.5, 300, 9)
         assert ci.mean == mean
         assert ci.low == low
@@ -312,7 +350,7 @@ class TestBootstrap:
 
     def test_degenerate_resamples_skipped_and_counted(self):
         scores = [ls(0.1, H, ref="h")] + [ls(0.9, A, ref=f"a{i}") for i in range(7)]
-        ci = bootstrap_ci(scores, auc_pr_metric(), resamples=200, seed=0)
+        ci = bootstrap_ci(cols(scores), auc_pr_metric(), resamples=200, seed=0)
         assert 0 < ci.skipped < 200
 
     def test_all_degenerate_raises(self):
@@ -320,7 +358,7 @@ class TestBootstrap:
             raise DegenerateLabels("forced")
 
         with pytest.raises(DegenerateLabels):
-            bootstrap_ci(FIXTURE_20, per_sample(explode), resamples=5, seed=0)
+            bootstrap_ci(cols(FIXTURE_20), per_sample(explode), resamples=5, seed=0)
 
     def test_str_format(self):
         ci = BootstrapCI(mean=0.79, half_width=0.034, low=0.756, high=0.824, skipped=0)
@@ -328,9 +366,9 @@ class TestBootstrap:
 
     def test_rejects_empty_and_bad_resamples(self):
         with pytest.raises(DegenerateLabels):
-            bootstrap_ci([], ACCURACY_AT_HALF)
+            bootstrap_ci(cols([]), ACCURACY_AT_HALF)
         with pytest.raises(ValueError):
-            bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=0)
+            bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=0)
 
 
 def paired_sets():
@@ -395,19 +433,19 @@ class TestCompareMethods:
                     raise DegenerateLabels("forced")
             return fsum(s.score for s in sample) / len(sample)
 
-        cmp = compare_methods(worst, best, per_sample(metric), resamples=300, seed=3)
+        cmp = compare_methods(cols(worst), cols(best), per_sample(metric), resamples=300, seed=3)
         assert summary(cmp) == reference_compare(worst, best, metric, 300, 3)
         assert 0 < cmp.skipped < 300
 
     def test_identical_methods_not_significant(self):
         worst, _ = paired_sets()
-        cmp = compare_methods(worst, list(worst), ACCURACY_AT_HALF, resamples=100)
+        cmp = compare_methods(cols(worst), cols(worst), ACCURACY_AT_HALF, resamples=100)
         assert cmp.difference_mean == 0.0
         assert not cmp.significant
 
     def test_dominant_method_significant(self):
         worst, best = paired_sets()
-        cmp = compare_methods(worst, best, ACCURACY_AT_HALF, resamples=100)
+        cmp = compare_methods(cols(worst), cols(best), ACCURACY_AT_HALF, resamples=100)
         assert cmp.difference_mean == 1.0
         assert cmp.low > 0.0
         assert cmp.significant
@@ -415,18 +453,18 @@ class TestCompareMethods:
     def test_ref_mismatch_names_examples(self):
         worst, best = paired_sets()
         with pytest.raises(RefMismatch, match="x9"):
-            compare_methods(worst, best[:-1], ACCURACY_AT_HALF)
+            compare_methods(cols(worst), cols(best[:-1]), ACCURACY_AT_HALF)
 
     def test_label_disagreement_rejected(self):
         worst, best = paired_sets()
         flipped = best[:]
         flipped[0] = ls(best[0].score, A, ref=best[0].example_ref)
         with pytest.raises(RefMismatch, match="x0"):
-            compare_methods(worst, flipped, ACCURACY_AT_HALF)
+            compare_methods(cols(worst), cols(flipped), ACCURACY_AT_HALF)
 
     def test_str_mentions_verdict(self):
         worst, best = paired_sets()
-        cmp = compare_methods(worst, best, ACCURACY_AT_HALF, resamples=50)
+        cmp = compare_methods(cols(worst), cols(best), ACCURACY_AT_HALF, resamples=50)
         assert "significant" in str(cmp)
 
 
@@ -439,7 +477,7 @@ class TestEvaluateMethod:
                 zip(rng.random(30), [H if i % 2 else A for i in range(30)])
             )
         ]
-        report = evaluate_method("selfcheck+kg", scores, resamples=100, seed=5)
+        report = evaluate_method("selfcheck+kg", cols(scores), resamples=100, seed=5)
         assert report.method == "selfcheck+kg"
         assert report.n == 30
         assert report.bootstrap_seed == 5
@@ -469,8 +507,8 @@ class TestEvaluateMethod:
     def test_render_table(self):
         worst, best = paired_sets()
         reports = [
-            evaluate_method("self_confidence", worst, resamples=50),
-            evaluate_method("selfcheck", best, resamples=50),
+            evaluate_method("self_confidence", cols(worst), resamples=50),
+            evaluate_method("selfcheck", cols(best), resamples=50),
         ]
         table = render_report_table(reports)
         assert "self_confidence" in table
@@ -495,10 +533,10 @@ def per_sample_metrics(threshold, positive):
     """(kernel, matching per-sample metric) pairs."""
     return [
         (threshold_metric("accuracy", threshold, positive),
-         lambda s: metrics_at(s, threshold, positive).accuracy),
+         lambda s: metrics_at(cols(s), threshold, positive).accuracy),
         (threshold_metric("f1", threshold, positive),
-         lambda s: metrics_at(s, threshold, positive).f1),
-        (auc_pr_metric(positive), lambda s: auc_pr(s, positive)),
+         lambda s: metrics_at(cols(s), threshold, positive).f1),
+        (auc_pr_metric(positive), lambda s: auc_pr(cols(s), positive)),
     ]
 
 
@@ -515,7 +553,7 @@ class TestKernelsEqualPerSamplePath:
     @given(grid_sets, positives, st.integers(0, 100), st.integers(1, 80), st.integers(0, 2**16))
     def test_bootstrap_ci(self, scores, positive, cut, resamples, seed):
         for kernel, metric in per_sample_metrics(cut / 100, positive):
-            got = outcome(bootstrap_ci, scores, kernel, resamples, seed)
+            got = outcome(bootstrap_ci, cols(scores), kernel, resamples, seed)
             reference = outcome(
                 sequential_bootstrap, len(scores),
                 lambda idx: metric([scores[i] for i in idx]), resamples, seed,
@@ -531,7 +569,7 @@ class TestKernelsEqualPerSamplePath:
         b = [ls(random.randrange(101) / 100, s.label, ref=s.example_ref) for s in a]
         random.shuffle(b)
         for kernel, metric in per_sample_metrics(cut / 100, positive):
-            got = outcome(compare_methods, a, b, kernel, resamples, seed)
+            got = outcome(compare_methods, cols(a), cols(b), kernel, resamples, seed)
             assert summary(got) == outcome(reference_compare, a, b, metric, resamples, seed)
 
     @settings(max_examples=150, deadline=None)
@@ -543,8 +581,8 @@ class TestKernelsEqualPerSamplePath:
         )
         counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
         for kernel, metric in per_sample_metrics(cut / 100, positive):
-            values, degenerate = kernel(scores)(counts)
-            expected, expected_degenerate = per_sample(metric)(scores)(counts)
+            values, degenerate = kernel(cols(scores))(counts)
+            expected, expected_degenerate = per_sample(metric)(cols(scores))(counts)
             assert values.tolist() == expected.tolist()
             assert degenerate.tolist() == expected_degenerate.tolist()
 
@@ -554,15 +592,18 @@ class TestKernelsEqualPerSamplePath:
         for objective in ("accuracy", "f1"):
             expected = DegenerateLabels
             if len({s.label for s in scores}) == 2:
-                values = [getattr(metrics_at(scores, t, positive), objective) for t in THRESHOLD_GRID]
+                columns = cols(scores)
+                values = [
+                    getattr(metrics_at(columns, t, positive), objective) for t in THRESHOLD_GRID
+                ]
                 best = values.index(max(values))
                 expected = (THRESHOLD_GRID[best], values[best])
-            assert outcome(threshold_search, scores, objective, positive) == expected
+            assert outcome(threshold_search, cols(scores), objective, positive) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(grid_sets, positives)
     def test_auc_pr_equals_tie_group_walk(self, scores, positive):
-        assert outcome(auc_pr, scores, positive) == outcome(tie_group_walk, scores, positive)
+        assert outcome(auc_pr, cols(scores), positive) == outcome(tie_group_walk, scores, positive)
 
 
 @st.composite
@@ -584,7 +625,7 @@ class TestAucPrRowsSumExactly:
     @settings(max_examples=60, deadline=None)
     @given(off_grid_sets(), positives, st.integers(1, 80), st.integers(0, 2**16))
     def test_bootstrap_ci(self, scores, positive, resamples, seed):
-        got = outcome(bootstrap_ci, scores, auc_pr_metric(positive), resamples, seed)
+        got = outcome(bootstrap_ci, cols(scores), auc_pr_metric(positive), resamples, seed)
         reference = outcome(
             sequential_bootstrap, len(scores),
             lambda idx: tie_group_walk([scores[i] for i in idx], positive), resamples, seed,
@@ -599,7 +640,7 @@ class TestAucPrRowsSumExactly:
     def test_compare_methods(self, a, b_seed, positive, resamples, seed):
         b_values = np.random.default_rng(b_seed).random(len(a)).tolist()
         b = [ls(v, s.label, ref=s.example_ref) for v, s in zip(b_values, a)]
-        got = outcome(compare_methods, a, b, auc_pr_metric(positive), resamples, seed)
+        got = outcome(compare_methods, cols(a), cols(b), auc_pr_metric(positive), resamples, seed)
         reference = outcome(
             reference_compare, a, b, lambda s: tie_group_walk(s, positive), resamples, seed
         )
@@ -616,7 +657,7 @@ class TestAucPrRowsSumExactly:
         counts = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float)
         calls = []
         monkeypatch.setattr(evaluation, "fsum", lambda terms: calls.append(1) or fsum(terms))
-        got, degenerate = auc_pr_metric(H)(scores)(counts)
+        got, degenerate = auc_pr_metric(H)(cols(scores))(counts)
         assert len(calls) == fsum_calls and not degenerate.any()
         assert got.tolist() == [
             tie_group_walk([scores[i] for i in row], H) for row in idx.tolist()
@@ -652,8 +693,8 @@ class TestBlockedResampling:
         # resamples end in a partial block; a block of 1 or 20 holds one row.
         monkeypatch.setattr(evaluation, "BLOCK", block)
         mean, low, high = reference_bootstrap(FIXTURE_20, 0.5, resamples, 9)
-        for metric in (ACCURACY_AT_HALF, per_sample(lambda s: metrics_at(s, 0.5).accuracy)):
-            ci = bootstrap_ci(FIXTURE_20, metric, resamples=resamples, seed=9)
+        for metric in (ACCURACY_AT_HALF, per_sample(lambda s: metrics_at(cols(s), 0.5).accuracy)):
+            ci = bootstrap_ci(cols(FIXTURE_20), metric, resamples=resamples, seed=9)
             assert (ci.mean, ci.low, ci.high, ci.skipped) == (mean, low, high, 0)
 
     def test_nan_metric_propagates_as_before(self):
@@ -669,13 +710,13 @@ class TestBlockedResampling:
         draws = [set(rng.integers(0, 20, 20).tolist()) for _ in range(200)]
         skipped = sum(0 in drawn for drawn in draws)
         assert any(3 in drawn and 0 not in drawn for drawn in draws)
-        ci = bootstrap_ci(FIXTURE_20, per_sample(metric), resamples=200, seed=4)
+        ci = bootstrap_ci(cols(FIXTURE_20), per_sample(metric), resamples=200, seed=4)
         assert ci.skipped == skipped > 0
         assert all(math.isnan(v) for v in (ci.mean, ci.half_width, ci.low, ci.high))
 
     def test_memory_stays_bounded_at_many_resamples(self):
         rng = np.random.default_rng(8)
-        scores = random_scores(rng, 501, on_grid=True)
+        scores = cols(random_scores(rng, 501, on_grid=True))
         tracemalloc.start()
         try:
             bootstrap_ci(scores, threshold_metric("f1", 0.5), resamples=100_000, seed=1)
@@ -688,19 +729,20 @@ class TestBlockedResampling:
 
 class TestSharedDraws:
     def test_same_key_draws_once(self, generators_built):
-        first = bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
-        bootstrap_ci(FIXTURE_20, auc_pr_metric(), resamples=300, seed=9)
-        compare_methods(FIXTURE_20, FIXTURE_20[::-1], auc_pr_metric(), resamples=300, seed=9)
-        assert bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9) == first
+        fixture = cols(FIXTURE_20)
+        first = bootstrap_ci(fixture, ACCURACY_AT_HALF, resamples=300, seed=9)
+        bootstrap_ci(fixture, auc_pr_metric(), resamples=300, seed=9)
+        compare_methods(fixture, cols(FIXTURE_20[::-1]), auc_pr_metric(), resamples=300, seed=9)
+        assert bootstrap_ci(fixture, ACCURACY_AT_HALF, resamples=300, seed=9) == first
         assert generators_built == [9]
-        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=10)
-        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=301, seed=10)
-        bootstrap_ci(FIXTURE_20[:19], ACCURACY_AT_HALF, resamples=301, seed=10)
+        bootstrap_ci(fixture, ACCURACY_AT_HALF, resamples=300, seed=10)
+        bootstrap_ci(fixture, ACCURACY_AT_HALF, resamples=301, seed=10)
+        bootstrap_ci(cols(FIXTURE_20[:19]), ACCURACY_AT_HALF, resamples=301, seed=10)
         assert generators_built == [9, 10, 10, 10]
 
     def test_kept_blocks_are_read_only(self):
         evaluation._kept_blocks.cache_clear()
-        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=300, seed=9)
         assert evaluation._kept_blocks.cache_info().currsize == 1
         blocks = evaluation._kept_blocks(20, 300, 9, evaluation.BLOCK // 20)
         assert evaluation._kept_blocks.cache_info().hits == 1
@@ -708,30 +750,30 @@ class TestSharedDraws:
 
     def test_changing_block_draws_again(self, monkeypatch, generators_built):
         monkeypatch.setattr(evaluation, "BLOCK", 60)  # 3 rows of n = 20
-        first = bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=7, seed=9)
+        first = bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=7, seed=9)
         monkeypatch.setattr(evaluation, "BLOCK", 40)  # 2 rows
-        assert bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=7, seed=9) == first
+        assert bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=7, seed=9) == first
         assert generators_built == [9, 9]
 
     @pytest.mark.parametrize("resamples, draws", [(1024, 1), (1025, 2)])
     def test_kept_up_to_the_cap(self, generators_built, resamples, draws):
         # n = 512: 1,024 resamples fill the 2**19 cells exactly.
-        scores = [ls((i % 101) / 100, H if i % 3 else A) for i in range(512)]
+        scores = cols([ls((i % 101) / 100, H if i % 3 else A) for i in range(512)])
         first = bootstrap_ci(scores, ACCURACY_AT_HALF, resamples=resamples, seed=3)
         assert bootstrap_ci(scores, ACCURACY_AT_HALF, resamples=resamples, seed=3) == first
         assert len(generators_built) == draws
 
     def test_large_draw_keeps_nothing(self):
-        bootstrap_ci(FIXTURE_20, ACCURACY_AT_HALF, resamples=300, seed=9)
+        bootstrap_ci(cols(FIXTURE_20), ACCURACY_AT_HALF, resamples=300, seed=9)
         assert evaluation._kept_blocks.cache_info().currsize == 1
-        scores = random_scores(np.random.default_rng(8), 501, on_grid=True)
+        scores = cols(random_scores(np.random.default_rng(8), 501, on_grid=True))
         bootstrap_ci(scores, threshold_metric("f1", 0.5), resamples=100_000, seed=1)
         assert evaluation._kept_blocks.cache_info().currsize == 0
 
     def test_threads_share_the_kept_draw(self, run_together):
         # Eight threads cycle through three keys, so each replaces the kept
         # draw while others read it; every result must equal the serial one.
-        keys = [(FIXTURE_20, 9), (FIXTURE_20[:15], 9), (FIXTURE_20, 10)]
+        keys = [(cols(FIXTURE_20), 9), (cols(FIXTURE_20[:15]), 9), (cols(FIXTURE_20), 10)]
         expected = [bootstrap_ci(scores, auc_pr_metric(), 200, seed) for scores, seed in keys]
         starts = itertools.count()
 
@@ -811,6 +853,98 @@ class TestPercentileInterval:
             values = np.random.default_rng(seed).choice([0.0, -0.0], n)
             _, low, high = evaluation._percentile_interval(values.copy())
             assert same_floats([low, high], np.percentile(values, [2.5, 97.5])), seed
+
+
+class TestStats:
+    def build_records(self):
+        p1_samples = ("alpha beta", "gamma delta epsilon")
+        return [
+            wikibio(pid="p1", idx=0, sentence="one two three", label=H, samples=p1_samples),
+            wikibio(pid="p1", idx=1, sentence="four five", label=A, samples=p1_samples),
+            wikibio(pid="p2", idx=0, sentence="six seven eight nine", label=A, samples=("zeta",)),
+        ]
+
+    def test_hand_computed(self):
+        records = self.build_records()
+        embedder = PinnedEmbedder(
+            {
+                "one two three": [1.0, 0.0],
+                "four five": [0.0, 1.0],
+                "six seven eight nine": [0.0, 1.0],
+            }
+        )
+        stats = compute_stats(records, embedder)
+        assert stats.sentence_count == 3
+        assert stats.paragraph_count == 2
+        assert stats.hallucinated_count == 1
+        assert stats.accurate_count == 2
+        assert stats.sentences_per_paragraph == pytest.approx(1.5)
+        assert stats.avg_sample_length_words == pytest.approx(2.0)
+        assert stats.avg_hallucinated_length_words == pytest.approx(3.0)
+        assert stats.avg_accurate_length_words == pytest.approx(3.0)
+        assert stats.semantic_similarity_h_vs_a == pytest.approx(0.0, abs=1e-12)
+        assert stats.similarity_method == "centroid_cosine"
+
+    def test_identical_centroids_give_one(self):
+        records = self.build_records()
+        embedder = PinnedEmbedder(
+            {
+                "one two three": [0.6, 0.8],
+                "four five": [0.6, 0.8],
+                "six seven eight nine": [0.6, 0.8],
+            }
+        )
+        stats = compute_stats(records, embedder)
+        assert stats.semantic_similarity_h_vs_a == pytest.approx(1.0, abs=1e-9)
+
+    def test_samples_counted_once_per_paragraph(self):
+        records = self.build_records()
+        embedder = PinnedEmbedder(
+            {
+                "one two three": [1.0, 0.0],
+                "four five": [1.0, 0.0],
+                "six seven eight nine": [1.0, 0.0],
+            }
+        )
+        stats = compute_stats(records, embedder)
+        assert stats.avg_sample_length_words == pytest.approx((2 + 3 + 1) / 3)
+
+    def test_single_class_rejected(self):
+        records = [wikibio(pid="p1", label=A)]
+        with pytest.raises(DegenerateLabels):
+            compute_stats(records, PinnedEmbedder({}))
+
+    def test_empty_rejected(self):
+        with pytest.raises(SchemaError):
+            compute_stats([], PinnedEmbedder({}))
+
+    def test_stats_validation(self):
+        with pytest.raises(ValueError, match="sum"):
+            DatasetStats(
+                sentence_count=3,
+                paragraph_count=1,
+                hallucinated_count=1,
+                accurate_count=1,
+                sentences_per_paragraph=3.0,
+                avg_sample_length_words=1.0,
+                avg_hallucinated_length_words=1.0,
+                avg_accurate_length_words=1.0,
+                semantic_similarity_h_vs_a=0.5,
+            )
+
+    def test_as_record_keys(self):
+        records = self.build_records()
+        embedder = PinnedEmbedder(
+            {
+                "one two three": [1.0, 0.0],
+                "four five": [0.0, 1.0],
+                "six seven eight nine": [0.0, 1.0],
+            }
+        )
+        record = dataclasses.asdict(compute_stats(records, embedder))
+        assert record["sentence_count"] == 3
+        assert record["similarity_method"] == "centroid_cosine"
+
 
 
 def masked_ratio(num, den):

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hallucheck
 from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.kgx import (
     ExtractionPromptTemplate,
@@ -231,3 +234,31 @@ def test_prompt_version_nonempty():
     version = prompt_version()
     assert version
     assert version == version.strip()
+
+
+# The sha256 of every file under ``prompts/``, per prompt version. Scores,
+# reports and cache keys carry the version, so a prompt edit must bump
+# ``prompts/VERSION`` and add its digests here.
+PROMPT_DIGESTS = {
+    "v1": {
+        "VERSION": "2d27fbdf4e8ca207afbfa388ca9172fbcc6c70e534af2476b3b704f87debadcf",
+        "__init__.py": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "confidence.txt": "0419039b6d8e79428f2c0f85586a4e1c0c8ebe1eb513ddb26bca0b2d9d5feba5",
+        "consistency.txt": "7c4e1f2fa7f177dea284601db13416c38d1cad8fe6df11790f41909c081ba178",
+        "kg_extraction.txt": "74c189821d906fc0b340f31a96e619caca2473eefda41f823387b1bab4c67cdc",
+        "kg_reply_format.txt": "2ba04eacbe3aeb054b3f24dd4862fb92c38f0f09f6f28707a197c55e931367bc",
+        "question_answering.txt": "16eb5cf64d177540306b6189a1350454d3ec34d63ba46c2b778966e61d6df386",
+        "question_generation.txt": "90c2cdc946a1f38533a8371437eba629b04e00faddec2b8e19811d8ff5187893",
+        "sample_generation.txt": "ddbb68d640d0754ac6f822af10899642915c9f61e0204d7441410e3121d66f78",
+    },
+}
+
+
+def test_prompt_files_match_the_digests_pinned_for_their_version():
+    prompts = Path(hallucheck.__file__).parent / "prompts"
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in prompts.iterdir()
+        if path.is_file()
+    }
+    assert digests == PROMPT_DIGESTS.get(prompt_version())
