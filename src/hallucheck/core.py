@@ -113,7 +113,7 @@ _KIND_NAMES = {
 }
 
 
-def check_json(value, spec, where: str, error: type[HallucheckError], path: str = ""):
+def check_json(value, spec, where: str, error: type[HallucheckError], path: tuple = ()):
     """``value``, once it matches ``spec``; otherwise ``error`` with one line
     that starts with ``where``: ``<field> must be <kind>, got <type>``, or
     ``unknown key 'k' in <field>`` or ``missing key 'k' in <field>``, where
@@ -130,46 +130,56 @@ def check_json(value, spec, where: str, error: type[HallucheckError], path: str 
     the class has an attribute of that name, as a dataclass field with a
     default does.
     """
-    # A value of exactly a str, int or bool kind (an ASCII one, for a string)
-    # meets it without a call of its own.
+    # A value of exactly a str, int or bool kind (an ASCII one, for a string),
+    # or a finite float under NUMBER, meets it without a call of its own. A
+    # field's path is a tuple of keys and indices, named only in an error.
     kind, limit = spec if type(spec) is tuple else (spec, None)
-    name = path or "top level"
     if type(limit) is dict:
         if type(value) is not dict:
-            raise error(f"{where}{name} must be an object, got {_json_type(value)}")
+            raise error(f"{where}{_name(path)} must be an object, got {_json_type(value)}")
         for key, item in value.items():
             if key not in limit:
-                raise error(f"{where}unknown key {key!r}{' in ' + path if path else ''}")
+                raise error(f"{where}unknown key {key!r}{' in ' + _name(path) if path else ''}")
             sub = limit[key]
-            if type(item) is not sub or sub is str and not item.isascii():
-                check_json(item, sub, where, error, f"{path}.{key}" if path else key)
+            if not (type(item) is sub and (sub is not str or item.isascii())
+                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max):
+                check_json(item, sub, where, error, (*path, key))
         for key in limit:
             if key not in value and not hasattr(kind, key):
-                raise error(f"{where}missing key {key!r}{' in ' + path if path else ''}")
+                raise error(f"{where}missing key {key!r}{' in ' + _name(path) if path else ''}")
         return value
     if value is None and isinstance(None, kind):
         return value
     if not isinstance(value, kind) or (type(value) is bool) != (kind is bool):
         kind_name = _KIND_NAMES[(get_args(kind) or (kind,))[0]]
-        raise error(f"{where}{name} must be {kind_name}, got {_json_type(value)}")
+        raise error(f"{where}{_name(path)} must be {kind_name}, got {_json_type(value)}")
     if type(value) is str and not encodable(value):
-        raise error(f"{where}{name} must be UTF-8 text, got a lone surrogate")
+        raise error(f"{where}{_name(path)} must be UTF-8 text, got a lone surrogate")
     if type(value) is list:
         if type(limit) is list and len(value) != len(limit):
-            raise error(f"{where}{name} must be a list of {len(limit)} items, got {len(value)}")
+            raise error(
+                f"{where}{_name(path)} must be a list of {len(limit)} items, got {len(value)}"
+            )
         for i, item in enumerate(value):
             sub = limit[i] if type(limit) is list else limit
-            if type(item) is not sub or sub is str and not item.isascii():
-                check_json(item, sub, where, error, f"{path}[{i}]")
+            if not (type(item) is sub and (sub is not str or item.isascii())
+                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max):
+                check_json(item, sub, where, error, (*path, i))
     elif isinstance(0.0, kind) and not abs(value) <= sys.float_info.max:
-        raise error(f"{where}{name} must be a finite number, got {value}")
+        raise error(f"{where}{_name(path)} must be a finite number, got {value}")
     elif type(limit) is tuple and value not in limit:
-        raise error(f"{where}{name} must be one of {list(limit)}, got {value!r}")
+        raise error(f"{where}{_name(path)} must be one of {list(limit)}, got {value!r}")
     elif limit is NON_BLANK and not value.strip():
-        raise error(f"{where}{name} must be a non-blank string, got {value!r}")
+        raise error(f"{where}{_name(path)} must be a non-blank string, got {value!r}")
     elif type(limit) is int and value < limit:
-        raise error(f"{where}{name} must be >= {limit}, got {value}")
+        raise error(f"{where}{_name(path)} must be >= {limit}, got {value}")
     return value
+
+
+def _name(path: tuple) -> str:
+    """A check_json path of keys and indices as a dotted name, or "top level"."""
+    name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+    return name.removeprefix(".") or "top level"
 
 
 def _json_type(value: object) -> str:

@@ -71,6 +71,8 @@ _WIKIBIO_ROW = {
     "label": (str, tuple(label.value for label in Label)),
     "samples": (list, (str, NON_BLANK)),
 }
+# The second spec skips the samples, for a row that repeats the last list checked.
+_ROW_SPECS = ((WikiBioRecord, _WIKIBIO_ROW), (WikiBioRecord, {**_WIKIBIO_ROW, "samples": list}))
 
 
 def load_wikibio(
@@ -84,14 +86,15 @@ def load_wikibio(
     """
     records: list[WikiBioRecord] = []
     first_line: dict[tuple[str, int], int] = {}
+    shared: tuple[str, ...] = ()  # the samples last checked, one tuple for all their rows
     for lineno, where, obj in json_lines(path):
-        check_json(obj, (WikiBioRecord, _WIKIBIO_ROW), f"{where}: ", SchemaError)
-        if expected_samples is not None and len(obj["samples"]) != expected_samples:
-            raise SchemaError(
-                f"{where}: expected {expected_samples} samples, found {len(obj['samples'])}"
-            )
+        repeat = type(obj) is dict and obj.get("samples") == list(shared)
+        check_json(obj, _ROW_SPECS[repeat], f"{where}: ", SchemaError)
+        shared = shared if repeat else tuple(obj["samples"])
+        if expected_samples is not None and len(shared) != expected_samples:
+            raise SchemaError(f"{where}: expected {expected_samples} samples, found {len(shared)}")
         try:
-            record = WikiBioRecord(**obj)
+            record = WikiBioRecord(**{**obj, "samples": shared})
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
         first = first_line.setdefault((record.paragraph_id, record.sentence_index), lineno)

@@ -236,53 +236,55 @@ def auc_pr_metric(positive: Label = DEFAULT_POSITIVE) -> RowMetric:
         ranks = np.unique(keys)
         group = np.searchsorted(ranks, keys)
         n_groups = len(ranks)
-        is_pos = scores.positive(positive)
+        bins = group + n_groups * scores.positive(positive)  # positives after negatives
+        cells_of: dict[int, np.ndarray] = {}  # the bincount cells of each block height
 
         def rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             n_rows, n = counts.shape
-            cells = (group + n_groups * np.arange(n_rows)[:, None]).ravel()
-            shape = (n_rows, n_groups)
-            # Per-(row, group) example and positive counts; every weighted
+            cells = cells_of.get(n_rows)
+            if cells is None:
+                cells = cells_of[n_rows] = (bins * n_rows + np.arange(n_rows)[:, None]).ravel()
+            # Per-(group, row) negative and positive counts; every weighted
             # sum is an integer below 2**53, so exact.
-            size = np.bincount(cells, counts.ravel(), n_rows * n_groups).reshape(shape)
-            pos = np.bincount(cells, (counts * is_pos).ravel(), n_rows * n_groups).reshape(shape)
+            shape = (2, n_groups, n_rows)
+            neg, pos = np.bincount(cells, counts.ravel(), 2 * n_groups * n_rows).reshape(shape)
             # Each group holding a positive adds group_positives * precision
             # at the group's end; the other cells hold 0.0 (seen >= 1 where
             # pos > 0, and elsewhere the term is a finite ratio times 0.0).
             # Counts are exact as floats, so each term is the float
             # ``int * (int / int)`` gives.
-            seen = size.cumsum(axis=1)
-            seen_pos = pos.cumsum(axis=1)
+            seen_pos = pos.cumsum(axis=0)
+            seen = seen_pos + neg.cumsum(axis=0)
             terms = seen_pos / np.maximum(seen, 1.0)
             terms *= pos
-            # A row's sum must be fsum's, the correctly rounded sum of its
-            # terms. With q the least integer such that 2**q >= n and
+            # A resample's column of terms must sum to fsum's, the correctly
+            # rounded sum. With q the least integer such that 2**q >= n and
             # K = 52 - q, splitting each term t at 2**-K into hi + lo gives
-            # that sum from two plain row sums whenever q <= 17:
+            # that sum from two plain sums over groups whenever q <= 17:
             # - A non-zero term is at least 2**-q: pos >= 1, seen_pos / seen
             #   >= 1 / n and rounding is monotone. So every term is a multiple
-            #   of 2**(-q-52), and a row's terms sum to at most its positive
-            #   count, n <= 2**q (each term is at most pos).
+            #   of 2**(-q-52), and a column's terms sum to at most its
+            #   positive count, n <= 2**q (each term is at most pos).
             # - The split is exact: t * 2**K, the floor and the division only
             #   move the exponent or drop fraction bits, and t - hi is a
             #   multiple of 2**(-q-52) below 2**-K = 2**(q-52), which takes
             #   2q <= 53 bits.
-            # - Both row sums are exact in any order of addition: every
+            # - Both column sums are exact in any order of addition: every
             #   partial sum of hi is a multiple of 2**-K of at most 2**q, so
             #   at most 2**52 units; every partial sum of lo is a multiple of
             #   2**(-q-52) below n * 2**-K, so below 2**(3q) <= 2**51 units.
             # - Adding the two exact sums rounds their exact total once, half
             #   to even, which is the value fsum returns.
-            # Beyond q = 17 the lo sums may round, so each row takes fsum;
-            # a block then holds a single row anyway.
+            # Beyond q = 17 the lo sums may round, so each column takes fsum;
+            # a block then holds a single resample anyway.
             q = (n - 1).bit_length()
             if q <= 17:
                 scale = 2.0 ** (52 - q)
                 hi = np.floor(terms * scale) / scale
-                sums = hi.sum(axis=1) + (terms - hi).sum(axis=1)
+                sums = hi.sum(axis=0) + (terms - hi).sum(axis=0)
             else:
-                sums = np.array([fsum(row) for row in terms.tolist()])
-            total_pos = pos.sum(axis=1)
+                sums = np.array([fsum(column) for column in terms.T.tolist()])
+            total_pos = seen_pos[-1]
             degenerate = (total_pos == 0) | (total_pos == n)
             values = np.divide(sums, total_pos, out=np.zeros(n_rows), where=~degenerate)
             return values, degenerate

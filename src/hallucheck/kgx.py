@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import KnowledgeGraph, OnceMemo, Triple
+from .core import KnowledgeGraph, OnceMemo, Triple, encodable
 from .provider import ChatClient, ChatRequest, KG_PROFILE
 
 logger = logging.getLogger(__name__)
@@ -75,7 +75,7 @@ def _coerce_triple(item: object) -> Triple | None:
         if not isinstance(element, (str, int, float)):
             return None
         text = str(element).strip()
-        if not text:
+        if not text or not encodable(text):  # a JSON escape may decode to a lone surrogate
             return None
         parts.append(text)
     return Triple(parts[0], parts[1], parts[2])

@@ -145,6 +145,19 @@ class TestExtract:
         assert calls == []
         assert not list(workdir.glob("*.tmp"))
 
+    def test_lone_surrogate_escape_in_a_reply_loses_the_triple(
+        self, workdir, config_path, caplog, capsys
+    ):
+        escape_kranj(workdir)
+        out = workdir / "kgs.jsonl"
+        sentences = str(workdir / "sentences.txt")
+        argv = ["extract", "--config", str(config_path), "--input", sentences, "--output", str(out)]
+        assert main(argv) == 0
+        graphs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert graphs[0]["triples"] == [["Vesna Marinko", "born in year", "1968"]]
+        assert [len(g["triples"]) for g in graphs] == [1, 2, 2]
+        assert parse_loss_warnings(caplog) == ["dropped 1 unparseable triple(s)"]
+
     def test_missing_input_is_data_error(self, workdir, config_path):
         code = main(
             [
@@ -174,6 +187,26 @@ class TestExtract:
             ]
         )
         assert code == 4
+
+
+def escape_kranj(workdir):
+    """Spell "Kranj" with a lone-surrogate JSON escape, ``Kr\\ud800anj``, in
+    the fixture's first extraction reply. The reply stays ASCII, so the client
+    admits it; only decoding the JSON yields the lone surrogate."""
+    path = workdir / "mock_script.json"
+    script = json.loads(path.read_text(encoding="utf-8"))
+    rule = script["rules"][0]
+    assert "Kranj" in rule["match"][1]
+    rule["reply"] = rule["reply"].replace("Kranj", "Kr\\ud800anj")
+    path.write_text(json.dumps(script), encoding="utf-8")
+
+
+def parse_loss_warnings(caplog):
+    return [
+        r.getMessage().split(" while ")[0]
+        for r in caplog.records
+        if "unparseable" in r.getMessage()
+    ]
 
 
 class TestConfigErrors:
@@ -595,6 +628,21 @@ class TestScore:
         assert err.endswith("backend returned text with a lone surrogate\n")
         replies = [json.loads(p.read_bytes())["response"] for p in workdir.glob("cache/*.json")]
         assert "Harlow" not in "".join(replies) and (cache_dir is None) == (replies == [])
+
+    @pytest.mark.parametrize(
+        "method, cache_dir",
+        [("self_confidence", None), ("selfcheck", None), ("self_confidence", "cache")],
+    )
+    def test_extraction_reply_with_a_lone_surrogate_escape_loses_the_triple(
+        self, workdir, config_path, caplog, method, cache_dir
+    ):
+        escape_kranj(workdir)
+        detector = {"method": method, "use_kg": True, "n_samples": 3}
+        edit_json(config_path, lambda c: c.update(detectors=[detector], cache_dir=cache_dir))
+        assert self.run_score(config_path) == 0
+        text = (workdir / "out" / "scores.jsonl").read_text(encoding="utf-8")
+        assert "Kr" not in text and "ud800" not in text
+        assert parse_loss_warnings(caplog) == ["dropped 1 unparseable triple(s)"]
 
     def test_triple_score_reply_with_a_lone_surrogate_is_a_miss(self, workdir, config_path):
         rule = {"match": ["Confidence score:", "won in year 1991"], "reply": "0.4\udfff"}

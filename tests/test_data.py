@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -172,6 +173,34 @@ class TestWikiBioIO:
         message = rf"d\.jsonl:2: {re.escape(field)} must be UTF-8 text, got a lone surrogate$"
         with pytest.raises(SchemaError, match=message):
             load_wikibio(path, expected_samples=3)
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ("  ", "must be a non-blank string, got '  '"),
+            ("three \ud800", "must be UTF-8 text, got a lone surrogate"),
+        ],
+        ids=["blank", "lone-surrogate"],
+    )
+    def test_later_row_whose_samples_differ_is_checked_on_its_own_line(
+        self, tmp_path, sample, message
+    ):
+        # Rows of a paragraph repeat its samples; the third changes one.
+        path = tmp_path / "d.jsonl"
+        rows = [valid_row(sentence_index=i) for i in range(3)]
+        rows[2]["samples"] = [*rows[2]["samples"][:2], sample]
+        write_jsonl(path, rows)
+        with pytest.raises(SchemaError, match=rf"d\.jsonl:3: samples\[2\] {re.escape(message)}$"):
+            load_wikibio(path, expected_samples=3)
+
+    def test_rows_with_equal_samples_share_one_tuple(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        other = valid_row(paragraph_id="p2", samples=["a", "b", "c"])
+        rows = [valid_row(), valid_row(sentence_index=1), other, valid_row(sentence_index=2)]
+        write_jsonl(path, rows)
+        first, second, third, fourth = load_wikibio(path, expected_samples=3)
+        assert first.samples is second.samples and third.samples == ("a", "b", "c")
+        assert fourth.samples == first.samples and fourth.samples is not first.samples
 
     def test_upper_case_surrogate_escape_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -378,6 +407,21 @@ class TestScoreRecordIO:
         obj["triple_scores"][0][1] = value
         with pytest.raises(SchemaError, match=r"^triple_scores\[0\]\[1\] must be a number, got "):
             score_record_from_dict(obj)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["score", "triple_scores[0][1]"])
+    def test_non_finite_number_is_refused(self, tmp_path, field, value):
+        obj = score_record_to_dict(sample_record())
+        if field == "score":
+            obj["score"] = value
+        else:
+            obj["triple_scores"][0][1] = value
+        path = tmp_path / "scores.jsonl"
+        write_jsonl(path, [obj])
+        assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text(encoding="utf-8")
+        message = rf"scores\.jsonl:1: {re.escape(field)} must be a finite number, got {value}$"
+        with pytest.raises(SchemaError, match=message):
+            list(read_score_records(path))
 
     def test_integer_scores_are_numbers(self):
         obj = score_record_to_dict(sample_record(with_triples=False))

@@ -663,6 +663,27 @@ class TestAucPrRowsSumExactly:
             tie_group_walk([scores[i] for i in row], H) for row in idx.tolist()
         ]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), positives, st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_one_kernel_on_blocks_of_changing_height(self, data, positive, full, seed):
+        # One bound kernel takes blocks of a full height, of one row and of a
+        # partial height, each height more than once, over heavily tied scores.
+        n = data.draw(st.integers(1, 40))
+        values = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.sampled_from([H, A]), min_size=n, max_size=n))
+        scores = [ls(v, label) for v, label in zip(values, labels)]
+        rows = auc_pr_metric(positive)(cols(scores))
+        partial = data.draw(st.integers(1, full - 1))
+        rng = np.random.default_rng(seed)
+        for height in (full, 1, full, partial, 1, full, partial):
+            idx = rng.integers(0, n, (height, n))
+            counts = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float)
+            got, degenerate = rows(counts)
+            assert [DegenerateLabels if d else v for v, d in zip(got.tolist(), degenerate)] == [
+                outcome(tie_group_walk, [scores[i] for i in row], positive)
+                for row in idx.tolist()
+            ]
+
 
 def tie_group_walk(scores, positive):
     """Average precision by walking the sorted list one tie group at a time."""
@@ -713,6 +734,18 @@ class TestBlockedResampling:
         ci = bootstrap_ci(cols(FIXTURE_20), per_sample(metric), resamples=200, seed=4)
         assert ci.skipped == skipped > 0
         assert all(math.isnan(v) for v in (ci.mean, ci.half_width, ci.low, ci.high))
+
+    def test_one_bincount_per_count_block(self, monkeypatch):
+        # The AUC-PR kernel counts each block's (group, class) cells in one
+        # pass. n = 501 keeps the 1,000 resamples' draw, so the second
+        # bootstrap draws nothing and every bincount call is the kernel's.
+        scores = cols(random_scores(np.random.default_rng(5), 501))
+        bootstrap_ci(scores, auc_pr_metric(), resamples=1000, seed=2)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        bootstrap_ci(scores, auc_pr_metric(), resamples=1000, seed=2)
+        assert len(calls) == -(-1000 // (evaluation.BLOCK // 501)) == 63
 
     def test_memory_stays_bounded_at_many_resamples(self):
         rng = np.random.default_rng(8)

@@ -102,6 +102,16 @@ class TestParseTriples:
         assert result.triples == (Triple("a", "r", "b"),)
         assert result.losses == 3
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_lone_surrogate_escape_becomes_a_loss(self, field):
+        # The reply is ASCII; only the decoded JSON holds the lone surrogate.
+        parts = ['"a"', '"r"', '"b"']
+        parts[field] = '"x\\udfffy"'
+        reply = f'[["c", "s", "d"], [{", ".join(parts)}], ["d", "\\ud83d\\ude00", "e"]]'
+        result = parse_triples(reply)
+        assert result.triples == (Triple("c", "s", "d"), Triple("d", "\U0001f600", "e"))
+        assert result.losses == 1
+
     def test_empty_array(self):
         result = parse_triples("[]")
         assert result.triples == ()
