@@ -256,18 +256,20 @@ class Triple:
             if not value:
                 raise ValueError(f"triple field {name!r} is empty")
             object.__setattr__(self, name, value)
-        # Computed once; a plain attribute, not a field, so fields() and repr
-        # are unchanged.
-        normalized = (
-            normalize_text(self.subject),
-            normalize_text(self.relation),
-            normalize_text(self.obj),
-        )
-        object.__setattr__(self, "_normalized", normalized)
 
     @property
     def normalized(self) -> tuple[str, str, str]:
-        return self._normalized
+        """The normalized fields, computed on first use and kept in the
+        instance's ``__dict__``, so fields() and repr are unchanged. Two
+        threads may both compute them; they store equal tuples."""
+        normalized = self.__dict__.get("_normalized")
+        if normalized is None:
+            normalized = self.__dict__["_normalized"] = (
+                normalize_text(self.subject),
+                normalize_text(self.relation),
+                normalize_text(self.obj),
+            )
+        return normalized
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triple):
@@ -279,14 +281,9 @@ class Triple:
 
 
 def dedupe_triples(triples: list[Triple] | tuple[Triple, ...]) -> tuple[Triple, ...]:
-    """Drop duplicates under normalized equality, keeping first occurrences."""
-    seen: set[tuple[str, str, str]] = set()
-    kept: list[Triple] = []
-    for t in triples:
-        if t.normalized not in seen:
-            seen.add(t.normalized)
-            kept.append(t)
-    return tuple(kept)
+    """Drop duplicates under normalized equality, keeping first occurrences:
+    a dict keeps the first of equal keys."""
+    return tuple(dict.fromkeys(triples))
 
 
 @dataclass(frozen=True)
@@ -369,10 +366,10 @@ class ScoreRecord:
     """A detector's verdict for one output.
 
     ``score`` is the consistency estimate in [0, 1]. When the detector worked
-    triple by triple, ``triple_scores`` holds the per-triple breakdown and
-    ``score`` equals its arithmetic mean; ``misses`` counts triples dropped by
-    the per-triple failure policy. ``elapsed_s`` is in-memory telemetry only
-    and is never part of the serialized record.
+    triple by triple, ``triple_scores`` holds the per-triple breakdown, never
+    empty, and ``score`` equals its arithmetic mean; ``misses`` counts triples
+    dropped by the per-triple failure policy. ``elapsed_s`` is in-memory
+    telemetry only and is never part of the serialized record.
     """
 
     output_ref: str
@@ -390,7 +387,9 @@ class ScoreRecord:
             raise ValueError(f"score {self.score} outside [0, 1]")
         if self.misses < 0:
             raise ValueError(f"misses must be >= 0, got {self.misses}")
-        if self.triple_scores:
+        if self.triple_scores is not None:
+            if not self.triple_scores:
+                raise ValueError("triple_scores must not be empty")
             for _, c in self.triple_scores:
                 if not 0.0 <= c <= 1.0:
                     raise ValueError(f"triple score {c} outside [0, 1]")

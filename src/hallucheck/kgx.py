@@ -1,11 +1,11 @@
 """Knowledge-graph extraction from text via a single prompt.
 
 One completion per text, run under the deterministic extraction profile. The
-reply parser is total: it first tries a JSON array of three-string arrays,
-then falls back to one ``subject | relation | object`` triple per line, and
-records anything unparseable as a loss instead of failing. Extraction never
-returns an empty graph; a text yielding no triples gets the degenerate
-pseudo-triple wrapper.
+reply parser is total: it first tries a JSON array of three-field arrays,
+then falls back to one ``subject | relation | object`` triple per line. Both
+forms pass one rule, and anything it refuses is a loss, not a failure.
+Extraction never returns an empty graph; a text yielding no triples gets the
+degenerate pseudo-triple wrapper.
 """
 
 from __future__ import annotations
@@ -68,57 +68,38 @@ class ParseResult:
 
 
 def _coerce_triple(item: object) -> Triple | None:
+    """``item`` as a Triple, or None unless it holds three non-blank scalar
+    fields that encode as UTF-8 (a JSON escape may decode to a lone surrogate)."""
     if not isinstance(item, (list, tuple)) or len(item) != 3:
         return None
-    parts = []
-    for element in item:
-        if not isinstance(element, (str, int, float)):
-            return None
-        text = str(element).strip()
-        if not text or not encodable(text):  # a JSON escape may decode to a lone surrogate
-            return None
-        parts.append(text)
-    return Triple(parts[0], parts[1], parts[2])
+    fields = [str(f) for f in item if isinstance(f, (str, int, float))]
+    if len(fields) != 3 or not all(map(encodable, fields)):
+        return None
+    try:
+        return Triple(*fields)
+    except ValueError:
+        return None
 
 
 def parse_triples(reply: str) -> ParseResult:
     """Parse a model reply into triples; never raises.
 
-    Duplicates are kept (graph construction deduplicates); malformed entries
-    count as losses.
+    The candidates are the items of the reply's JSON array or, failing that,
+    each non-blank line split at ``|``; one rule decides which is a triple.
+    Duplicates are kept (graph construction deduplicates); every other
+    candidate counts as a loss.
     """
+    items = None
     start, end = reply.find("["), reply.rfind("]")
     if start != -1 and end > start:
         try:
-            data = json.loads(reply[start : end + 1])
+            items = json.loads(reply[start : end + 1])
         except (ValueError, RecursionError):  # digit and nesting limits too
-            data = None
-        if isinstance(data, list):
-            triples: list[Triple] = []
-            losses = 0
-            for item in data:
-                triple = _coerce_triple(item)
-                if triple is None:
-                    losses += 1
-                else:
-                    triples.append(triple)
-            return ParseResult(tuple(triples), losses)
-    return _parse_triples_lines(reply)
-
-
-def _parse_triples_lines(reply: str) -> ParseResult:
-    triples: list[Triple] = []
-    losses = 0
-    for line in reply.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) == 3 and all(parts):
-            triples.append(Triple(*parts))
-        else:
-            losses += 1
-    return ParseResult(tuple(triples), losses)
+            pass
+    if not isinstance(items, list):
+        items = [line.split("|") for line in reply.splitlines() if line.strip()]
+    triples = tuple(t for t in map(_coerce_triple, items) if t is not None)
+    return ParseResult(triples, len(items) - len(triples))
 
 
 def kg_to_record(kg: KnowledgeGraph) -> dict:
@@ -163,4 +144,4 @@ class KGExtractor:
             )
         with self._lock:
             self.parse_losses += result.losses
-        return KnowledgeGraph.build(list(result.triples), source_text=text)
+        return KnowledgeGraph.build(result.triples, source_text=text)

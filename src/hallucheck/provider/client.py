@@ -2,10 +2,10 @@
 
 ``complete`` serves identical requests from the on-disk cache when one is
 configured; the draws of one prompt differ in ``ChatRequest.draw``, so each
-is cached on its own. A draw must hold text: a blank one is refused, never
-cached, and a blank draw found in the cache is a miss. A reply with a lone
-surrogate (not encodable as UTF-8) is handled the same way. ``max_inflight``
-caps the backend calls in flight at once over every thread sharing the client.
+is cached on its own. An empty reply, a blank draw and a reply with a lone
+surrogate (not encodable as UTF-8) are refused and never cached, and one
+found in the cache is a miss. ``max_inflight`` caps the backend calls in
+flight at once over every thread sharing the client.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ChatClient:
             return ChatResponse(content=self._call_with_retry(request), cached=False)
         digest = cache_key(request, self.backend.name)
         hit = self.cache.get(digest)
-        if hit is not None and (request.draw is None or hit.strip()):
+        if hit and (request.draw is None or hit.strip()):
             return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
         self.cache.put(digest, canonical_request(request, self.backend.name), content)

@@ -1028,8 +1028,12 @@ class TestEvaluate:
                 lambda row: row["triple_scores"][0][0].__setitem__(1, " "),
                 "triple field 'relation' is empty",
             ),
+            (
+                lambda row: row.update(score=0.7, misses=3, triple_scores=[]),
+                "triple_scores must not be empty",
+            ),
         ],
-        ids=["score-above-one", "score-not-the-mean", "blank-triple-field"],
+        ids=["score-above-one", "score-not-the-mean", "blank-triple-field", "empty-triple-scores"],
     )
     def test_row_the_record_refuses_is_data_error(
         self, scored, config_path, capsys, edit, message

@@ -4,6 +4,7 @@ import errno
 import math
 import os
 import random
+import shutil
 import stat
 import time
 from pathlib import Path
@@ -29,6 +30,9 @@ from hallucheck.core import (
     mean_score,
     normalize_text,
 )
+from hallucheck.data import read_score_records
+
+from conftest import run_cli
 
 text_like = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=60
@@ -75,15 +79,24 @@ class TestTriple:
         assert Triple("a", "r", "b") != Triple("a", "r", "c")
         assert Triple("a", "r", "b") != "not a triple"
 
-    def test_normalized_once_at_construction(self, monkeypatch):
-        t = Triple("Alan  Turing", "born in", "London")
+    def test_normalized_once_when_first_compared(self, monkeypatch, tmp_path, fixture_dir):
         calls = []
-        monkeypatch.setattr(core, "normalize_text", lambda raw: calls.append(raw) or raw)
-        KnowledgeGraph.build([t, Triple("x", "y", "z")], source_text="text")
-        assert t.normalized == ("alan turing", "born in", "london")
-        assert len(calls) == 3
+        normalize = core.normalize_text
+        monkeypatch.setattr(core, "normalize_text", lambda raw: calls.append(raw) or normalize(raw))
+        t = Triple("Alan  Turing", "born in", "London")
+        assert calls == []
+        KnowledgeGraph.build([t, Triple("x", "y", "z"), t], source_text="text")
+        assert len(calls) == 6
+        assert t.normalized == ("alan turing", "born in", "london") and len(calls) == 6
         assert [f.name for f in dataclasses.fields(t)] == ["subject", "relation", "obj"]
         assert repr(t) == "Triple(subject='Alan  Turing', relation='born in', obj='London')"
+        # Reading a score stream builds a Triple per triple score and compares none.
+        run = shutil.copytree(fixture_dir, tmp_path / "run")
+        assert run_cli(["score", "--config", str(run / "run_config.json")]) == 0
+        calls.clear()
+        records = list(read_score_records(run / "out" / "scores.jsonl"))
+        assert sum(len(r.triple_scores or ()) for r in records) > 0
+        assert calls == []
 
     def test_dedupe_keeps_first_occurrence(self):
         first = Triple("Alan Turing", "born in", "London")
@@ -192,6 +205,10 @@ class TestScoreRecord:
         assert record.score == 0.5
         with pytest.raises(ValueError):
             self._record(score=0.6, triple_scores=triples, kg_used=True)
+
+    def test_empty_triple_scores_rejected(self):
+        with pytest.raises(ValueError, match="^triple_scores must not be empty$"):
+            self._record(score=0.7, triple_scores=(), kg_used=True, misses=3)
 
     def test_triple_score_bounds(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hallucheck
-from hallucheck.core import KnowledgeGraph, Triple
+from hallucheck.core import KnowledgeGraph, Triple, encodable
 from hallucheck.kgx import (
     ExtractionPromptTemplate,
     KGExtractor,
@@ -150,6 +151,28 @@ class TestParseTriples:
         result = parse_triples(reply)
         assert result.losses >= 0
         assert all(isinstance(t, Triple) for t in result.triples)
+
+
+# A field of either reply form: blank, padded, numeric, holding a lone
+# surrogate, or text with no "|", line break or bracket.
+reply_field = (
+    st.text(alphabet=st.characters(blacklist_characters="|[]"), max_size=8).filter(
+        lambda f: f.splitlines() in ([], [f])
+    )
+    | st.sampled_from(["", "  ", " padded ", "\ud800", "x\udfffy"])
+    | st.integers(-(10**9), 10**9)
+    | st.floats()
+)
+
+
+class TestReplyForms:
+    @given(st.lists(st.lists(reply_field, min_size=2, max_size=4), max_size=5))
+    def test_json_and_line_forms_parse_alike(self, items):
+        as_json = parse_triples(json.dumps(items))
+        as_lines = parse_triples("\n".join(" | ".join(map(str, item)) for item in items))
+        assert list(map(astuple, as_json.triples)) == list(map(astuple, as_lines.triples))
+        assert as_json.losses == as_lines.losses
+        assert all(encodable(f) for t in as_json.triples for f in astuple(t))
 
 
 class TestExtractor:

@@ -359,6 +359,16 @@ class TestChatClient:
         assert (response.content, response.cached, backend.calls) == ("text", False, 1)
         assert cache.get(cache_key(drawn, "mock")) == "text"
 
+    def test_empty_reply_in_the_cache_is_a_miss(self, tmp_path):
+        # The backend's empty reply is a refusal and never cached; an empty
+        # entry already in the cache is not served either.
+        cache = ResponseCache(tmp_path)
+        cache.put(cache_key(req(), "mock"), canonical_request(req(), "mock"), "")
+        backend = MockChatBackend(default_reply="text")
+        response = ChatClient(backend, cache=cache).complete(req())
+        assert (response.content, response.cached, backend.calls) == ("text", False, 1)
+        assert cache.get(cache_key(req(), "mock")) == "text"
+
     def test_draws_are_fresh_calls_then_cache_hits(self, tmp_path):
         backend = MockChatBackend(rules=[MockRule(match=("go",), replies=("a", "b", "c"))])
         client = ChatClient(backend, cache=ResponseCache(tmp_path))
