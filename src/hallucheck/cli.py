@@ -477,33 +477,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             evaluate_method(name, scores, positive, args.resamples, cfg.seed)
             for name, scores in sorted(groups.items())
         ]
-        comparisons = []
-        comparison_lines = []
-        for name in sorted(groups):
-            kg_name = f"{name}+kg"
-            if name.endswith("+kg") or kg_name not in groups:
-                continue
-            result = compare_methods(
-                groups[name], groups[kg_name], auc_pr_metric(positive), args.resamples, cfg.seed
-            )
-            comparisons.append(
-                {"baseline": name, "variant": kg_name, "metric": "auc_pr", **asdict(result)}
-            )
-            comparison_lines.append(f"{kg_name} vs {name}: {result}")
+        # (baseline, result) for each method that has a +kg variant.
+        auc = auc_pr_metric(positive)
+        comparisons = [
+            (name, compare_methods(scores, groups[f"{name}+kg"], auc, args.resamples, cfg.seed))
+            for name, scores in sorted(groups.items())
+            if f"{name}+kg" in groups
+        ]
         report_obj = {
             "meta": _meta_record(cfg, None),
             "positive_class": positive.value,
             "resamples": args.resamples,
-            "methods": [r.as_record() for r in reports],
-            "comparisons": comparisons,
+            "methods": [asdict(r) for r in reports],
+            "comparisons": [
+                {"baseline": name, "variant": f"{name}+kg", "metric": "auc_pr", **asdict(result)}
+                for name, result in comparisons
+            ],
         }
         fh.write(json.dumps(report_obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     print(render_report_table(reports), end="")
-    if comparison_lines:
+    if comparisons:
         print()
         print("comparisons (paired bootstrap on AUC-PR):")
-        for line in comparison_lines:
-            print(f"  {line}")
+        for name, result in comparisons:
+            print(f"  {name}+kg vs {name}: {result}")
     print(f"\nreport written to {report_path}")
     return EXIT_OK
 

@@ -16,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import HallucheckError, OnceMemo, Triple
+from .provider import ConfigError
 
 
 class EmbedBackendError(HallucheckError):
-    """The embedding backend is unavailable or failed to produce a vector."""
+    """The embedding backend failed to produce a vector."""
 
 
 class DimensionMismatch(HallucheckError):
@@ -147,13 +148,13 @@ class SbertEmbedder(MemoizingEmbedder):
         try:
             from sentence_transformers import SentenceTransformer
         except ImportError as exc:
-            raise EmbedBackendError(
+            raise ConfigError(
                 "sentence-transformers is not installed (pip install hallucheck[sbert])"
             ) from exc
         try:
             self._model = SentenceTransformer(model_id)
         except Exception as exc:
-            raise EmbedBackendError(f"cannot load embedding model {model_id!r}: {exc}") from exc
+            raise ConfigError(f"cannot load embedding model {model_id!r}: {exc}") from exc
         self.model_id = model_id
         self.dim = int(self._model.get_sentence_embedding_dimension())
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -308,7 +308,8 @@ def auc_pr(scores: LabeledScores, positive: Label = DEFAULT_POSITIVE) -> float:
     return float(values[0])
 
 
-class BootstrapCI(NamedTuple):
+@dataclass(frozen=True)
+class BootstrapCI:
     """Percentile bootstrap summary: replicate mean and 95% interval."""
 
     mean: float
@@ -518,19 +519,6 @@ class EvalReport:
             ci: BootstrapCI = getattr(self, name)
             if not 0.0 <= ci.mean <= 1.0:
                 raise ValueError(f"{name} mean {ci.mean} outside [0, 1]")
-
-    def as_record(self) -> dict:
-        return {
-            "method": self.method,
-            "positive_class": self.positive_class.value,
-            "n": self.n,
-            "bootstrap_seed": self.bootstrap_seed,
-            "threshold_accuracy": self.threshold_accuracy,
-            "threshold_f1": self.threshold_f1,
-            "accuracy": self.accuracy._asdict(),
-            "f1": self.f1._asdict(),
-            "auc_pr": self.auc_pr._asdict(),
-        }
 
 
 def evaluate_method(

@@ -68,11 +68,11 @@ class ParseResult:
 
 
 def _coerce_triple(item: object) -> Triple | None:
-    """``item`` as a Triple, or None unless it holds three non-blank scalar
-    fields that encode as UTF-8 (a JSON escape may decode to a lone surrogate)."""
+    """``item`` as a Triple, or None unless it holds three non-blank str, int or
+    float fields, never bool, that encode as UTF-8 (an escape may be a lone surrogate)."""
     if not isinstance(item, (list, tuple)) or len(item) != 3:
         return None
-    fields = [str(f) for f in item if isinstance(f, (str, int, float))]
+    fields = [str(f) for f in item if type(f) in (str, int, float)]
     if len(fields) != 3 or not all(map(encodable, fields)):
         return None
     try:

@@ -3,9 +3,12 @@ import hashlib
 import json
 import os
 import shutil
+import socket
 import stat
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -209,6 +212,21 @@ def parse_loss_warnings(caplog):
     ]
 
 
+def no_network(*args):
+    raise AssertionError("no test may open a network connection")
+
+
+def unloadable_sbert():
+    """A sentence_transformers module whose every model fails to load."""
+    module = types.ModuleType("sentence_transformers")
+
+    def load(model_id):
+        raise OSError("no such model")
+
+    module.SentenceTransformer = load
+    return module
+
+
 class TestConfigErrors:
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -307,9 +325,21 @@ class TestConfigErrors:
                 "provider.rate_limit_per_minute must be > 0 and leave at most",
                 id="1e-9-rate_limit_per_minute",
             ),
+            pytest.param(["detectors"], [], "config has no detectors", id="no-detectors"),
+            pytest.param(["dataset", "path"], "", "config has no dataset.path", id="no-dataset"),
+            pytest.param(
+                ["provider", "backend"],
+                "openai",
+                "no API key: set HALLUCHECK_OPENAI_KEY",
+                id="openai-without-a-key",
+            ),
         ],
     )
-    def test_bad_value_is_one_line(self, config_path, capsys, path, value, message):
+    def test_bad_value_is_one_line(self, config_path, capsys, monkeypatch, path, value, message):
+        monkeypatch.delenv("HALLUCHECK_OPENAI_KEY", raising=False)
+        # A hosted backend without its key is refused before any connection.
+        monkeypatch.setattr(socket, "getaddrinfo", no_network)
+        monkeypatch.setattr(socket.socket, "connect", no_network)
         obj = json.loads(config_path.read_text(encoding="utf-8"))
         parent = obj
         for key in path[:-1]:
@@ -456,6 +486,32 @@ class TestConfigErrors:
         assert main(["score", "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {dataset}:2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [("paragraph_id", ""), ("sentence", "  ")])
+    def test_blank_dataset_key_field_is_one_line(self, workdir, config_path, capsys, field, value):
+        dataset = workdir / "fixture_dataset.jsonl"
+        edit_json(dataset, lambda row: row.update({field: value}), line=2)
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"data error: {dataset}:2: {field} must be non-empty\n"
+
+    @pytest.mark.parametrize(
+        "module,message",
+        [
+            (None, "sentence-transformers is not installed (pip install hallucheck[sbert])"),
+            (unloadable_sbert(), "cannot load embedding model 'all-MiniLM-L6-v2': no such model"),
+        ],
+        ids=["not-installed", "model-not-loadable"],
+    )
+    def test_sbert_backend_that_cannot_load_is_refused_before_any_call(
+        self, config_path, capsys, monkeypatch, module, message
+    ):
+        monkeypatch.setitem(sys.modules, "sentence_transformers", module)
+        edit_json(config_path, lambda obj: obj.update(embedding={"backend": "sbert"}))
+        calls = timed_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
 
     @pytest.mark.parametrize("field", ["sentence", "concept", "samples"])
     def test_lone_surrogate_in_dataset_text_is_one_line(
@@ -1062,6 +1118,14 @@ class TestEvaluate:
     def test_missing_scores_is_data_error(self, workdir, config_path):
         assert self.evaluate(config_path) == 4
 
+    def test_stream_of_only_its_meta_line_is_data_error(self, scored, config_path, capsys):
+        scores_path = scored / "out" / "scores.jsonl"
+        meta = scores_path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        scores_path.write_text(meta, encoding="utf-8")
+        capsys.readouterr()
+        assert self.evaluate(config_path) == 4
+        assert capsys.readouterr().err == f"data error: {scores_path}: no score records\n"
+
     def test_custom_paths(self, scored, config_path):
         report_path = scored / "custom_report.json"
         code = self.evaluate(
@@ -1259,9 +1323,37 @@ def timed_backend_calls(monkeypatch, delay_s=0.0):
     return calls
 
 
-def passage(call):
-    """The text an extraction call extracts from, or None for other calls."""
-    prompt = call[0]
+def rendezvous_backend(monkeypatch, groups, timeout_s=5.0):
+    """Hold each extraction call of a passage in one of ``groups`` until a
+    second call of that group has started, or for ``timeout_s``; return the
+    (passage, met a partner) of each held call, in the order they went on."""
+    build = cli.build_backend
+    started = dict.fromkeys(groups, 0)
+    meeting = threading.Condition()
+    waits = []
+
+    class Rendezvous:
+        def __init__(self, backend):
+            self.backend = backend
+            self.name = backend.name
+
+        def complete_once(self, request):
+            text = passage(request.messages[-1].content)
+            group = next((g for g in groups if text in g), None)
+            if group is not None:
+                with meeting:
+                    started[group] += 1
+                    meeting.notify_all()
+                    met = meeting.wait_for(lambda: started[group] >= 2, timeout_s)
+                    waits.append((text, met))
+            return self.backend.complete_once(request)
+
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: Rendezvous(build(cfg)))
+    return waits
+
+
+def passage(prompt):
+    """The text an extraction prompt extracts from, or None for other prompts."""
     if "knowledge-graph triples" not in prompt:
         return None
     return prompt.split("Passage: ", 1)[1].split("\n", 1)[0]
@@ -1364,7 +1456,7 @@ class TestParallelScore:
         assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
         # Each paragraph has 5 records and 3 samples: 3 sample extractions per
         # paragraph reach the backend, not 15.
-        extracted = [passage(call) for call in calls]
+        extracted = [passage(prompt) for prompt, *_ in calls]
         for paragraph_samples in samples.values():
             assert sum(text in paragraph_samples for text in extracted) == 3
         assert len(extracted) == len(rows) + 3 * len(samples)
@@ -1467,11 +1559,12 @@ class TestOnePool:
     ):
         detectors = [{"method": "selfcheck", "use_kg": True, "n_samples": 3}]
         workdir = copy_fixture(fixture_dir, tmp_path, parallelism=4, detectors=detectors)
-        calls = timed_backend_calls(monkeypatch, 0.02)
-        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
         rows = (workdir / "fixture_dataset.jsonl").read_text(encoding="utf-8").splitlines()
-        for samples in {tuple(json.loads(row)["samples"]) for row in rows}:
-            assert most_at_once([call for call in calls if passage(call) in samples]) >= 2
+        paragraphs = {tuple(json.loads(row)["samples"]) for row in rows}
+        waits = rendezvous_backend(monkeypatch, paragraphs)
+        assert main(["score", "--config", str(workdir / "run_config.json")]) == 0
+        assert len(waits) == 3 * len(paragraphs)
+        assert [text for text, met in waits if not met] == []
 
     @pytest.mark.parametrize("failed", [False, True], ids=["success", "provider-failure"])
     def test_no_worker_outlives_the_run(self, tmp_path, fixture_dir, monkeypatch, failed):

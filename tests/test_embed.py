@@ -8,12 +8,12 @@ import pytest
 from hallucheck.core import Triple
 from hallucheck.embed import (
     DimensionMismatch,
-    EmbedBackendError,
     HashEmbedder,
     ZeroVector,
     cosine_sim,
     triple_text,
 )
+from hallucheck.provider import ConfigError
 
 from conftest import PinnedEmbedder, clamp0
 
@@ -245,7 +245,7 @@ def test_sbert_backend_reports_missing_dependency():
     except ImportError:
         from hallucheck.embed import SbertEmbedder
 
-        with pytest.raises(EmbedBackendError):
+        with pytest.raises(ConfigError, match="sentence-transformers is not installed"):
             SbertEmbedder()
     else:
         pytest.skip("sentence-transformers installed; error path not reachable")

@@ -484,7 +484,7 @@ class TestEvaluateMethod:
         assert report.positive_class is H
         assert report.threshold_accuracy in THRESHOLD_GRID
         assert report.threshold_f1 in THRESHOLD_GRID
-        record = report.as_record()
+        record = dataclasses.asdict(report)
         assert record["accuracy"]["mean"] == report.accuracy.mean
         assert record["positive_class"] == "hallucinated"
 

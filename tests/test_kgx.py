@@ -103,6 +103,10 @@ class TestParseTriples:
         assert result.triples == (Triple("a", "r", "b"),)
         assert result.losses == 3
 
+    def test_json_boolean_field_is_a_loss(self):
+        result = parse_triples('[[true, "is", "x"], ["a", "b", "c"]]')
+        assert result == ParseResult(triples=(Triple("a", "b", "c"),), losses=1)
+
     @pytest.mark.parametrize("field", [0, 1, 2])
     def test_lone_surrogate_escape_becomes_a_loss(self, field):
         # The reply is ASCII; only the decoded JSON holds the lone surrogate.

@@ -406,6 +406,25 @@ class TestRateLimiter:
         limiter.wait()
         assert naps == [1.0, 1.0]
 
+    def test_client_calls_wait_out_the_interval(self):
+        now = [0.0]
+        naps = []
+
+        def sleep(s):
+            naps.append(s)
+            now[0] += s
+
+        backend = MockChatBackend(default_reply="ok")
+        started = []
+        reply = backend.complete_once
+        backend.complete_once = lambda request: started.append(now[0]) or reply(request)
+        limiter = RateLimiter(60, clock=lambda: now[0], sleep=sleep)
+        client = ChatClient(backend, rate_limiter=limiter)
+        for k in range(3):
+            assert client.complete(req(draw=k)).content == "ok"
+        assert naps == [1.0, 1.0]
+        assert started == [0.0, 1.0, 2.0]
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigError):
             RateLimiter(0)
