@@ -131,7 +131,9 @@ def check_json(value, spec, where: str, error: type[HallucheckError], path: tupl
     default does.
     """
     # A value of exactly a str, int or bool kind (an ASCII one, for a string),
-    # or a finite float under NUMBER, meets it without a call of its own. A
+    # a finite float under NUMBER, an allowed value of a str kind and an int of
+    # at least an int kind's least value meet it without a call of their own.
+    # (Allowed values are the program's own strings, so they are UTF-8.) A
     # field's path is a tuple of keys and indices, named only in an error.
     kind, limit = spec if type(spec) is tuple else (spec, None)
     if type(limit) is dict:
@@ -142,7 +144,11 @@ def check_json(value, spec, where: str, error: type[HallucheckError], path: tupl
                 raise error(f"{where}unknown key {key!r}{' in ' + _name(path) if path else ''}")
             sub = limit[key]
             if not (type(item) is sub and (sub is not str or item.isascii())
-                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max):
+                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max
+                    or type(sub) is tuple
+                    and (sub[0] is str and type(sub[1]) is tuple and item in sub[1]
+                         or sub[0] is int and type(item) is int and type(sub[1]) is int
+                         and item >= sub[1])):
                 check_json(item, sub, where, error, (*path, key))
         for key in limit:
             if key not in value and not hasattr(kind, key):
@@ -163,7 +169,11 @@ def check_json(value, spec, where: str, error: type[HallucheckError], path: tupl
         for i, item in enumerate(value):
             sub = limit[i] if type(limit) is list else limit
             if not (type(item) is sub and (sub is not str or item.isascii())
-                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max):
+                    or sub is NUMBER and type(item) is float and abs(item) <= sys.float_info.max
+                    or type(sub) is tuple
+                    and (sub[0] is str and type(sub[1]) is tuple and item in sub[1]
+                         or sub[0] is int and type(item) is int and type(sub[1]) is int
+                         and item >= sub[1])):
                 check_json(item, sub, where, error, (*path, i))
     elif isinstance(0.0, kind) and not abs(value) <= sys.float_info.max:
         raise error(f"{where}{_name(path)} must be a finite number, got {value}")

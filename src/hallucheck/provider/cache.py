@@ -1,57 +1,94 @@
 """On-disk response cache, keyed by request digest.
 
-One JSON file per digest. Writes go through a temp file and an atomic
-rename, so concurrent readers never see a partial record; in-process writers
-are serialized with a lock. Entries carry no timestamp: one request and
-response always give the same bytes. Entries written with a ``stored_at``
-field still read as hits, and a ``MANIFEST`` file that older versions kept
-beside the entries is ignored.
+One append-only log, ``<directory>/responses.jsonl``, holds a line ``{"digest",
+"request", "response"}`` per entry, whose bytes depend only on the request and
+the response. It is read once, on first use, under an exclusive ``flock``: an
+unterminated last line, as a killed ``put`` leaves it, is dropped; a line that
+is not an object with a string ``digest`` and a UTF-8 string ``response`` is a
+miss with a warning naming ``<file>:<line>``; of two lines with one digest the
+later wins. The ``<digest>.json`` files of older versions are read by the same
+rules, and each whose digest the log lacks is appended. ``put`` appends a line
+under the thread lock and the ``flock``, so processes may share a directory;
+an entry another process appends after the load is a miss here.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
+import os
 import threading
 from pathlib import Path
 
-from ..core import atomic_write, encodable
+from ..core import drop_torn_tail, encodable
 
 logger = logging.getLogger(__name__)
+
+
+def _entry(data: bytes, where: str) -> dict | None:
+    """The entry ``data`` holds, or None, with a warning naming ``where``."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        record = None
+    if type(record) is dict:
+        digest, response = record.get("digest"), record.get("response")
+        if type(digest) is str and type(response) is str and encodable(response):
+            return {"digest": digest, "request": record.get("request"), "response": response}
+    logger.warning("ignoring corrupt response cache entry %s", where)
+    return None
 
 
 class ResponseCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / "responses.jsonl"
         self._lock = threading.Lock()
+        self._entries: dict[str, str] | None = None
 
-    def _path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
+    def _load(self) -> dict[str, str]:
+        """The entries, read on first use. Call with the lock held."""
+        if self._entries is not None:
+            return self._entries
+        entries: dict[str, str] = {}
+        legacy = sorted(self.directory.glob("*.json"))
+        if legacy or self.path.exists():  # else the first put makes the log
+            with open(self.path, "ab+") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                drop_torn_tail(self.path)
+                fh.seek(0)
+                for lineno, line in enumerate(fh, start=1):
+                    if entry := _entry(line, f"{self.path}:{lineno}"):
+                        entries[entry["digest"]] = entry["response"]
+                for old in legacy:
+                    if entry := old.stem not in entries and _entry(old.read_bytes(), str(old)):
+                        fh.write((json.dumps(entry) + "\n").encode())
+                        entries[entry["digest"]] = entry["response"]
+        self._entries = entries
+        return entries
 
     def get(self, digest: str) -> str | None:
-        """Return the cached response content, or None on a miss. An entry
-        that is not a valid record, or whose response does not encode as
-        UTF-8, is a miss too; the next ``put`` rewrites it."""
-        path = self._path(digest)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (ValueError, RecursionError):
-            record = None
-        response = record.get("response") if isinstance(record, dict) else None
-        if not isinstance(response, str) or not encodable(response):
-            logger.warning("ignoring corrupt response cache entry %s", path)
-            return None
-        return response
+        """The cached response, or None on a miss."""
+        entries = self._entries
+        if entries is None:
+            with self._lock:
+                entries = self._load()
+        return entries.get(digest)
 
     def put(self, digest: str, request_canonical: str, content: str) -> None:
-        record = {
-            "digest": digest,
-            "request": request_canonical,
-            "response": content,
-        }
-        body = json.dumps(record, ensure_ascii=False, indent=2)
-        with self._lock, atomic_write(self._path(digest)) as fh:
-            fh.write(body)
+        """Append an entry, unless the log already holds this response for it."""
+        entry = {"digest": digest, "request": request_canonical, "response": content}
+        line = (json.dumps(entry) + "\n").encode()
+        with self._lock:
+            entries = self._load()
+            if entries.get(digest) == content:
+                return
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                os.write(fd, line)
+            finally:
+                os.close(fd)
+            entries[digest] = content

@@ -24,8 +24,8 @@ from .types import (
     ConfigError,
     ProviderRefusal,
     TransportError,
-    cache_key,
     canonical_request,
+    request_digest,
 )
 
 logger = logging.getLogger(__name__)
@@ -125,10 +125,11 @@ class ChatClient:
         """Complete one request, serving repeats from the cache when enabled."""
         if self.cache is None:
             return ChatResponse(content=self._call_with_retry(request), cached=False)
-        digest = cache_key(request, self.backend.name)
+        canonical = canonical_request(request, self.backend.name)
+        digest = request_digest(canonical)
         hit = self.cache.get(digest)
         if hit and (request.draw is None or hit.strip()):
             return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
-        self.cache.put(digest, canonical_request(request, self.backend.name), content)
+        self.cache.put(digest, canonical, content)
         return ChatResponse(content=content, cached=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..core import HallucheckError
 
@@ -123,7 +123,7 @@ def canonical_request(request: ChatRequest, backend: str) -> str:
     payload = {
         "backend": backend,
         "model_id": request.model_id,
-        "params": asdict(request.params),
+        "params": vars(request.params),  # its fields, as asdict gives them
         "messages": [[m.role, m.content] for m in request.messages],
     }
     if request.draw is not None:  # the key's old name keeps old digests valid
@@ -137,5 +137,9 @@ def cache_key(request: ChatRequest, backend: str) -> str:
     Equal requests give equal digests; changing any field (backend, model,
     params, messages, draw) changes the digest.
     """
-    canon = canonical_request(request, backend)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return request_digest(canonical_request(request, backend))
+
+
+def request_digest(canonical: str) -> str:
+    """The cache key of a request's canonical form (see ``cache_key``)."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -682,7 +682,7 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.startswith("provider error: ") and err.count("\n") == 1
         assert err.endswith("backend returned text with a lone surrogate\n")
-        replies = [json.loads(p.read_bytes())["response"] for p in workdir.glob("cache/*.json")]
+        replies = cached_responses(workdir)
         assert "Harlow" not in "".join(replies) and (cache_dir is None) == (replies == [])
 
     @pytest.mark.parametrize(
@@ -717,13 +717,15 @@ class TestScore:
         assert self.run_score(config_path) == 0
         scores_path = workdir / "out" / "scores.jsonl"
         clean = scores_path.read_bytes()
-        entry = sorted((workdir / "cache").glob("*.json"))[0]
-        entry.write_text(body, encoding="utf-8")
+        log = workdir / "cache" / "responses.jsonl"
+        first, rest = log.read_text(encoding="utf-8").split("\n", 1)
+        log.write_text(body + "\n" + rest, encoding="utf-8")
         assert self.run_score(config_path, "--fresh") == 0
         assert scores_path.read_bytes() == clean
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert [str(entry) in r.getMessage() for r in warnings] == [True]
-        assert json.loads(entry.read_text(encoding="utf-8"))["response"] is not None
+        assert [f"{log}:1" in r.getMessage() for r in warnings] == [True]
+        # The call that follows appends the entry again.
+        assert log.read_text(encoding="utf-8").splitlines()[-1] == first
 
     def test_second_run_on_a_locked_directory_is_refused(self, workdir, config_path, capsys):
         assert self.run_score(config_path) == 0
@@ -890,11 +892,7 @@ class TestSamples:
         assert main(["samples", "--config", config, "--n", "2"]) == 3
         assert capsys.readouterr().err == "provider error: backend returned a blank sample\n"
         assert not list((workdir / "samples").glob("*.json"))
-        cached = [
-            json.loads(path.read_text(encoding="utf-8"))["response"]
-            for path in (workdir / "cache").glob("*.json")
-        ]
-        assert cached == ["v0"]
+        assert cached_responses(workdir) == ["v0"]
 
         vesna_replies("v1")
         assert main(["samples", "--config", config, "--n", "2"]) == 0
@@ -953,6 +951,14 @@ def prepend_rule(workdir, rule):
     script_path.write_text(
         json.dumps({**script, "rules": [rule, *script["rules"]]}), encoding="utf-8"
     )
+
+
+def cached_responses(workdir):
+    """The responses in the response-cache log under ``workdir``, in order;
+    none if there is no log."""
+    log = workdir / "cache" / "responses.jsonl"
+    lines = log.read_bytes().splitlines() if log.exists() else []
+    return [json.loads(line)["response"] for line in lines]
 
 
 def record_backend_calls(monkeypatch):
@@ -1219,6 +1225,23 @@ class TestScoreResumeRepair:
         assert "scored 1 (skipped 59" in captured.out
         assert scores_path.read_bytes() == full
 
+    def test_rerun_after_a_torn_cache_line_makes_one_call(
+        self, workdir, config_path, full, monkeypatch
+    ):
+        """A put killed in the middle of its line leaves the cache log torn;
+        the rerun drops the torn line and makes only the call it held."""
+        log = workdir / "cache" / "responses.jsonl"
+        whole = log.read_bytes()
+        last = whole.rindex(b"\n", 0, -1) + 1
+        log.write_bytes(whole[: last + (len(whole) - last) // 2])
+        calls = timed_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config_path), "--fresh"]) == 0
+        assert len(calls) == 1
+        repaired = log.read_bytes()
+        assert repaired.endswith(b"\n")
+        assert sorted(repaired.splitlines()) == sorted(whole.splitlines())
+        assert (workdir / "out" / "scores.jsonl").read_bytes() == full
+
     def test_resume_after_any_cut_gives_the_uninterrupted_stream(
         self, workdir, config_path, full
     ):
@@ -1389,6 +1412,31 @@ def fixture_run(fixture_dir, directory, command, **config):
         sentences, out = str(directory / "sentences.txt"), str(directory / "kgs.jsonl")
         return argv + ["--input", sentences, "--output", out]
     return argv
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_cached_second_run_makes_no_backend_call(tmp_path, fixture_dir, monkeypatch, command):
+    argv = fixture_run(fixture_dir, tmp_path, command, parallelism=4)
+    if command == "score":
+        argv.append("--fresh")
+    output = tmp_path / {"score": "out", "samples": "samples", "extract": "kgs.jsonl"}[command]
+
+    def written():
+        paths = [output] if output.is_file() else sorted(output.glob("*.json*"))
+        return {path.name: path.read_bytes() for path in paths}
+
+    calls = timed_backend_calls(monkeypatch)
+    assert main(argv) == 0
+    assert len(calls) >= COMMANDS[command]
+    first, log = written(), (tmp_path / "cache" / "responses.jsonl").read_bytes()
+    assert first and all(first.values())
+    if command == "samples":
+        shutil.rmtree(output)
+    calls.clear()
+    assert main(argv) == 0
+    assert calls == []
+    assert written() == first
+    assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == log
 
 
 def keyed_backend(monkeypatch, blank=()):

@@ -299,22 +299,27 @@ class TestAtomicWrite:
 # The calls in the package that write a file, by function: every file written
 # whole goes through core.atomic_write. The score stream is appended and
 # flushed row by row so that a run resumes, and the score lock is opened for
-# append.
+# append. The response-cache log is appended line by line: by its load, which
+# drops a torn last line and folds in the entry files of older versions, and
+# by each put.
 EXPECTED_FILE_WRITES = [
     ("cli._score_lock", "open"),
     ("core.atomic_write", "open"),
     ("core.atomic_write", "os.replace"),
     ("data.write_score_records", "open"),
+    ("provider.cache.ResponseCache._load", "open"),
+    ("provider.cache.ResponseCache.put", "open"),
 ]
 
 # The calls in the package that decode JSON, by function: every JSON input file
 # is read by one of core's two readers. The others decode a model reply, an
-# HTTP body and a response-cache entry, whose failures are not input errors.
+# HTTP body and a response-cache entry (a log line or an older version's entry
+# file), whose failures are not input errors.
 EXPECTED_JSON_DECODES = [
     ("core.json_lines", "loads"),
     ("core.read_json", "load"),
     ("kgx.parse_triples", "loads"),
-    ("provider.cache.ResponseCache.get", "loads"),
+    ("provider.cache._entry", "loads"),
     ("provider.remote.post_json", "loads"),
 ]
 

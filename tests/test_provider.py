@@ -142,6 +142,18 @@ class TestCacheKey:
         assert canon["messages"] == [["user", "hello"]]
 
 
+def log_records(directory):
+    """The records of a cache directory's log, one per line, in order."""
+    data = (Path(directory) / "responses.jsonl").read_bytes()
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def write_log(directory, *lines):
+    """A cache log of the given lines (dicts become JSON), each with its newline."""
+    body = "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
+    (Path(directory) / "responses.jsonl").write_text(body, encoding="utf-8")
+
+
 class TestResponseCache:
     def test_roundtrip(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -155,7 +167,8 @@ class TestResponseCache:
         digest = cache_key(req(), "mock")
         cache.put(digest, "{}", "a")
         cache.put(digest, "{}", "a")
-        assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
+        assert [r["digest"] for r in log_records(tmp_path)] == [digest]
 
     def test_manifest_of_an_older_version_is_ignored(self, tmp_path):
         digest = cache_key(req(), "mock")
@@ -176,10 +189,38 @@ class TestResponseCache:
 
     def test_entry_with_a_lone_surrogate_is_a_miss(self, tmp_path, caplog):
         digest = cache_key(req(), "mock")
-        path = tmp_path / f"{digest}.json"
-        path.write_text('{"digest": "d", "request": "{}", "response": "Kr\\ud800nj"}', "utf-8")
+        write_log(tmp_path, f'{{"digest": "{digest}", "request": "{{}}", "response": "Kr\\ud800nj"}}')
         assert ResponseCache(tmp_path).get(digest) is None
-        assert str(path) in caplog.text
+        assert f"{tmp_path / 'responses.jsonl'}:1" in caplog.text
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"\xff\xfe not utf-8",
+            b'{"digest": "d", "resp',
+            b"",
+            b'["d", "reply"]',
+            b'{"digest": 1, "response": "reply"}',
+            b'{"digest": "d", "response": 1}',
+            b'{"digest": "d"}',
+            b"1" * 5000,
+            b"[" * 100_000 + b"]",
+        ],
+        ids=[
+            "not-utf8", "not-json", "blank", "not-an-object", "digest-not-a-string",
+            "response-not-a-string", "no-response", "digits", "nesting",
+        ],
+    )
+    def test_bad_line_is_a_miss_with_one_warning(self, tmp_path, caplog, line):
+        """A bad line is skipped with a warning naming it; the lines around it
+        still load."""
+        good = [json.dumps({"digest": f"g{i}", "request": "{}", "response": f"r{i}"}).encode()
+                for i in range(2)]
+        (tmp_path / "responses.jsonl").write_bytes(b"\n".join([good[0], line, good[1]]) + b"\n")
+        cache = ResponseCache(tmp_path)
+        assert [cache.get(d) for d in ("g0", "d", "g1")] == ["r0", None, "r1"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"ignoring corrupt response cache entry {tmp_path / 'responses.jsonl'}:2"]
 
     def test_survives_reopen(self, tmp_path):
         digest = cache_key(req(), "mock")
@@ -187,22 +228,106 @@ class TestResponseCache:
         assert ResponseCache(tmp_path).get(digest) == "persisted"
 
     def test_entry_bytes_depend_only_on_the_request(self, tmp_path):
-        cache = ResponseCache(tmp_path)
         digest = cache_key(req(), "mock")
-        path = tmp_path / f"{digest}.json"
-        cache.put(digest, canonical_request(req(), "mock"), "reply")
-        first = path.read_bytes()
-        time.sleep(0.01)
-        cache.put(digest, canonical_request(req(), "mock"), "reply")
-        assert path.read_bytes() == first
-        assert "stored_at" not in json.loads(first)
+        logs = []
+        for run in ("first", "second"):
+            ResponseCache(tmp_path / run).put(digest, canonical_request(req(), "mock"), "reply")
+            logs.append((tmp_path / run / "responses.jsonl").read_bytes())
+            time.sleep(0.01)
+        assert logs[0] == logs[1]
+        assert json.loads(logs[0]) == {
+            "digest": digest, "request": canonical_request(req(), "mock"), "response": "reply"
+        }
 
     def test_entry_with_a_timestamp_is_still_a_hit(self, tmp_path):
         digest = cache_key(req(), "mock")
-        record = {"digest": digest, "request": "{}", "response": "old reply",
-                  "stored_at": "2024-01-01T00:00:00+00:00"}
-        (tmp_path / f"{digest}.json").write_text(json.dumps(record), encoding="utf-8")
+        write_log(tmp_path, {"digest": digest, "request": "{}", "response": "old reply",
+                             "stored_at": "2024-01-01T00:00:00+00:00"})
         assert ResponseCache(tmp_path).get(digest) == "old reply"
+
+    def test_the_later_line_wins(self, tmp_path):
+        write_log(
+            tmp_path,
+            {"digest": "d", "request": "{}", "response": "first"},
+            {"digest": "e", "request": "{}", "response": "other"},
+            {"digest": "d", "request": "{}", "response": "second"},
+            {"digest": "d", "response": 3},
+        )
+        cache = ResponseCache(tmp_path)
+        assert (cache.get("d"), cache.get("e")) == ("second", "other")
+
+    def test_legacy_entry_is_a_hit_and_is_folded_into_the_log(self, tmp_path):
+        digest, kept = cache_key(req(), "mock"), cache_key(req("other"), "mock")
+        legacy = {"digest": digest, "request": "{}", "response": "old reply",
+                  "stored_at": "2024-01-01T00:00:00+00:00"}
+        (tmp_path / f"{digest}.json").write_text(json.dumps(legacy, indent=2), encoding="utf-8")
+        # A legacy entry whose digest the log holds is not read: the log wins.
+        (tmp_path / f"{kept}.json").write_text('{"response": "stale"}', encoding="utf-8")
+        write_log(tmp_path, {"digest": kept, "request": "{}", "response": "logged"})
+        cache = ResponseCache(tmp_path)
+        assert (cache.get(digest), cache.get(kept)) == ("old reply", "logged")
+        folded = {"digest": digest, "request": "{}", "response": "old reply"}
+        assert log_records(tmp_path)[1:] == [folded]
+        assert json.loads((tmp_path / f"{digest}.json").read_text(encoding="utf-8")) == legacy
+        # A second load finds the entry in the log and appends nothing.
+        assert ResponseCache(tmp_path).get(digest) == "old reply"
+        assert len(log_records(tmp_path)) == 2
+
+    def test_every_cut_of_the_log_loads_a_prefix_of_its_entries(self, tmp_path, caplog):
+        """A process killed in the middle of a put leaves the log cut at any
+        byte; the load serves exactly the entries of the whole lines before
+        the cut, drops the rest of the file and warns of nothing else."""
+        full_dir = tmp_path / "full"
+        cache = ResponseCache(full_dir)
+        entries = [(cache_key(req(f"q{i}"), "mock"), f"reply {i} «é»") for i in range(4)]
+        entries.append((entries[0][0], "redrawn"))
+        for digest, response in entries:
+            cache.put(digest, canonical_request(req(), "mock"), response)
+        full = (full_dir / "responses.jsonl").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(full) if byte == ord("\n")]
+        assert len(ends) == len(entries)
+        for cut in range(len(full) + 1):
+            directory = tmp_path / str(cut)
+            directory.mkdir()
+            (directory / "responses.jsonl").write_bytes(full[:cut])
+            whole = sum(end <= cut for end in ends)
+            loaded = ResponseCache(directory)
+            assert {d: loaded.get(d) for d, _ in entries} == {
+                **{d: None for d, _ in entries}, **dict(entries[:whole])
+            }, cut
+            kept = ends[whole - 1] if whole else 0
+            assert (directory / "responses.jsonl").read_bytes() == full[:kept], cut
+        assert "ignoring corrupt" not in caplog.text
+
+    def test_two_processes_appending_keep_all_their_entries(self, tmp_path):
+        src = Path(hallucheck.__file__).resolve().parents[1]
+        # Each process loads the empty cache, then waits for its stdin to
+        # close, so that both append at once.
+        code = (
+            "import sys\n"
+            "from hallucheck.provider.cache import ResponseCache\n"
+            "cache = ResponseCache(sys.argv[1])\n"
+            "cache.get('none')\n"
+            "sys.stdin.read()\n"
+            "for i in range(N):\n"
+            "    cache.put(f'{sys.argv[2]}{i}', '{}', 'x' * (i % 50) + sys.argv[2])\n"
+        ).replace("N", "1000")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(tmp_path), name], env=env, stdin=subprocess.PIPE
+            )
+            for name in ("a", "b")
+        ]
+        for proc in procs:
+            proc.stdin.close()
+        assert [proc.wait(timeout=60) for proc in procs] == [0, 0]
+        assert len(log_records(tmp_path)) == 2000
+        cache = ResponseCache(tmp_path)
+        for name in ("a", "b"):
+            assert [cache.get(f"{name}{i}") for i in range(1000)] == [
+                "x" * (i % 50) + name for i in range(1000)
+            ]
 
 
 class TestMockBackend:
@@ -301,9 +426,9 @@ class TestChatClient:
 
     def test_no_cache_key_without_a_cache(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("cache_key computed with no cache")
+            raise AssertionError("cache key computed with no cache")
 
-        monkeypatch.setattr(hallucheck.provider.client, "cache_key", refuse)
+        monkeypatch.setattr(hallucheck.provider.client, "canonical_request", refuse)
         backend = MockChatBackend(default_reply="answer")
         response = ChatClient(backend).complete(req(draw=0))
         assert (response.content, response.cached, backend.calls) == ("answer", False, 1)
@@ -336,7 +461,7 @@ class TestChatClient:
         with pytest.raises(ProviderRefusal, match="blank sample"):
             client.complete(req(draw=0))
         assert backend.calls == 1
-        assert not list(tmp_path.glob("*.json"))
+        assert not list(tmp_path.iterdir())
         # Only a draw must hold text: any other request keeps a blank reply.
         assert client.complete(req()).content == blank
 
@@ -384,8 +509,37 @@ class TestChatClient:
         client = ChatClient(MockChatBackend(default_reply="s"), cache=ResponseCache(tmp_path))
         for k in range(3):
             client.complete(req(draw=k))
-        expected = {cache_key(req(draw=k), "mock") for k in range(3)}
-        assert expected == {p.stem for p in tmp_path.glob("*.json")}
+        expected = [cache_key(req(draw=k), "mock") for k in range(3)]
+        assert expected == [record["digest"] for record in log_records(tmp_path)]
+
+    def test_canonical_request_is_built_once_per_call(self, tmp_path, monkeypatch):
+        """A miss builds the canonical form once, for its digest and its entry;
+        a hit builds it only for its digest."""
+        built = []
+
+        def counting(request, backend):
+            built.append(request)
+            return canonical_request(request, backend)
+
+        monkeypatch.setattr(hallucheck.provider.client, "canonical_request", counting)
+        backend = MockChatBackend(default_reply="answer")
+        client = ChatClient(backend, cache=ResponseCache(tmp_path))
+        client.complete(req())
+        assert (len(built), backend.calls) == (1, 1)
+        assert client.complete(req()).cached
+        assert (len(built), backend.calls) == (2, 1)
+        assert log_records(tmp_path)[0]["request"] == canonical_request(req(), "mock")
+
+    def test_blank_draw_then_its_redraw_reload_as_the_redraw(self, tmp_path):
+        """An older cache's blank draw is asked again, and the new line wins
+        on the next load too."""
+        drawn = req(draw=0)
+        ResponseCache(tmp_path).put(cache_key(drawn, "mock"), canonical_request(drawn, "mock"), " ")
+        backend = MockChatBackend(default_reply="text")
+        assert ChatClient(backend, cache=ResponseCache(tmp_path)).complete(drawn).content == "text"
+        again = ChatClient(backend, cache=ResponseCache(tmp_path)).complete(drawn)
+        assert (again.content, again.cached, backend.calls) == ("text", True, 1)
+        assert [r["response"] for r in log_records(tmp_path)] == [" ", "text"]
 
 
 class TestRateLimiter:
