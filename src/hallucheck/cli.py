@@ -1,8 +1,8 @@
 """Batch command-line surface.
 
 Four subcommands cover the pipeline: ``extract`` turns sentences into
-knowledge-graph files, ``samples`` generates and stores per-paragraph
-regenerations, ``score`` runs configured detectors over a dataset with
+knowledge-graph files, ``samples`` draws per-paragraph regenerations into the
+response cache, ``score`` runs configured detectors over a dataset with
 resume support, and ``evaluate`` turns score streams plus labels into the
 summary table with confidence intervals and +KG comparisons.
 
@@ -25,6 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -41,7 +42,7 @@ from .core import (
     open_text,
     read_json,
 )
-from .data import NotFound, SampleStore, load_wikibio, read_score_records, write_score_records
+from .data import load_wikibio, read_score_records, write_score_records
 from .detect import DetectorConfig, DetectorContext, chosen_samples, run_detector
 from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
@@ -54,7 +55,7 @@ from .evaluation import (
     evaluate_method,
     render_report_table,
 )
-from .kgx import KGExtractor, kg_to_record, load_prompt_resource, prompt_version
+from .kgx import KGExtractor, fill, kg_to_record, load_prompt_resource, prompt_version
 from .provider import (
     ChatClient,
     ChatRequest,
@@ -118,7 +119,6 @@ class RunConfig:
     dataset: DatasetConfig = DatasetConfig()
     cache_dir: str | None = None
     output_dir: str = "out"
-    samples_dir: str | None = None
     seed: int = 0
     parallelism: int = 1
     config_digest: str = ""
@@ -167,7 +167,6 @@ _CONFIG = {
     "detectors": (list, (DetectorConfig, _DETECTOR)),
     "cache_dir": str | None,
     "output_dir": str,
-    "samples_dir": str | None,
     "seed": (int, 0),
     "parallelism": (int, 1),
 }
@@ -257,6 +256,14 @@ def _meta_record(cfg: RunConfig, embedder: MemoizingEmbedder | None) -> dict:
         "embedding_model_id": embedder.model_id if embedder else "",
         "seed": cfg.seed,
     }
+
+
+def _draws(cfg: RunConfig, concept: str, n: int) -> list[ChatRequest]:
+    """Draws 0 to n - 1 of ``concept``'s sample prompt: the requests ``samples``
+    makes and ``score`` looks up in the cache."""
+    prompt = fill(load_prompt_resource("sample_generation.txt"), CONCEPT=concept)
+    model_id = cfg.provider.model_id
+    return [ChatRequest.user(model_id, prompt, DETECT_PROFILE, draw=k) for k in range(n)]
 
 
 def _read_sentences(path: Path) -> list[str]:
@@ -380,24 +387,30 @@ def cmd_score(args: argparse.Namespace) -> int:
                 )
             done = _scored_keys(scores_path, _meta_record(cfg, embedder))
 
-        needs_samples = any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors)
-        store = SampleStore(cfg.resolve(cfg.samples_dir)) if cfg.samples_dir else None
-        # Each paragraph's store file is read once and shared by its records.
-        stored: dict[str, list[str]] = {}
+        needed = max(
+            (d.n_samples for d in cfg.detectors if d.method is DetectorMethod.SELFCHECK), default=0
+        )
+        # A row without samples takes its paragraph's draws from the cache, up to the first miss.
+        drawn: dict[str, list[str]] = {}
         queued: set[str] = set()
         units: list[str | tuple] = []
         for record in records:
             ref = make_output_ref(record.paragraph_id, record.sentence_index)
             samples: Sequence[str] | None = record.samples or None
-            if samples is None and needs_samples:
-                if record.paragraph_id not in stored:
-                    if store is None or not store.has(record.paragraph_id):
+            if samples is None and needed:
+                if record.paragraph_id not in drawn:
+                    if client.cache is None:
+                        raise ConfigError("rows without samples need a cache_dir to take them from")
+                    requests = _draws(cfg, record.concept, needed)
+                    found = list(takewhile(bool, map(client.cached, requests)))
+                    if len(found) < needed:
                         raise ConfigError(
-                            f"paragraph {record.paragraph_id!r} has no samples; generate "
-                            "them first with the 'samples' subcommand"
+                            f"paragraph {record.paragraph_id!r} has {len(found)} of the "
+                            f"{needed} samples selfcheck needs; draw them first with the "
+                            "'samples' subcommand"
                         )
-                    stored[record.paragraph_id] = store.get(record.paragraph_id)
-                samples = stored[record.paragraph_id]
+                    drawn[record.paragraph_id] = found
+                samples = drawn[record.paragraph_id]
             output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
             for detector in cfg.detectors:
                 if (ref, detector.method.value, detector.use_kg) in done:
@@ -506,39 +519,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_samples(args: argparse.Namespace) -> int:
+    """Draw ``--n`` samples per paragraph into the response cache, each distinct draw once."""
     cfg = load_config(args.config)
     if not 1 <= args.n <= MAX_SAMPLES:
         raise ConfigError(f"--n must be 1 to {MAX_SAMPLES}, got {args.n}")
-    if not cfg.samples_dir:
-        raise ConfigError("config has no samples_dir to store the samples in")
+    if not cfg.cache_dir:
+        raise ConfigError("config has no cache_dir to keep the samples in")
     records = _load_dataset(cfg)
     client = build_client(cfg)
-    store_dir = cfg.resolve(cfg.samples_dir)
-    store = SampleStore(store_dir)
-    template = load_prompt_resource("sample_generation.txt")
 
     paragraphs: dict[str, str] = {}
     for r in records:
         paragraphs.setdefault(r.paragraph_id, r.concept)
-    # Each prompt still to draw, with the paragraphs that send it, in id order.
-    senders: dict[str, list[str]] = {}
-    for paragraph_id in sorted(paragraphs):
-        if not store.has(paragraph_id):
-            prompt = template.replace("{{CONCEPT}}", paragraphs[paragraph_id])
-            senders.setdefault(prompt, []).append(paragraph_id)
-    draws = [
-        ChatRequest.user(cfg.provider.model_id, prompt, DETECT_PROFILE, draw=k)
-        for prompt in senders for k in range(args.n)
-    ]
+    draws = list(
+        dict.fromkeys(d for p in sorted(paragraphs) for d in _draws(cfg, paragraphs[p], args.n))
+    )
     with _fan_out(client.complete, draws, cfg.parallelism) as replies:
-        for paragraph_ids in senders.values():
-            samples = [next(replies).content for _ in range(args.n)]
-            for paragraph_id in paragraph_ids:
-                store.put(paragraph_id, samples)
-    stored = sum(map(len, senders.values()))
+        hits = sum(reply.cached for reply in replies)
     print(
-        f"stored {stored * args.n} samples for {stored} paragraphs "
-        f"({len(paragraphs) - stored} already present) in {store_dir}"
+        f"made {len(draws) - hits} draws and took {hits} from the cache, for "
+        f"{len(paragraphs)} paragraphs, in {client.cache.path}"
     )
     return EXIT_OK
 
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_samples = sub.add_parser(
-        "samples", help="generate and store n regenerations per paragraph"
+        "samples", help="draw n regenerations per paragraph into the response cache"
     )
     p_samples.add_argument("--config", required=True)
     p_samples.add_argument("--n", type=int, default=20, help="samples per paragraph")
@@ -605,7 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (SchemaError, RefMismatch, NotFound, OSError) as exc:
+    except (SchemaError, RefMismatch, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except HallucheckError as exc:

@@ -1,11 +1,7 @@
 """Dataset ingestion and persistence.
 
-Two kinds of on-disk artifacts:
-
-* biography benchmark records, one JSON object per line, each carrying a
-  labeled sentence plus the stochastic samples drawn for its paragraph;
-* a sample store, one JSON file per paragraph, digest-checked so repeated
-  writes are idempotent and conflicting rewrites are refused.
+Biography benchmark records are one JSON object per line, each carrying a
+labeled sentence plus the stochastic samples drawn for its paragraph.
 
 Score records cross process boundaries as JSON objects; timing never does,
 so artifact bytes depend only on inputs and configuration.
@@ -13,28 +9,17 @@ so artifact bytes depend only on inputs and configuration.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
-    NON_BLANK, NUMBER, DetectorMethod, HallucheckError, Label, SchemaError, ScoreRecord, Triple,
-    atomic_write, check_json, json_lines, read_json,
+    NON_BLANK, NUMBER, DetectorMethod, Label, SchemaError, ScoreRecord, Triple, check_json,
+    json_lines,
 )
 
 WIKIBIO_EXPECTED_SAMPLES = 20
-
-
-class NotFound(HallucheckError):
-    """Lookup of an unknown key in a store."""
-
-
-class StoreConflict(HallucheckError):
-    """A store key was rewritten with different content."""
 
 
 @dataclass(frozen=True)
@@ -107,61 +92,6 @@ def load_wikibio(
     if not records:
         raise SchemaError(f"{os.fspath(path)}: no records")
     return records
-
-
-def _samples_digest(samples: Sequence[str]) -> str:
-    payload = json.dumps(list(samples), ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-_STORE_FILE = {"paragraph_id": str, "digest": str, "samples": (list, (str, NON_BLANK))}
-
-
-class SampleStore:
-    """One JSON file per paragraph, keyed by the id's digest.
-
-    Rewriting identical content is a no-op; rewriting different content
-    raises, because silently replacing samples would invalidate any scores
-    already derived from them.
-    """
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path_for(self, paragraph_id: str) -> Path:
-        name = hashlib.sha256(paragraph_id.encode("utf-8")).hexdigest()[:24]
-        return self.directory / f"{name}.json"
-
-    def put(self, paragraph_id: str, samples: Sequence[str]) -> None:
-        if not samples or not all(s.strip() for s in samples):
-            raise ValueError("samples must be non-empty, and none blank")
-        digest = _samples_digest(samples)
-        path = self._path_for(paragraph_id)
-        with self._lock:
-            if path.exists():
-                if read_json(path, (dict, _STORE_FILE), SchemaError)["digest"] == digest:
-                    return
-                raise StoreConflict(
-                    f"paragraph {paragraph_id!r} already stored with different samples"
-                )
-            payload = {
-                "paragraph_id": paragraph_id,
-                "digest": digest,
-                "samples": list(samples),
-            }
-            with atomic_write(path) as fh:
-                json.dump(payload, fh, ensure_ascii=False)
-
-    def get(self, paragraph_id: str) -> list[str]:
-        path = self._path_for(paragraph_id)
-        if not path.exists():
-            raise NotFound(f"no samples stored for paragraph {paragraph_id!r}")
-        return read_json(path, (dict, _STORE_FILE), SchemaError)["samples"]
-
-    def has(self, paragraph_id: str) -> bool:
-        return self._path_for(paragraph_id).exists()
 
 
 def score_record_to_dict(record: ScoreRecord) -> dict:

@@ -44,7 +44,7 @@ from .embed import (
     cosine_sim,  # noqa: F401  (unused; bench/tracing.py wraps detect.cosine_sim by name)
     triple_text,
 )
-from .kgx import KGExtractor, load_prompt_resource, prompt_version
+from .kgx import KGExtractor, fill, load_prompt_resource, prompt_version
 from .provider import (
     ChatClient,
     ChatRequest,
@@ -98,16 +98,16 @@ class DetectorPrompts:
         )
 
     def render_question(self, statement: str) -> str:
-        return self.question_generation.replace("{{STATEMENT}}", statement)
+        return fill(self.question_generation, STATEMENT=statement)
 
     def render_answer(self, question: str) -> str:
-        return self.question_answering.replace("{{QUESTION}}", question)
+        return fill(self.question_answering, QUESTION=question)
 
     def render_consistency(self, statement: str, answer: str) -> str:
-        return self.consistency.replace("{{STATEMENT}}", statement).replace("{{ANSWER}}", answer)
+        return fill(self.consistency, STATEMENT=statement, ANSWER=answer)
 
     def render_confidence(self, statement: str) -> str:
-        return self.confidence.replace("{{STATEMENT}}", statement)
+        return fill(self.confidence, STATEMENT=statement)
 
 
 @dataclass(frozen=True)

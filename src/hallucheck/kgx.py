@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -22,11 +23,17 @@ from .provider import ChatClient, ChatRequest, KG_PROFILE
 logger = logging.getLogger(__name__)
 
 PASSAGE_SLOT = "{{PASSAGE}}"
-CONTEXT_SLOT = "{{CONTEXT}}"
+_SLOT = re.compile(r"\{\{([A-Z_]+)\}\}")
 
 
 def load_prompt_resource(name: str) -> str:
     return resources.files("hallucheck.prompts").joinpath(name).read_text(encoding="utf-8")
+
+
+def fill(template: str, **slots: str) -> str:
+    """``template`` with each ``{{NAME}}`` of ``slots`` replaced in one pass: an
+    inserted value is never scanned again, so a slot marker it holds stays text."""
+    return _SLOT.sub(lambda m: slots.get(m[1], m[0]), template)
 
 
 def prompt_version() -> str:
@@ -50,15 +57,17 @@ class ExtractionPromptTemplate:
         )
 
     def render(self, passage: str, context: str | None = None) -> str:
-        """Fill the slots; the context block disappears when no context is given."""
+        """Fill the slots; the context block disappears when no context is given.
+        Blank-line runs are collapsed in the template's own text only, never in a
+        filled-in value."""
         if PASSAGE_SLOT not in self.template_text:
             raise ValueError(f"template lacks the {PASSAGE_SLOT} placeholder")
-        context_block = f"Context (for reference only):\n{context}" if context else ""
-        body = self.template_text.replace(CONTEXT_SLOT, context_block)
-        body = body.replace(PASSAGE_SLOT, passage)
+        body = self.template_text if context else fill(self.template_text, CONTEXT="")
         while "\n\n\n" in body:
             body = body.replace("\n\n\n", "\n\n")
-        return body.strip() + "\n\n" + self.output_format_instructions.strip()
+        block = f"Context (for reference only):\n{context}"
+        body = fill(body.strip(), PASSAGE=passage, CONTEXT=block)
+        return body + "\n\n" + self.output_format_instructions.strip()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ miss with a warning naming ``<file>:<line>``; of two lines with one digest the
 later wins. The ``<digest>.json`` files of older versions are read by the same
 rules, and each whose digest the log lacks is appended. ``put`` appends a line
 under the thread lock and the ``flock``, so processes may share a directory;
-an entry another process appends after the load is a miss here.
+an entry another process appends after the load is a miss here. A ``put``
+that fails to write its whole line leaves the log as it was.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class ResponseCache:
         return entries.get(digest)
 
     def put(self, digest: str, request_canonical: str, content: str) -> None:
-        """Append an entry, unless the log already holds this response for it."""
+        """Append an entry, unless the log already holds this response for it; on a
+        failed write, cut the log back, keep the entry out and raise OSError naming it."""
         entry = {"digest": digest, "request": request_canonical, "response": content}
         line = (json.dumps(entry) + "\n").encode()
         with self._lock:
@@ -88,7 +90,14 @@ class ResponseCache:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX)
-                os.write(fd, line)
+                start = os.lseek(fd, 0, os.SEEK_END)
+                try:
+                    while line:
+                        line = line[os.write(fd, line):]
+                except OSError as exc:
+                    # No other writer appends while the flock is held.
+                    os.ftruncate(fd, start)
+                    raise OSError(exc.errno, exc.strerror, os.fspath(self.path)) from None
             finally:
                 os.close(fd)
             entries[digest] = content

@@ -1,7 +1,8 @@
 """Client tying a chat backend to caching, retries, and rate limiting.
 
 ``complete`` serves identical requests from the on-disk cache when one is
-configured; the draws of one prompt differ in ``ChatRequest.draw``, so each
+configured; ``cached`` looks a request up by the same rule and never calls the
+backend. The draws of one prompt differ in ``ChatRequest.draw``, so each
 is cached on its own. An empty reply, a blank draw and a reply with a lone
 surrogate (not encodable as UTF-8) are refused and never cached, and one
 found in the cache is a miss. ``max_inflight`` caps the backend calls in
@@ -121,15 +122,25 @@ class ChatClient:
         assert last is not None
         raise last
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        """Complete one request, serving repeats from the cache when enabled."""
+    def _lookup(self, request: ChatRequest) -> tuple[tuple[str, str] | None, str | None]:
+        """The request's (digest, canonical form) and cached reply; both None without a cache."""
         if self.cache is None:
-            return ChatResponse(content=self._call_with_retry(request), cached=False)
+            return None, None
         canonical = canonical_request(request, self.backend.name)
         digest = request_digest(canonical)
         hit = self.cache.get(digest)
-        if hit and (request.draw is None or hit.strip()):
+        return (digest, canonical), hit if hit and (request.draw is None or hit.strip()) else None
+
+    def cached(self, request: ChatRequest) -> str | None:
+        """The cached reply to ``request``, or None on a miss; never calls the backend."""
+        return self._lookup(request)[1]
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        """Complete one request, serving repeats from the cache when enabled."""
+        key, hit = self._lookup(request)
+        if hit is not None:
             return ChatResponse(content=hit, cached=True)
         content = self._call_with_retry(request)
-        self.cache.put(digest, canonical, content)
+        if key is not None:
+            self.cache.put(*key, content)
         return ChatResponse(content=content, cached=False)

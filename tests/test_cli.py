@@ -5,10 +5,12 @@ import os
 import shutil
 import socket
 import stat
+import subprocess
 import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ import hallucheck.provider.client
 from hallucheck import cli
 from hallucheck.cli import main
 from hallucheck.core import KnowledgeGraph, Triple
-from hallucheck.data import SampleStore, read_score_records
+from hallucheck.data import read_score_records
+
+from conftest import FIXTURES
 
 FIXTURE_FILES = (
     "run_config.json",
@@ -50,7 +54,7 @@ def config_path(workdir):
     return workdir / "run_config.json"
 
 
-def no_sample_config(workdir, with_store, **extra):
+def no_sample_config(workdir, **extra):
     """Config whose dataset rows carry no samples of their own, with the
     top-level keys in ``extra`` overridden."""
     rows = [
@@ -73,8 +77,6 @@ def no_sample_config(workdir, with_store, **extra):
         "output_dir": "out",
         "seed": 7,
     }
-    if with_store:
-        cfg["samples_dir"] = "samples"
     cfg.update(extra)
     path = workdir / "config_empty.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -441,7 +443,7 @@ class TestConfigErrors:
             ("evaluate", {}, ["--report", "DIR"], "DIR"),
             ("extract", {}, ["--input", "DIR", "--output", "kgs.jsonl"], "DIR"),
             ("extract", {}, ["--input", "sentences.txt", "--output", "DIR"], "DIR"),
-            ("samples", {"samples_dir": "FILE"}, [], "FILE"),
+            ("samples", {"cache_dir": "FILE"}, [], "FILE"),
             ("score", {"output_dir": "FILE"}, [], "FILE"),
             ("score", {"dataset": {"path": "DIR", "expected_samples": 3}}, [], "DIR"),
             ("score", {"cache_dir": "FILE"}, [], "FILE"),
@@ -451,7 +453,7 @@ class TestConfigErrors:
             "evaluate-report",
             "extract-input",
             "extract-output",
-            "samples-store",
+            "samples-cache-dir",
             "score-output-dir",
             "score-dataset-path",
             "score-cache-dir",
@@ -565,7 +567,7 @@ def edit_json(path, edit, line=None):
 class TestInputChecks:
     """One wrongly typed field in each JSON input: one line in the one form."""
 
-    @pytest.mark.parametrize("input_name", ["config", "dataset", "scores", "store"])
+    @pytest.mark.parametrize("input_name", ["config", "dataset", "scores"])
     def test_wrongly_typed_field_is_one_line(self, workdir, config_path, capsys, input_name):
         config, command = config_path, "score"
         if input_name == "config":
@@ -575,18 +577,12 @@ class TestInputChecks:
             path = workdir / "fixture_dataset.jsonl"
             edit_json(path, lambda row: row.update(sentence_index="1"), line=3)
             message = f"data error: {path}:3: sentence_index must be an integer, got str"
-        elif input_name == "scores":
+        else:
             assert main(["score", "--config", str(config_path)]) == 0
             path = workdir / "out" / "scores.jsonl"
             edit_json(path, lambda row: row.update(misses=0.5), line=2)
             command = "evaluate"
             message = f"data error: {path}:2: misses must be an integer, got float"
-        else:
-            config = no_sample_config(workdir, with_store=True)
-            assert main(["samples", "--config", str(config), "--n", "2"]) == 0
-            path = SampleStore(workdir / "samples")._path_for("p02")
-            edit_json(path, lambda obj: obj["samples"].__setitem__(1, 7))
-            message = f"data error: {path}: samples[1] must be a string, got int"
         capsys.readouterr()
         assert main([command, "--config", str(config)]) == (2 if input_name == "config" else 4)
         assert capsys.readouterr().err == message + "\n"
@@ -745,28 +741,46 @@ class TestScore:
         assert scores_path.read_bytes() == first
 
     def test_selfcheck_without_samples_names_subcommand(self, workdir, capsys):
-        config = no_sample_config(workdir, with_store=False)
+        config = no_sample_config(workdir)
         assert main(["score", "--config", str(config)]) == 2
         assert "'samples'" in capsys.readouterr().err
 
 
+def drawn(config, concept, n):
+    """The cached replies to draws 0 to n - 1 of ``concept``'s sample prompt,
+    None for a miss."""
+    cfg = cli.load_config(config)
+    return [cli.build_client(cfg).cached(r) for r in cli._draws(cfg, concept, n)]
+
+
+def vesna_replies(workdir, *replies):
+    """Script ``replies`` for the sample prompt about Vesna Marinko, in order, in
+    place of the fixture's replies to it."""
+    script_path = workdir / "mock_script.json"
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    rule = {"match": ["introductory paragraph about", "Vesna Marinko"], "replies": replies}
+    script_path.write_text(
+        json.dumps({**script, "rules": [rule, *script["rules"]]}), encoding="utf-8"
+    )
+
+
 class TestSamples:
     def test_generate_store_reuse(self, workdir, capsys):
-        config = no_sample_config(workdir, with_store=True)
+        config = no_sample_config(workdir)
         assert main(["samples", "--config", str(config), "--n", "2"]) == 0
-        assert "stored 4 samples for 2 paragraphs (0 already present)" in capsys.readouterr().out
-        store = SampleStore(workdir / "samples")
-        assert store.has("p01") and store.has("p02")
-        assert len(list((workdir / "samples").glob("*.json"))) == 2
-        assert store.get("p01") == [
+        log = workdir / "cache" / "responses.jsonl"
+        out = capsys.readouterr().out
+        assert f"made 4 draws and took 0 from the cache, for 2 paragraphs, in {log}" in out
+        assert drawn(config, "Vesna Marinko", 2) == [
             "Vesna Marinko was a Slovenian skier born in Kranj.",
             "Vesna Marinko competed in downhill events during the 1990s.",
         ]
+        assert not (workdir / "samples").exists()
         assert main(["samples", "--config", str(config), "--n", "2"]) == 0
-        assert "(2 already present)" in capsys.readouterr().out
+        assert "made 0 draws and took 4 from the cache" in capsys.readouterr().out
 
     def test_score_uses_stored_samples(self, workdir, capsys):
-        config = no_sample_config(workdir, with_store=True)
+        config = no_sample_config(workdir)
         assert main(["samples", "--config", str(config), "--n", "2"]) == 0
         capsys.readouterr()
         assert main(["score", "--config", str(config)]) == 0
@@ -774,27 +788,31 @@ class TestSamples:
         records = list(read_score_records(workdir / "out" / "scores.jsonl"))
         assert len(records) == 20
 
-    def test_score_reads_each_store_file_once(self, workdir, monkeypatch):
-        config = no_sample_config(workdir, with_store=True)
+    def test_score_looks_up_each_paragraphs_draws_once(self, workdir, monkeypatch):
+        config = no_sample_config(workdir)
         assert main(["samples", "--config", str(config), "--n", "2"]) == 0
-        gets = []
-        get = SampleStore.get
-        monkeypatch.setattr(
-            SampleStore, "get", lambda store, pid: gets.append(pid) or get(store, pid)
-        )
+        lookups = []
+        cached = cli.ChatClient.cached
+
+        def counting(client, request):
+            hit = cached(client, request)
+            lookups.append(hit)
+            return hit
+
+        monkeypatch.setattr(cli.ChatClient, "cached", counting)
         assert main(["score", "--config", str(config)]) == 0
-        assert sorted(gets) == ["p01", "p02"]
+        # 2 paragraphs × 2 draws, not 20 rows × 2 draws.
+        assert len(lookups) == 2 * 2 and all(lookups)
+        monkeypatch.undo()
         # The rows equal those scored from the same samples given inline.
-        store = SampleStore(workdir / "samples")
         with open(workdir / "dataset_inline.jsonl", "w", encoding="utf-8") as fh:
             for line in (workdir / "dataset_empty.jsonl").read_text(encoding="utf-8").splitlines():
                 row = json.loads(line)
-                row["samples"] = store.get(row["paragraph_id"])
+                row["samples"] = drawn(config, row["concept"], 2)
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         cfg = json.loads(config.read_text(encoding="utf-8"))
-        del cfg["samples_dir"]
         cfg["dataset"].update(path="dataset_inline.jsonl", expected_samples=None)
-        cfg["output_dir"] = "out_inline"
+        cfg.update(output_dir="out_inline", cache_dir=None)
         inline = workdir / "config_inline.json"
         inline.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["score", "--config", str(inline)]) == 0
@@ -804,105 +822,148 @@ class TestSamples:
         ]
         assert rows[0] == rows[1] and rows[0].count(b"\n") == 20
 
-    @pytest.mark.parametrize("body", ['{"samp', '["a", "b"]'])
-    def test_corrupt_store_file_is_data_error(self, workdir, capsys, body):
-        config = no_sample_config(workdir, with_store=True)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
-        entry = sorted((workdir / "samples").glob("*.json"))[0]
-        entry.write_text(body, encoding="utf-8")
+    def test_too_few_cached_draws_are_refused_before_any_call(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = no_sample_config(workdir)
+        assert main(["samples", "--config", str(config), "--n", "1"]) == 0
         capsys.readouterr()
-        assert main(["score", "--config", str(config)]) == 4
+        calls = record_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert str(entry) in err and err.count("\n") == 1
+        assert err == (
+            "config error: paragraph 'p01' has 1 of the 2 samples selfcheck needs; "
+            "draw them first with the 'samples' subcommand\n"
+        )
+        assert calls == [] and not (workdir / "out" / "scores.jsonl").exists()
 
-    def test_no_samples_dir_is_one_line(self, workdir, capsys):
-        config = no_sample_config(workdir, with_store=False)
+    def test_draws_under_another_model_are_not_served(self, workdir, monkeypatch, capsys):
+        provider = {"backend": "mock", "model_id": "model-a", "script": "mock_script.json"}
+        config = no_sample_config(workdir, provider=provider)
+        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        config = no_sample_config(workdir, provider={**provider, "model_id": "model-b"})
+        capsys.readouterr()
+        calls = record_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config)]) == 2
+        assert "paragraph 'p01' has 0 of the 2 samples" in capsys.readouterr().err
+        assert calls == []
+
+    def test_a_row_whose_concept_changed_gets_no_draws_of_the_old_concept(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = no_sample_config(workdir)
+        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        dataset = workdir / "dataset_empty.jsonl"
+        rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            if row["paragraph_id"] == "p02":
+                row["concept"] = "Tomás Urquiza Ibarra"
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        capsys.readouterr()
+        calls = record_backend_calls(monkeypatch)
+        assert main(["score", "--config", str(config)]) == 2
+        assert "paragraph 'p02' has 0 of the 2 samples" in capsys.readouterr().err
+        assert calls == []
+
+    def test_a_draw_that_cannot_be_cached_exits_4_and_leaves_the_log(self, workdir):
+        config = no_sample_config(workdir)
+        assert main(["samples", "--config", str(config), "--n", "1"]) == 0
+        log = workdir / "cache" / "responses.jsonl"
+        before = log.read_bytes()
+        # The file size limit of the child process alone, with SIGXFSZ ignored.
+        code = (
+            "import resource, signal, sys\n"
+            "from hallucheck.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]) + 40, hard))\n"
+            "sys.exit(main(['samples', '--config', sys.argv[1], '--n', '2']))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(len(before))],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("data error:") and proc.stderr.count("\n") == 1
+        assert str(log) in proc.stderr and "Traceback" not in proc.stderr
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["samples", "score"])
+    def test_no_cache_dir_is_one_line(self, workdir, monkeypatch, capsys, command):
+        config = no_sample_config(workdir, cache_dir=None)
+        calls = record_backend_calls(monkeypatch)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "cache_dir" in err and err.count("\n") == 1
+        assert calls == [] and not (workdir / "samples").exists()
+
+    def test_samples_dir_is_an_unknown_key(self, workdir, capsys):
+        config = no_sample_config(workdir, samples_dir="samples")
         assert main(["samples", "--config", str(config), "--n", "2"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "samples_dir" in err and err.count("\n") == 1
-        assert not (workdir / "samples").exists()
+        assert err == f"config error: {config}: unknown key 'samples_dir'\n"
 
     def test_zero_samples_rejected(self, workdir):
-        config = no_sample_config(workdir, with_store=True)
+        config = no_sample_config(workdir)
         assert main(["samples", "--config", str(config), "--n", "0"]) == 2
 
     def test_more_samples_than_the_cap_are_refused_before_any_call(
         self, workdir, monkeypatch, capsys
     ):
-        config = no_sample_config(workdir, with_store=True)
+        config = no_sample_config(workdir)
         calls = record_backend_calls(monkeypatch)
         n = cli.MAX_SAMPLES + 1
         assert main(["samples", "--config", str(config), "--n", str(n)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: --n must be 1 to {cli.MAX_SAMPLES}, got {n}\n"
-        assert calls == [] and not (workdir / "samples").exists()
+        assert calls == [] and not (workdir / "cache").exists()
 
     def test_second_run_takes_every_draw_from_the_cache(self, workdir, monkeypatch):
-        config = str(no_sample_config(workdir, with_store=True))
+        config = str(no_sample_config(workdir))
         calls = record_backend_calls(monkeypatch)
         argv = ["samples", "--config", config, "--n", "3"]
         assert main(argv) == 0
         assert len(calls) == 2 * 3
-        (workdir / "samples").rename(workdir / "first")
+        log = (workdir / "cache" / "responses.jsonl").read_bytes()
         calls.clear()
         assert main(argv) == 0
         assert calls == []
-        first, second = (
-            {p.name: p.read_bytes() for p in (workdir / store).glob("*.json")}
-            for store in ("first", "samples")
-        )
-        assert len(first) == 2 and first == second
+        assert (workdir / "cache" / "responses.jsonl").read_bytes() == log
 
     def test_rerun_after_a_failed_draw_asks_only_for_the_missing_draws(
         self, workdir, monkeypatch, capsys
     ):
-        config = str(no_sample_config(workdir, with_store=True))
-        script_path = workdir / "mock_script.json"
-        script = json.loads(script_path.read_text(encoding="utf-8"))
-
-        def vesna_replies(*replies):
-            rule = {"match": ["introductory paragraph about", "Vesna Marinko"], "replies": replies}
-            rules = [rule, *script["rules"]]
-            script_path.write_text(json.dumps({**script, "rules": rules}), encoding="utf-8")
-
+        config = str(no_sample_config(workdir))
         calls = record_backend_calls(monkeypatch)
-        vesna_replies("v0", "v1", "")
+        vesna_replies(workdir, "v0", "v1", "")
         assert main(["samples", "--config", config, "--n", "4"]) == 3
         assert capsys.readouterr().err == "provider error: backend returned empty content\n"
         assert calls == [("Vesna Marinko", 0), ("Vesna Marinko", 1), ("Vesna Marinko", 2)]
-        assert not list((workdir / "samples").glob("*.json"))
+        assert drawn(config, "Vesna Marinko", 4) == ["v0", "v1", None, None]
 
         calls.clear()
-        vesna_replies("v2", "v3")
+        vesna_replies(workdir, "v2", "v3")
         assert main(["samples", "--config", config, "--n", "4"]) == 0
         assert [d for concept, d in calls if concept == "Vesna Marinko"] == [2, 3]
-        assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1", "v2", "v3"]
+        assert drawn(config, "Vesna Marinko", 4) == ["v0", "v1", "v2", "v3"]
 
     def test_blank_draw_is_neither_cached_nor_stored(self, workdir, capsys):
-        config = str(no_sample_config(workdir, with_store=True))
-        script_path = workdir / "mock_script.json"
-        script = json.loads(script_path.read_text(encoding="utf-8"))
-
-        def vesna_replies(*replies):
-            rule = {"match": ["introductory paragraph about", "Vesna Marinko"], "replies": replies}
-            rules = [rule, *script["rules"]]
-            script_path.write_text(json.dumps({**script, "rules": rules}), encoding="utf-8")
-
-        vesna_replies("v0", "   ")
+        config = str(no_sample_config(workdir))
+        vesna_replies(workdir, "v0", "   ")
         assert main(["samples", "--config", config, "--n", "2"]) == 3
         assert capsys.readouterr().err == "provider error: backend returned a blank sample\n"
-        assert not list((workdir / "samples").glob("*.json"))
         assert cached_responses(workdir) == ["v0"]
 
-        vesna_replies("v1")
+        vesna_replies(workdir, "v1")
         assert main(["samples", "--config", config, "--n", "2"]) == 0
-        assert SampleStore(workdir / "samples").get("p01") == ["v0", "v1"]
+        assert drawn(config, "Vesna Marinko", 2) == ["v0", "v1"]
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_paragraphs_with_one_concept_share_one_set_of_draws(
-        self, workdir, monkeypatch, parallelism
+        self, workdir, monkeypatch, capsys, parallelism
     ):
-        config = no_sample_config(workdir, with_store=True, cache_dir=None, parallelism=parallelism)
+        config = no_sample_config(workdir, parallelism=parallelism)
         dataset = workdir / "dataset_empty.jsonl"
         rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
         dataset.write_text(
@@ -912,28 +973,28 @@ class TestSamples:
         calls = record_backend_calls(monkeypatch)
         assert main(["samples", "--config", str(config), "--n", "3"]) == 0
         assert sorted(calls) == [("Vesna Marinko", k) for k in range(3)]
-        store = SampleStore(workdir / "samples")
-        assert len(store.get("p01")) == 3 and store.get("p01") == store.get("p02")
+        assert "made 3 draws and took 0 from the cache, for 2 paragraphs" in capsys.readouterr().out
+        assert None not in drawn(config, "Vesna Marinko", 3)
 
-    def test_failed_draw_in_parallel_keeps_whole_paragraphs_and_a_rerun_asks_for_the_rest(
+    def test_a_failed_parallel_run_keeps_every_earlier_draw(
         self, workdir, monkeypatch, capsys
     ):
-        config = str(no_sample_config(workdir, with_store=True, parallelism=4))
+        config = str(no_sample_config(workdir, parallelism=4))
         argv = ["samples", "--config", config, "--n", "4"]
         keyed_backend(monkeypatch, blank={("Tomás Urquiza", 1)})
         calls = record_backend_calls(monkeypatch)
         assert main(argv) == 3
         assert capsys.readouterr().err == "provider error: backend returned empty content\n"
-        kept = [
-            json.loads(path.read_text(encoding="utf-8"))["samples"]
-            for path in (workdir / "samples").glob("*.json")
-        ]
-        assert all(len(samples) == 4 for samples in kept)
-        store = SampleStore(workdir / "samples")
-        # p01's draws come before the failed one, so p01 is stored whole.
-        assert store.has("p01") and not store.has("p02")
-
         answered = set(calls) - {("Tomás Urquiza", 1)}
+        # Each draw is cached as it completes, so every answered draw is kept.
+        kept = {
+            (concept, k)
+            for concept in ("Vesna Marinko", "Tomás Urquiza")
+            for k, hit in enumerate(drawn(config, concept, 4))
+            if hit is not None
+        }
+        assert answered and kept == answered
+
         monkeypatch.undo()
         keyed_backend(monkeypatch)
         calls = record_backend_calls(monkeypatch)
@@ -941,7 +1002,7 @@ class TestSamples:
         draws = {(concept, k) for concept in ("Vesna Marinko", "Tomás Urquiza") for k in range(4)}
         assert ("Tomás Urquiza", 1) in calls
         assert sorted(calls) == sorted(draws - answered)
-        assert [len(store.get(p)) for p in ("p01", "p02")] == [4, 4]
+        assert None not in drawn(config, "Vesna Marinko", 4) + drawn(config, "Tomás Urquiza", 4)
 
 
 def prepend_rule(workdir, rule):
@@ -1402,9 +1463,9 @@ COMMANDS = {"score": 61, "samples": 8, "extract": 3}
 
 
 def fixture_run(fixture_dir, directory, command, **config):
-    """Copy the fixture, with a sample store, to ``directory`` and return the
-    argv that runs ``command`` over it: ``samples`` draws 4 per paragraph."""
-    copy_fixture(fixture_dir, directory, samples_dir="samples", **config)
+    """Copy the fixture to ``directory`` and return the argv that runs
+    ``command`` over it: ``samples`` draws 4 per paragraph."""
+    copy_fixture(fixture_dir, directory, **config)
     argv = [command, "--config", str(directory / "run_config.json")]
     if command == "samples":
         return argv + ["--n", "4"]
@@ -1419,7 +1480,7 @@ def test_a_cached_second_run_makes_no_backend_call(tmp_path, fixture_dir, monkey
     argv = fixture_run(fixture_dir, tmp_path, command, parallelism=4)
     if command == "score":
         argv.append("--fresh")
-    output = tmp_path / {"score": "out", "samples": "samples", "extract": "kgs.jsonl"}[command]
+    output = tmp_path / {"score": "out", "samples": "cache", "extract": "kgs.jsonl"}[command]
 
     def written():
         paths = [output] if output.is_file() else sorted(output.glob("*.json*"))
@@ -1430,8 +1491,6 @@ def test_a_cached_second_run_makes_no_backend_call(tmp_path, fixture_dir, monkey
     assert len(calls) >= COMMANDS[command]
     first, log = written(), (tmp_path / "cache" / "responses.jsonl").read_bytes()
     assert first and all(first.values())
-    if command == "samples":
-        shutil.rmtree(output)
     calls.clear()
     assert main(argv) == 0
     assert calls == []
@@ -1648,13 +1707,14 @@ class TestOnePool:
         for parallelism in (1, 4):
             workdir = tmp_path / f"p{parallelism}"
             assert main(fixture_run(fixture_dir, workdir, command, parallelism=parallelism)) == 0
-            files = {p.name: p.read_bytes() for p in (workdir / "samples").glob("*.json")}
-            if command == "extract":
+            if command == "samples":
+                # The log's lines follow the order in which the draws complete.
+                log = (workdir / "cache" / "responses.jsonl").read_bytes()
+                written.append(sorted(log.splitlines()))
+            else:
                 # The meta line holds the config digest, which covers parallelism.
-                graphs = (workdir / "kgs.jsonl").read_bytes().split(b"\n", 1)[1]
-                files["kgs.jsonl"] = graphs
-            written.append(files)
-        assert len(written[0]) == (2 if command == "samples" else 1)
+                written.append((workdir / "kgs.jsonl").read_bytes().splitlines()[1:])
+        assert len(written[0]) == (2 * 4 if command == "samples" else 3)
         assert written[0] == written[1]
 
     def test_too_few_samples_is_refused_before_any_call(

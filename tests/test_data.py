@@ -9,10 +9,7 @@ from hypothesis import given, strategies as st
 from hallucheck.cli import load_config
 from hallucheck.core import DetectorMethod, Label, ScoreRecord, Triple
 from hallucheck.data import (
-    NotFound,
-    SampleStore,
     SchemaError,
-    StoreConflict,
     WikiBioRecord,
     load_wikibio,
     read_score_records,
@@ -232,102 +229,6 @@ class TestWikiBioIO:
         path.write_text(json.dumps(valid_row()) + "\n" + line + "\n")
         with pytest.raises(SchemaError, match=r"d\.jsonl:2: invalid JSON"):
             load_wikibio(path, expected_samples=3)
-
-
-class TestSampleStore:
-    def test_roundtrip(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        assert not store.has("bio-001")
-        store.put("bio-001", ["first", "second"])
-        assert store.get("bio-001") == ["first", "second"]
-        assert store.has("bio-001")
-
-    def test_identical_put_is_duplicate(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        (path,) = (tmp_path / "store").glob("*.json")
-        first = path.stat()
-        store.put("bio-001", ["x"])
-        assert [p.name for p in (tmp_path / "store").iterdir()] == [path.name]
-        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
-        assert store.get("bio-001") == ["x"]
-
-    def test_conflicting_put_raises(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        with pytest.raises(StoreConflict, match="bio-001"):
-            store.put("bio-001", ["different"])
-
-    def test_get_missing(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        with pytest.raises(NotFound, match="bio-404"):
-            store.get("bio-404")
-        assert not store.has("bio-404")
-
-    def test_unsafe_id_characters(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        store.put("../weird/id", ["s"])
-        assert store.get("../weird/id") == ["s"]
-        assert (tmp_path / "store").is_dir()
-
-    def test_non_string_sample_is_a_schema_error(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        (path,) = (tmp_path / "store").glob("*.json")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["samples"] = ["x", 7]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SchemaError, match=path.name):
-            store.get("bio-001")
-
-    @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
-    def test_blank_sample_is_a_schema_error_naming_the_file(self, tmp_path, blank):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        (path,) = (tmp_path / "store").glob("*.json")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["samples"] = ["x", blank]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        message = rf"{path.name}: samples\[1\] must be a non-blank string"
-        with pytest.raises(SchemaError, match=message):
-            store.get("bio-001")
-
-    def test_empty_samples_rejected(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        with pytest.raises(ValueError):
-            store.put("bio-001", [])
-
-    @pytest.mark.parametrize("blank", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
-    def test_blank_sample_rejected_by_put(self, tmp_path, blank):
-        store = SampleStore(tmp_path / "store")
-        with pytest.raises(ValueError, match="none blank"):
-            store.put("bio-001", ["x", blank])
-        assert not store.has("bio-001")
-        assert not list((tmp_path / "store").iterdir())
-
-    def test_put_creates_the_directory(self, tmp_path):
-        SampleStore(tmp_path / "store").put("bio-002", ["a"])
-        assert SampleStore(tmp_path / "store").get("bio-002") == ["a"]
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            '{"samp',
-            '["a", "b"]',
-            '{"samples": "ab", "digest": 3}',
-            pytest.param(PAST_JSON_LIMITS[0], id="digits"),
-            pytest.param(PAST_JSON_LIMITS[1], id="nesting"),
-        ],
-    )
-    def test_corrupt_file_is_a_schema_error_naming_it(self, tmp_path, body):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        (path,) = (tmp_path / "store").glob("*.json")
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(SchemaError, match=path.name):
-            store.get("bio-001")
-        with pytest.raises(SchemaError, match=path.name):
-            store.put("bio-001", ["x"])
 
 
 def sample_record(with_triples=True):
@@ -598,9 +499,6 @@ def loads_or_refuses(load, error):
         return None
 
 
-STORED_SAMPLES = ["sample one", "sample two"]
-
-
 class TestOneValueReplaced:
     """Each JSON input, valid but for one value at any path: its loader returns
     a result or raises its documented error with a one-line message. What it
@@ -622,16 +520,6 @@ class TestOneValueReplaced:
         records = loads_or_refuses(lambda: list(read_score_records(path)), SchemaError)
         if records is not None:
             write_score_records(records, tmp_path_factory.getbasetemp() / "rewritten.jsonl")
-
-    @given(one_value_replaced({"paragraph_id": "p1", "digest": "d", "samples": STORED_SAMPLES}))
-    def test_sample_store_file(self, tmp_path_factory, obj):
-        store = SampleStore(tmp_path_factory.getbasetemp() / "one_store")
-        store._path_for("p1").write_text(json.dumps(obj), encoding="utf-8")
-        samples = loads_or_refuses(lambda: store.get("p1"), SchemaError)
-        if samples is not None:
-            assert all(isinstance(s, str) and s.strip() for s in samples)
-            "".join(samples).encode("utf-8")
-        loads_or_refuses(lambda: store.put("p1", STORED_SAMPLES), (SchemaError, StoreConflict))
 
     @given(one_value_replaced(json.loads((FIXTURES / "run_config.json").read_text("utf-8"))))
     def test_config(self, tmp_path_factory, obj):
@@ -655,14 +543,6 @@ class TestUnknownKey:
         path.write_text(json.dumps({**score_record_to_dict(sample_record()), "_meta": False}))
         with pytest.raises(SchemaError, match=r"scores\.jsonl:1: unknown key '_meta'$"):
             list(read_score_records(path))
-
-    def test_sample_store_file(self, tmp_path):
-        store = SampleStore(tmp_path / "store")
-        store.put("bio-001", ["x"])
-        (path,) = (tmp_path / "store").glob("*.json")
-        path.write_text(json.dumps({**json.loads(path.read_text()), "stored_at": 0}))
-        with pytest.raises(SchemaError, match=rf"{path.name}: unknown key 'stored_at'$"):
-            store.get("bio-001")
 
     def test_config_section(self, tmp_path):
         obj = json.loads((FIXTURES / "run_config.json").read_text(encoding="utf-8"))

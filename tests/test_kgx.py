@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hallucheck
 from hallucheck.core import KnowledgeGraph, Triple, encodable
+from hallucheck.detect import DetectorPrompts
 from hallucheck.kgx import (
     ExtractionPromptTemplate,
     KGExtractor,
@@ -82,6 +83,65 @@ class TestTemplate:
         bad = ExtractionPromptTemplate(template_text="no slot here", output_format_instructions="x")
         with pytest.raises(ValueError):
             bad.render("p")
+
+    def test_a_context_holding_the_passage_slot_keeps_it(self):
+        rendered = ExtractionPromptTemplate.default().render("Real passage.", "See {{PASSAGE}}")
+        assert "\nSee {{PASSAGE}}\n" in rendered and rendered.count("Real passage.") == 1
+
+    def test_a_blank_line_run_in_the_passage_reaches_the_model(self):
+        passage = "First line.\n\n\n\nSecond line."
+        assert f"\nPassage: {passage}\n" in ExtractionPromptTemplate.default().render(passage)
+
+    def test_a_statement_holding_the_answer_slot_keeps_it(self):
+        prompt = DetectorPrompts.default().render_consistency("It says {{ANSWER}}.", "Yes.")
+        assert "\nStatement: It says {{ANSWER}}.\nAnswer: Yes.\n" in prompt
+
+
+def chained_render(template, passage, context=None):
+    """The extraction renderer that filled slots by chained replacement and
+    collapsed blank-line runs across the filled text, kept as the oracle."""
+    context_block = f"Context (for reference only):\n{context}" if context else ""
+    body = template.template_text.replace("{{CONTEXT}}", context_block)
+    body = body.replace("{{PASSAGE}}", passage)
+    while "\n\n\n" in body:
+        body = body.replace("\n\n\n", "\n\n")
+    return body.strip() + "\n\n" + template.output_format_instructions.strip()
+
+
+def chained_detector_renders(prompts, a, b):
+    """The detector renderers that used chained replacement, kept as the oracle."""
+    return [
+        prompts.question_generation.replace("{{STATEMENT}}", a),
+        prompts.question_answering.replace("{{QUESTION}}", a),
+        prompts.consistency.replace("{{STATEMENT}}", a).replace("{{ANSWER}}", b),
+        prompts.confidence.replace("{{STATEMENT}}", a),
+    ]
+
+
+# Slot values on which both renderers agree: no slot marker and no blank-line
+# run, even with a template blank line beside the value (no newline at an end).
+slot_value = st.text(max_size=30).filter(
+    lambda v: "{{" not in v and "\n\n\n" not in v and not v.startswith("\n")
+    and not v.endswith("\n")
+)
+
+
+class TestOnePassFill:
+    @given(slot_value, st.none() | slot_value)
+    def test_extraction_render_matches_chained_replacement(self, passage, context):
+        template = ExtractionPromptTemplate.default()
+        assert template.render(passage, context) == chained_render(template, passage, context)
+
+    @given(slot_value, slot_value)
+    def test_detector_renders_match_chained_replacement(self, a, b):
+        prompts = DetectorPrompts.default()
+        renders = [
+            prompts.render_question(a),
+            prompts.render_answer(a),
+            prompts.render_consistency(a, b),
+            prompts.render_confidence(a),
+        ]
+        assert renders == chained_detector_renders(prompts, a, b)
 
 
 class TestParseTriples:

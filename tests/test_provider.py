@@ -330,6 +330,40 @@ class TestResponseCache:
             ]
 
 
+    def test_a_put_cut_short_leaves_the_log_as_it_was_and_raises(self, tmp_path):
+        """A write cut short by the file size limit of one child process, with
+        SIGXFSZ ignored: the put raises naming the log, the log keeps its bytes
+        and the entry is a miss."""
+        src = Path(hallucheck.__file__).resolve().parents[1]
+        code = (
+            "import json, resource, signal, sys\n"
+            "from hallucheck.provider.cache import ResponseCache\n"
+            "cache = ResponseCache(sys.argv[1])\n"
+            "cache.put('first', '{}', 'a')\n"
+            "size = cache.path.stat().st_size\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (size + 40, hard))\n"
+            "try:\n"
+            "    cache.put('second', '{}', 'x' * 200)\n"
+            "    error = None\n"
+            "except OSError as exc:\n"
+            "    error = str(exc)\n"
+            "print(json.dumps({'error': error, 'hit': cache.get('second'), 'size': size}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        result = json.loads(proc.stdout)
+        log = tmp_path / "responses.jsonl"
+        assert result["error"] is not None and str(log) in result["error"]
+        assert result["hit"] is None
+        assert log.stat().st_size == result["size"]
+        assert [record["digest"] for record in log_records(tmp_path)] == ["first"]
+
+
 class TestMockBackend:
     def test_first_matching_rule_wins(self):
         backend = MockChatBackend(
@@ -475,11 +509,24 @@ class TestChatClient:
         assert backend.calls == 1
         assert not list(tmp_path.iterdir())
 
+    def test_cached_never_calls_the_backend_nor_appends(self, tmp_path):
+        backend = MockChatBackend(default_reply="answer")
+        client = ChatClient(backend, cache=ResponseCache(tmp_path))
+        client.complete(req())
+        log = (tmp_path / "responses.jsonl").read_bytes()
+        assert client.cached(req()) == "answer"
+        assert client.cached(req("other")) is None
+        assert client.cached(req(draw=0)) is None
+        assert ChatClient(backend).cached(req()) is None
+        assert backend.calls == 1
+        assert (tmp_path / "responses.jsonl").read_bytes() == log
+
     def test_blank_draw_in_the_cache_is_a_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)
         drawn = req(draw=0)
         cache.put(cache_key(drawn, "mock"), canonical_request(drawn, "mock"), "  ")
         backend = MockChatBackend(default_reply="text")
+        assert ChatClient(backend, cache=cache).cached(drawn) is None
         response = ChatClient(backend, cache=cache).complete(drawn)
         assert (response.content, response.cached, backend.calls) == ("text", False, 1)
         assert cache.get(cache_key(drawn, "mock")) == "text"
