@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -42,7 +43,7 @@ from .core import (
     open_text,
     read_json,
 )
-from .data import load_wikibio, read_score_records, write_score_records
+from .data import WikiBioRecord, load_wikibio, read_score_records, write_score_records
 from .detect import DetectorConfig, DetectorContext, chosen_samples, run_detector
 from .embed import HashEmbedder, MemoizingEmbedder, SbertEmbedder
 from .evaluation import (
@@ -266,6 +267,12 @@ def _draws(cfg: RunConfig, concept: str, n: int) -> list[ChatRequest]:
     return [ChatRequest.user(model_id, prompt, DETECT_PROFILE, draw=k) for k in range(n)]
 
 
+def _drawn_paragraphs(records: Sequence[WikiBioRecord]) -> dict[str, str]:
+    """Each paragraph with a row that carries no samples, and the concept of its first such
+    row: the paragraphs ``samples`` draws for and ``score`` looks up in the cache."""
+    return {r.paragraph_id: r.concept for r in reversed(records) if not r.samples}
+
+
 def _read_sentences(path: Path) -> list[str]:
     with open_text(path) as fh:
         lines = [line.strip() for line in fh.read().splitlines()]
@@ -387,36 +394,35 @@ def cmd_score(args: argparse.Namespace) -> int:
                 )
             done = _scored_keys(scores_path, _meta_record(cfg, embedder))
 
-        needed = max(
-            (d.n_samples for d in cfg.detectors if d.method is DetectorMethod.SELFCHECK), default=0
-        )
-        # A row without samples takes its paragraph's draws from the cache, up to the first miss.
-        drawn: dict[str, list[str]] = {}
+        concepts = _drawn_paragraphs(records)
+
+        @functools.cache
+        def cached_draws(paragraph_id: str) -> list[str]:
+            """The paragraph's draws from the cache, up to the first miss; too few is refused."""
+            if client.cache is None:
+                raise ConfigError("rows without samples need a cache_dir to take them from")
+            needed = max(d.n_samples for d in cfg.detectors if d.method is DetectorMethod.SELFCHECK)
+            requests = _draws(cfg, concepts[paragraph_id], needed)
+            found = list(takewhile(bool, map(client.cached, requests)))
+            if len(found) < needed:
+                raise ConfigError(
+                    f"paragraph {paragraph_id!r} has {len(found)} of the {needed} samples "
+                    "selfcheck needs; draw them first with the 'samples' subcommand"
+                )
+            return found
+
         queued: set[str] = set()
         units: list[str | tuple] = []
         for record in records:
             ref = make_output_ref(record.paragraph_id, record.sentence_index)
-            samples: Sequence[str] | None = record.samples or None
-            if samples is None and needed:
-                if record.paragraph_id not in drawn:
-                    if client.cache is None:
-                        raise ConfigError("rows without samples need a cache_dir to take them from")
-                    requests = _draws(cfg, record.concept, needed)
-                    found = list(takewhile(bool, map(client.cached, requests)))
-                    if len(found) < needed:
-                        raise ConfigError(
-                            f"paragraph {record.paragraph_id!r} has {len(found)} of the "
-                            f"{needed} samples selfcheck needs; draw them first with the "
-                            "'samples' subcommand"
-                        )
-                    drawn[record.paragraph_id] = found
-                samples = drawn[record.paragraph_id]
             output = GeneratedOutput(prompt_id=ref, text=record.sentence, context=record.concept)
             for detector in cfg.detectors:
                 if (ref, detector.method.value, detector.use_kg) in done:
                     continue
+                samples = record.samples
                 if detector.method is DetectorMethod.SELFCHECK:
-                    # Too few samples is refused here, before any backend call.
+                    # Own samples, else the paragraph's draws; too few is refused before any call.
+                    samples = samples or cached_draws(record.paragraph_id)
                     chosen = chosen_samples(detector, samples)
                     if detector.use_kg:
                         for text in chosen:
@@ -519,7 +525,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_samples(args: argparse.Namespace) -> int:
-    """Draw ``--n`` samples per paragraph into the response cache, each distinct draw once."""
+    """Draw ``--n`` samples into the response cache for each paragraph with a row without
+    samples, each distinct draw once."""
     cfg = load_config(args.config)
     if not 1 <= args.n <= MAX_SAMPLES:
         raise ConfigError(f"--n must be 1 to {MAX_SAMPLES}, got {args.n}")
@@ -528,9 +535,7 @@ def cmd_samples(args: argparse.Namespace) -> int:
     records = _load_dataset(cfg)
     client = build_client(cfg)
 
-    paragraphs: dict[str, str] = {}
-    for r in records:
-        paragraphs.setdefault(r.paragraph_id, r.concept)
+    paragraphs = _drawn_paragraphs(records)
     draws = list(
         dict.fromkeys(d for p in sorted(paragraphs) for d in _draws(cfg, paragraphs[p], args.n))
     )

@@ -6,8 +6,7 @@ the response. It is read once, on first use, under an exclusive ``flock``: an
 unterminated last line, as a killed ``put`` leaves it, is dropped; a line that
 is not an object with a string ``digest`` and a UTF-8 string ``response`` is a
 miss with a warning naming ``<file>:<line>``; of two lines with one digest the
-later wins. The ``<digest>.json`` files of older versions are read by the same
-rules, and each whose digest the log lacks is appended. ``put`` appends a line
+later wins. No other file in the directory is read. ``put`` appends a line
 under the thread lock and the ``flock``, so processes may share a directory;
 an entry another process appends after the load is a miss here. A ``put``
 that fails to write its whole line leaves the log as it was.
@@ -27,8 +26,8 @@ from ..core import drop_torn_tail, encodable
 logger = logging.getLogger(__name__)
 
 
-def _entry(data: bytes, where: str) -> dict | None:
-    """The entry ``data`` holds, or None, with a warning naming ``where``."""
+def _entry(data: bytes, where: str) -> tuple[str, str] | None:
+    """The line's (digest, response) pair, or None, with a warning naming ``where``."""
     try:
         record = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError):
@@ -36,16 +35,15 @@ def _entry(data: bytes, where: str) -> dict | None:
     if type(record) is dict:
         digest, response = record.get("digest"), record.get("response")
         if type(digest) is str and type(response) is str and encodable(response):
-            return {"digest": digest, "request": record.get("request"), "response": response}
+            return digest, response
     logger.warning("ignoring corrupt response cache entry %s", where)
     return None
 
 
 class ResponseCache:
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / "responses.jsonl"
+        self.path = Path(directory) / "responses.jsonl"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._entries: dict[str, str] | None = None
 
@@ -54,19 +52,15 @@ class ResponseCache:
         if self._entries is not None:
             return self._entries
         entries: dict[str, str] = {}
-        legacy = sorted(self.directory.glob("*.json"))
-        if legacy or self.path.exists():  # else the first put makes the log
+        if self.path.exists():  # else the first put makes the log
             with open(self.path, "ab+") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
                 drop_torn_tail(self.path)
                 fh.seek(0)
                 for lineno, line in enumerate(fh, start=1):
                     if entry := _entry(line, f"{self.path}:{lineno}"):
-                        entries[entry["digest"]] = entry["response"]
-                for old in legacy:
-                    if entry := old.stem not in entries and _entry(old.read_bytes(), str(old)):
-                        fh.write((json.dumps(entry) + "\n").encode())
-                        entries[entry["digest"]] = entry["response"]
+                        digest, response = entry
+                        entries[digest] = response
         self._entries = entries
         return entries
 

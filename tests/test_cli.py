@@ -54,17 +54,28 @@ def config_path(workdir):
     return workdir / "run_config.json"
 
 
-def no_sample_config(workdir, **extra):
-    """Config whose dataset rows carry no samples of their own, with the
-    top-level keys in ``extra`` overridden."""
+# The dataset ``strip_samples`` writes.
+EMPTY_DATASET = {"path": "dataset_empty.jsonl", "kind": "wikibio", "expected_samples": 0}
+
+
+def strip_samples(workdir, paragraphs=None):
+    """Write ``dataset_empty.jsonl``: the fixture's rows, those of ``paragraphs``
+    (all, if None) with their samples removed."""
     rows = [
         json.loads(line)
         for line in (workdir / "fixture_dataset.jsonl").read_text(encoding="utf-8").splitlines()
     ]
     with open(workdir / "dataset_empty.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
-            row["samples"] = []
+            if paragraphs is None or row["paragraph_id"] in paragraphs:
+                row["samples"] = []
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def no_sample_config(workdir, **extra):
+    """Config whose dataset rows carry no samples of their own, with the
+    top-level keys in ``extra`` overridden."""
+    strip_samples(workdir)
     cfg = {
         "provider": {"backend": "mock", "model_id": "mock-model", "script": "mock_script.json"},
         "embedding": {"backend": "hash", "dim": 64, "seed": 0},
@@ -72,7 +83,7 @@ def no_sample_config(workdir, **extra):
             {"method": "selfcheck", "use_kg": False, "n_samples": 2},
             {"method": "selfcheck", "use_kg": True, "n_samples": 2},
         ],
-        "dataset": {"path": "dataset_empty.jsonl", "kind": "wikibio", "expected_samples": 0},
+        "dataset": EMPTY_DATASET,
         "cache_dir": "cache",
         "output_dir": "out",
         "seed": 7,
@@ -822,6 +833,41 @@ class TestSamples:
         ]
         assert rows[0] == rows[1] and rows[0].count(b"\n") == 20
 
+    def test_a_resumed_score_looks_up_draws_only_for_pairs_left_to_score(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = str(no_sample_config(workdir))
+        assert main(["samples", "--config", config, "--n", "2"]) == 0
+        assert main(["score", "--config", config]) == 0
+        shutil.rmtree(workdir / "cache")
+        capsys.readouterr()
+        calls = record_backend_calls(monkeypatch)
+        assert main(["score", "--config", config]) == 0
+        assert "scored 0 (skipped 20 already present)" in capsys.readouterr().out
+        # With p02's last selfcheck+kg row to score again, p02 alone needs its draws.
+        scores = workdir / "out" / "scores.jsonl"
+        lines = scores.read_bytes().splitlines(keepends=True)
+        assert json.loads(lines[-1])["output_ref"].startswith("p02")
+        scores.write_bytes(b"".join(lines[:-1]))
+        assert main(["score", "--config", config]) == 2
+        assert "paragraph 'p02' has 0 of the 2 samples" in capsys.readouterr().err
+        assert calls == []
+
+    def test_rows_with_their_own_samples_get_no_draws(self, workdir, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        argv = ["samples", "--config", str(workdir / "run_config.json"), "--n", "4"]
+        assert main(argv) == 0
+        assert calls == []
+        assert "made 0 draws and took 0 from the cache, for 0 paragraphs" in capsys.readouterr().out
+        # Only the paragraph whose rows lost their samples is drawn for.
+        config = no_sample_config(workdir, dataset={**EMPTY_DATASET, "expected_samples": None})
+        strip_samples(workdir, {"p02"})
+        assert main(["samples", "--config", str(config), "--n", "4"]) == 0
+        assert sorted(calls) == [("Tomás Urquiza", k) for k in range(4)]
+        capsys.readouterr()
+        assert main(["score", "--config", str(config)]) == 0
+        assert "scored 20" in capsys.readouterr().out
+
     def test_too_few_cached_draws_are_refused_before_any_call(
         self, workdir, monkeypatch, capsys
     ):
@@ -1464,10 +1510,14 @@ COMMANDS = {"score": 61, "samples": 8, "extract": 3}
 
 def fixture_run(fixture_dir, directory, command, **config):
     """Copy the fixture to ``directory`` and return the argv that runs
-    ``command`` over it: ``samples`` draws 4 per paragraph."""
+    ``command`` over it: ``samples`` draws 4 per paragraph, for rows with
+    their samples removed."""
+    if command == "samples":
+        config["dataset"] = EMPTY_DATASET
     copy_fixture(fixture_dir, directory, **config)
     argv = [command, "--config", str(directory / "run_config.json")]
     if command == "samples":
+        strip_samples(directory)
         return argv + ["--n", "4"]
     if command == "extract":
         sentences, out = str(directory / "sentences.txt"), str(directory / "kgs.jsonl")

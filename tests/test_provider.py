@@ -179,13 +179,24 @@ class TestResponseCache:
         assert cache.get(digest) == "a"
         assert (tmp_path / "MANIFEST").read_text(encoding="utf-8") == digest + "\n"
 
-    @pytest.mark.parametrize(
-        "body", ["1" * 5000, "[" * 100_000 + "]"], ids=["digits", "nesting"]
-    )
-    def test_entry_past_the_json_limits_is_a_miss(self, tmp_path, body):
+    def test_other_json_in_the_cache_dir_is_not_read(self, tmp_path, caplog):
+        """Only the log is read: an unrelated JSON file, a directory named like
+        one and a per-entry ``<digest>.json`` file of an older version are left
+        alone, with no warning."""
         digest = cache_key(req(), "mock")
-        (tmp_path / f"{digest}.json").write_text(body, encoding="utf-8")
-        assert ResponseCache(tmp_path).get(digest) is None
+        old = json.dumps({"digest": digest, "request": "{}", "response": "old reply"})
+        (tmp_path / f"{digest}.json").write_text(old, encoding="utf-8")
+        (tmp_path / "notes.json").write_text('{"a": 1}', encoding="utf-8")
+        (tmp_path / "backup.json").mkdir()
+        cache = ResponseCache(tmp_path)
+        assert cache.get(digest) is None
+        cache.put(digest, "{}", "new reply")
+        assert cache.get(digest) == "new reply"
+        assert log_records(tmp_path) == [
+            {"digest": digest, "request": "{}", "response": "new reply"}
+        ]
+        assert (tmp_path / f"{digest}.json").read_text(encoding="utf-8") == old
+        assert [r for r in caplog.records if r.levelname == "WARNING"] == []
 
     def test_entry_with_a_lone_surrogate_is_a_miss(self, tmp_path, caplog):
         digest = cache_key(req(), "mock")
@@ -255,23 +266,6 @@ class TestResponseCache:
         )
         cache = ResponseCache(tmp_path)
         assert (cache.get("d"), cache.get("e")) == ("second", "other")
-
-    def test_legacy_entry_is_a_hit_and_is_folded_into_the_log(self, tmp_path):
-        digest, kept = cache_key(req(), "mock"), cache_key(req("other"), "mock")
-        legacy = {"digest": digest, "request": "{}", "response": "old reply",
-                  "stored_at": "2024-01-01T00:00:00+00:00"}
-        (tmp_path / f"{digest}.json").write_text(json.dumps(legacy, indent=2), encoding="utf-8")
-        # A legacy entry whose digest the log holds is not read: the log wins.
-        (tmp_path / f"{kept}.json").write_text('{"response": "stale"}', encoding="utf-8")
-        write_log(tmp_path, {"digest": kept, "request": "{}", "response": "logged"})
-        cache = ResponseCache(tmp_path)
-        assert (cache.get(digest), cache.get(kept)) == ("old reply", "logged")
-        folded = {"digest": digest, "request": "{}", "response": "old reply"}
-        assert log_records(tmp_path)[1:] == [folded]
-        assert json.loads((tmp_path / f"{digest}.json").read_text(encoding="utf-8")) == legacy
-        # A second load finds the entry in the log and appends nothing.
-        assert ResponseCache(tmp_path).get(digest) == "old reply"
-        assert len(log_records(tmp_path)) == 2
 
     def test_every_cut_of_the_log_loads_a_prefix_of_its_entries(self, tmp_path, caplog):
         """A process killed in the middle of a put leaves the log cut at any
