@@ -140,9 +140,9 @@ MAX_EMBEDDING_DIM = 4096
 # The largest ``evaluate --resamples``: each interval holds a float64 and a
 # flag per resample, and a larger count asks for memory the host may not have.
 MAX_RESAMPLES = 1_000_000
-# The largest ``samples --n``, 500 times the paper's 20: every draw request is
-# built before the first call, and a larger count asks for memory the host may
-# not have.
+# The largest ``n_samples``, 500 times the paper's 20: the draw plan holds every
+# draw request before the first call, and a larger count asks for memory the
+# host may not have.
 MAX_SAMPLES = 10_000
 
 # The config's field tables, for core.check_json; defaults come from the
@@ -197,6 +197,10 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
     first_of: dict[tuple[DetectorMethod, bool], int] = {}
     for i, d in enumerate(values["detectors"]):
+        if d.n_samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"{where}detectors[{i}].n_samples must be <= {MAX_SAMPLES}, got {d.n_samples}"
+            )
         first = first_of.setdefault((d.method, d.use_kg), i)
         if first != i:
             name = _method_name(d.method.value, d.use_kg)
@@ -259,18 +263,18 @@ def _meta_record(cfg: RunConfig, embedder: MemoizingEmbedder | None) -> dict:
     }
 
 
-def _draws(cfg: RunConfig, concept: str, n: int) -> list[ChatRequest]:
-    """Draws 0 to n - 1 of ``concept``'s sample prompt: the requests ``samples``
-    makes and ``score`` looks up in the cache."""
-    prompt = fill(load_prompt_resource("sample_generation.txt"), CONCEPT=concept)
-    model_id = cfg.provider.model_id
-    return [ChatRequest.user(model_id, prompt, DETECT_PROFILE, draw=k) for k in range(n)]
-
-
-def _drawn_paragraphs(records: Sequence[WikiBioRecord]) -> dict[str, str]:
-    """Each paragraph with a row that carries no samples, and the concept of its first such
-    row: the paragraphs ``samples`` draws for and ``score`` looks up in the cache."""
-    return {r.paragraph_id: r.concept for r in reversed(records) if not r.samples}
+def _draw_plan(cfg: RunConfig, records: Sequence[WikiBioRecord]) -> dict[str, list[ChatRequest]]:
+    """Each paragraph with a row that carries no samples, and draws 0 to n - 1 of the sample
+    prompt for the concept of its first such row, n the largest selfcheck ``n_samples``: the
+    draws ``samples`` makes and ``score`` looks up in the cache."""
+    n = max((d.n_samples for d in cfg.detectors if d.method is DetectorMethod.SELFCHECK), default=0)
+    template, model_id = load_prompt_resource("sample_generation.txt"), cfg.provider.model_id
+    concepts = {r.paragraph_id: r.concept for r in reversed(records) if not r.samples}
+    prompts = {paragraph_id: fill(template, CONCEPT=c) for paragraph_id, c in concepts.items()}
+    return {
+        paragraph_id: [ChatRequest.user(model_id, prompt, DETECT_PROFILE, draw=k) for k in range(n)]
+        for paragraph_id, prompt in prompts.items()
+    }
 
 
 def _read_sentences(path: Path) -> list[str]:
@@ -394,19 +398,18 @@ def cmd_score(args: argparse.Namespace) -> int:
                 )
             done = _scored_keys(scores_path, _meta_record(cfg, embedder))
 
-        concepts = _drawn_paragraphs(records)
+        plan = _draw_plan(cfg, records)
 
         @functools.cache
         def cached_draws(paragraph_id: str) -> list[str]:
             """The paragraph's draws from the cache, up to the first miss; too few is refused."""
             if client.cache is None:
                 raise ConfigError("rows without samples need a cache_dir to take them from")
-            needed = max(d.n_samples for d in cfg.detectors if d.method is DetectorMethod.SELFCHECK)
-            requests = _draws(cfg, concepts[paragraph_id], needed)
+            requests = plan[paragraph_id]
             found = list(takewhile(bool, map(client.cached, requests)))
-            if len(found) < needed:
+            if len(found) < len(requests):
                 raise ConfigError(
-                    f"paragraph {paragraph_id!r} has {len(found)} of the {needed} samples "
+                    f"paragraph {paragraph_id!r} has {len(found)} of the {len(requests)} samples "
                     "selfcheck needs; draw them first with the 'samples' subcommand"
                 )
             return found
@@ -525,25 +528,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_samples(args: argparse.Namespace) -> int:
-    """Draw ``--n`` samples into the response cache for each paragraph with a row without
-    samples, each distinct draw once."""
+    """Make each distinct draw of the draw plan once, into the response cache."""
     cfg = load_config(args.config)
-    if not 1 <= args.n <= MAX_SAMPLES:
-        raise ConfigError(f"--n must be 1 to {MAX_SAMPLES}, got {args.n}")
+    if not any(d.method is DetectorMethod.SELFCHECK for d in cfg.detectors):
+        raise ConfigError("config has no selfcheck detector to draw samples for")
     if not cfg.cache_dir:
         raise ConfigError("config has no cache_dir to keep the samples in")
     records = _load_dataset(cfg)
     client = build_client(cfg)
 
-    paragraphs = _drawn_paragraphs(records)
-    draws = list(
-        dict.fromkeys(d for p in sorted(paragraphs) for d in _draws(cfg, paragraphs[p], args.n))
-    )
+    plan = _draw_plan(cfg, records)
+    draws = list(dict.fromkeys(d for p in sorted(plan) for d in plan[p]))
     with _fan_out(client.complete, draws, cfg.parallelism) as replies:
         hits = sum(reply.cached for reply in replies)
     print(
         f"made {len(draws) - hits} draws and took {hits} from the cache, for "
-        f"{len(paragraphs)} paragraphs, in {client.cache.path}"
+        f"{len(plan)} paragraphs, in {client.cache.path}"
     )
     return EXIT_OK
 
@@ -590,10 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_samples = sub.add_parser(
-        "samples", help="draw n regenerations per paragraph into the response cache"
+        "samples", help="draw the regenerations selfcheck reads into the response cache"
     )
     p_samples.add_argument("--config", required=True)
-    p_samples.add_argument("--n", type=int, default=20, help="samples per paragraph")
     p_samples.set_defaults(func=cmd_samples)
 
     return parser

@@ -1,5 +1,6 @@
 """Shared fixtures: a statistics-faithful synthetic dataset, CLI helpers, an
-embedder with pinned vectors and the per-example form of labelled scores.
+embedder with pinned vectors, a stand-in ``sentence_transformers`` module and
+the per-example form of labelled scores.
 
 The real benchmark file is not bundled. When HALLUCHECK_WIKIBIO_PATH points
 at it, dataset-level tests use the real file; otherwise they run against a
@@ -15,6 +16,7 @@ import os
 import random
 import sys
 import threading
+import types
 from pathlib import Path
 from typing import NamedTuple
 
@@ -185,3 +187,30 @@ class PinnedEmbedder(MemoizingEmbedder):
 
     def _embed_raw(self, text: str) -> np.ndarray:
         return np.array(self._vectors[text], dtype=np.float64)
+
+
+def fake_sbert(vectors: dict[str, list[float]], dim: int = 2, fail: Exception | None = None):
+    """A stand-in ``sentence_transformers`` module, so no model is downloaded.
+
+    Its model reports ``dim`` and encodes each text as the vector ``vectors``
+    pins for it, or raises ``fail`` when one is given. The module's
+    ``encoded`` list gets the texts of every ``encode`` call.
+    """
+    module = types.ModuleType("sentence_transformers")
+    module.encoded = []
+
+    class SentenceTransformer:
+        def __init__(self, model_id: str):
+            self.model_id = model_id
+
+        def get_sentence_embedding_dimension(self) -> int:
+            return dim
+
+        def encode(self, texts, convert_to_numpy, show_progress_bar):
+            module.encoded.append(list(texts))
+            if fail is not None:
+                raise fail
+            return np.array([vectors[text] for text in texts], dtype=np.float32)
+
+    module.SentenceTransformer = SentenceTransformer
+    return module

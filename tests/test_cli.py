@@ -21,7 +21,7 @@ from hallucheck.cli import main
 from hallucheck.core import KnowledgeGraph, Triple
 from hallucheck.data import read_score_records
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fake_sbert
 
 FIXTURE_FILES = (
     "run_config.json",
@@ -72,17 +72,20 @@ def strip_samples(workdir, paragraphs=None):
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def no_sample_config(workdir, **extra):
-    """Config whose dataset rows carry no samples of their own, with the
-    top-level keys in ``extra`` overridden."""
+def selfcheck_pair(n_samples):
+    """``selfcheck`` and ``selfcheck+kg``, each reading ``n_samples`` samples."""
+    return [{"method": "selfcheck", "use_kg": kg, "n_samples": n_samples} for kg in (False, True)]
+
+
+def no_sample_config(workdir, n_samples=2, **extra):
+    """Config whose dataset rows carry no samples of their own, whose selfcheck
+    detectors read ``n_samples`` samples, with the top-level keys in ``extra``
+    overridden."""
     strip_samples(workdir)
     cfg = {
         "provider": {"backend": "mock", "model_id": "mock-model", "script": "mock_script.json"},
         "embedding": {"backend": "hash", "dim": 64, "seed": 0},
-        "detectors": [
-            {"method": "selfcheck", "use_kg": False, "n_samples": 2},
-            {"method": "selfcheck", "use_kg": True, "n_samples": 2},
-        ],
+        "detectors": selfcheck_pair(n_samples),
         "dataset": EMPTY_DATASET,
         "cache_dir": "cache",
         "output_dir": "out",
@@ -526,6 +529,15 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert calls == []
 
+    def test_sbert_encode_failure_is_one_line(self, config_path, capsys, monkeypatch):
+        module = fake_sbert({}, fail=RuntimeError("out of memory"))
+        monkeypatch.setitem(sys.modules, "sentence_transformers", module)
+        edit_json(config_path, lambda obj: obj.update(embedding={"backend": "sbert"}))
+        assert main(["score", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: selfcheck failed on p01:0: embedding failed: out of memory\n"
+        assert len(module.encoded) == 1
+
     @pytest.mark.parametrize("field", ["sentence", "concept", "samples"])
     def test_lone_surrogate_in_dataset_text_is_one_line(
         self, workdir, config_path, field, capsys
@@ -757,11 +769,12 @@ class TestScore:
         assert "'samples'" in capsys.readouterr().err
 
 
-def drawn(config, concept, n):
-    """The cached replies to draws 0 to n - 1 of ``concept``'s sample prompt,
-    None for a miss."""
+def drawn(config, paragraph_id):
+    """The cached replies to the draws the config's draw plan gives
+    ``paragraph_id``, None for a miss."""
     cfg = cli.load_config(config)
-    return [cli.build_client(cfg).cached(r) for r in cli._draws(cfg, concept, n)]
+    client = cli.build_client(cfg)
+    return [client.cached(r) for r in cli._draw_plan(cfg, cli._load_dataset(cfg))[paragraph_id]]
 
 
 def vesna_replies(workdir, *replies):
@@ -778,30 +791,78 @@ def vesna_replies(workdir, *replies):
 class TestSamples:
     def test_generate_store_reuse(self, workdir, capsys):
         config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         log = workdir / "cache" / "responses.jsonl"
         out = capsys.readouterr().out
         assert f"made 4 draws and took 0 from the cache, for 2 paragraphs, in {log}" in out
-        assert drawn(config, "Vesna Marinko", 2) == [
+        assert drawn(config, "p01") == [
             "Vesna Marinko was a Slovenian skier born in Kranj.",
             "Vesna Marinko competed in downhill events during the 1990s.",
         ]
         assert not (workdir / "samples").exists()
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         assert "made 0 draws and took 4 from the cache" in capsys.readouterr().out
 
-    def test_score_uses_stored_samples(self, workdir, capsys):
+    def test_score_uses_stored_samples(self, workdir, monkeypatch, capsys):
         config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", str(config)]) == 0
+        # The draws selfcheck reads: n_samples 2 for each of the 2 paragraphs.
+        assert len(calls) == 2 * 2
         capsys.readouterr()
         assert main(["score", "--config", str(config)]) == 0
         assert "scored 20" in capsys.readouterr().out
         records = list(read_score_records(workdir / "out" / "scores.jsonl"))
         assert len(records) == 20
 
+    def test_more_than_twenty_samples_are_drawn_when_selfcheck_reads_them(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = str(no_sample_config(workdir, n_samples=25))
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", config]) == 0
+        concepts = ("Tomás Urquiza", "Vesna Marinko")
+        assert sorted(calls) == [(concept, k) for concept in concepts for k in range(25)]
+        capsys.readouterr()
+        assert main(["score", "--config", config]) == 0
+        assert "scored 20 (skipped 0 already present)" in capsys.readouterr().out
+
+    def test_the_largest_n_samples_sets_the_draws(self, workdir, monkeypatch, capsys):
+        detectors = [
+            {"method": "selfcheck", "use_kg": False, "n_samples": 1},
+            {"method": "selfcheck", "use_kg": True, "n_samples": 3},
+            {"method": "self_confidence", "n_samples": 9},
+        ]
+        config = str(no_sample_config(workdir, detectors=detectors))
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", config]) == 0
+        assert "made 6 draws and took 0 from the cache, for 2 paragraphs" in capsys.readouterr().out
+        assert sorted(d for _, d in calls) == [0, 0, 1, 1, 2, 2]
+
+    def test_a_config_without_selfcheck_is_refused_before_any_call(
+        self, workdir, monkeypatch, capsys
+    ):
+        config = no_sample_config(workdir, detectors=[{"method": "self_confidence"}])
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config has no selfcheck detector to draw samples for\n"
+        assert calls == [] and not (workdir / "cache").exists()
+
+    def test_samples_takes_no_count_of_its_own(self, workdir, capsys):
+        config = str(no_sample_config(workdir))
+        with pytest.raises(SystemExit) as usage:
+            main(["samples", "--help"])
+        assert usage.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hallucheck samples [-h] --config CONFIG\n")
+        with pytest.raises(SystemExit) as usage:
+            main(["samples", "--config", config, "--n", "2"])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --n 2\n")
+
     def test_score_looks_up_each_paragraphs_draws_once(self, workdir, monkeypatch):
         config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         lookups = []
         cached = cli.ChatClient.cached
 
@@ -819,7 +880,7 @@ class TestSamples:
         with open(workdir / "dataset_inline.jsonl", "w", encoding="utf-8") as fh:
             for line in (workdir / "dataset_empty.jsonl").read_text(encoding="utf-8").splitlines():
                 row = json.loads(line)
-                row["samples"] = drawn(config, row["concept"], 2)
+                row["samples"] = drawn(config, row["paragraph_id"])
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         cfg = json.loads(config.read_text(encoding="utf-8"))
         cfg["dataset"].update(path="dataset_inline.jsonl", expected_samples=None)
@@ -837,7 +898,7 @@ class TestSamples:
         self, workdir, monkeypatch, capsys
     ):
         config = str(no_sample_config(workdir))
-        assert main(["samples", "--config", config, "--n", "2"]) == 0
+        assert main(["samples", "--config", config]) == 0
         assert main(["score", "--config", config]) == 0
         shutil.rmtree(workdir / "cache")
         capsys.readouterr()
@@ -855,15 +916,14 @@ class TestSamples:
 
     def test_rows_with_their_own_samples_get_no_draws(self, workdir, monkeypatch, capsys):
         calls = record_backend_calls(monkeypatch)
-        argv = ["samples", "--config", str(workdir / "run_config.json"), "--n", "4"]
-        assert main(argv) == 0
+        assert main(["samples", "--config", str(workdir / "run_config.json")]) == 0
         assert calls == []
         assert "made 0 draws and took 0 from the cache, for 0 paragraphs" in capsys.readouterr().out
         # Only the paragraph whose rows lost their samples is drawn for.
         config = no_sample_config(workdir, dataset={**EMPTY_DATASET, "expected_samples": None})
         strip_samples(workdir, {"p02"})
-        assert main(["samples", "--config", str(config), "--n", "4"]) == 0
-        assert sorted(calls) == [("Tomás Urquiza", k) for k in range(4)]
+        assert main(["samples", "--config", str(config)]) == 0
+        assert sorted(calls) == [("Tomás Urquiza", k) for k in range(2)]
         capsys.readouterr()
         assert main(["score", "--config", str(config)]) == 0
         assert "scored 20" in capsys.readouterr().out
@@ -871,8 +931,9 @@ class TestSamples:
     def test_too_few_cached_draws_are_refused_before_any_call(
         self, workdir, monkeypatch, capsys
     ):
-        config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "1"]) == 0
+        config = no_sample_config(workdir, n_samples=1)
+        assert main(["samples", "--config", str(config)]) == 0
+        config = no_sample_config(workdir, n_samples=2)
         capsys.readouterr()
         calls = record_backend_calls(monkeypatch)
         assert main(["score", "--config", str(config)]) == 2
@@ -886,7 +947,7 @@ class TestSamples:
     def test_draws_under_another_model_are_not_served(self, workdir, monkeypatch, capsys):
         provider = {"backend": "mock", "model_id": "model-a", "script": "mock_script.json"}
         config = no_sample_config(workdir, provider=provider)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         config = no_sample_config(workdir, provider={**provider, "model_id": "model-b"})
         capsys.readouterr()
         calls = record_backend_calls(monkeypatch)
@@ -898,7 +959,7 @@ class TestSamples:
         self, workdir, monkeypatch, capsys
     ):
         config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         dataset = workdir / "dataset_empty.jsonl"
         rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
         for row in rows:
@@ -912,10 +973,12 @@ class TestSamples:
         assert calls == []
 
     def test_a_draw_that_cannot_be_cached_exits_4_and_leaves_the_log(self, workdir):
-        config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "1"]) == 0
+        config = no_sample_config(workdir, n_samples=1)
+        assert main(["samples", "--config", str(config)]) == 0
         log = workdir / "cache" / "responses.jsonl"
         before = log.read_bytes()
+        # The child draws 2 per paragraph, so p01's draw 1 is the first to write.
+        no_sample_config(workdir, n_samples=2)
         # The file size limit of the child process alone, with SIGXFSZ ignored.
         code = (
             "import resource, signal, sys\n"
@@ -923,7 +986,7 @@ class TestSamples:
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
             "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]) + 40, hard))\n"
-            "sys.exit(main(['samples', '--config', sys.argv[1], '--n', '2']))\n"
+            "sys.exit(main(['samples', '--config', sys.argv[1]]))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -946,29 +1009,36 @@ class TestSamples:
 
     def test_samples_dir_is_an_unknown_key(self, workdir, capsys):
         config = no_sample_config(workdir, samples_dir="samples")
-        assert main(["samples", "--config", str(config), "--n", "2"]) == 2
+        assert main(["samples", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {config}: unknown key 'samples_dir'\n"
 
-    def test_zero_samples_rejected(self, workdir):
-        config = no_sample_config(workdir)
-        assert main(["samples", "--config", str(config), "--n", "0"]) == 2
+    def test_zero_samples_rejected(self, workdir, capsys):
+        config = no_sample_config(workdir, n_samples=0)
+        assert main(["samples", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {config}: detectors[0].n_samples must be >= 1, got 0\n"
 
     def test_more_samples_than_the_cap_are_refused_before_any_call(
         self, workdir, monkeypatch, capsys
     ):
-        config = no_sample_config(workdir)
-        calls = record_backend_calls(monkeypatch)
         n = cli.MAX_SAMPLES + 1
-        assert main(["samples", "--config", str(config), "--n", str(n)]) == 2
+        config = no_sample_config(workdir, n_samples=n)
+        calls = record_backend_calls(monkeypatch)
+        assert main(["samples", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: --n must be 1 to {cli.MAX_SAMPLES}, got {n}\n"
+        assert err == (
+            f"config error: {config}: detectors[0].n_samples must be <= {cli.MAX_SAMPLES}, "
+            f"got {n}\n"
+        )
         assert calls == [] and not (workdir / "cache").exists()
+        config = no_sample_config(workdir, n_samples=cli.MAX_SAMPLES)
+        assert cli.load_config(config).detectors[1].n_samples == cli.MAX_SAMPLES
 
     def test_second_run_takes_every_draw_from_the_cache(self, workdir, monkeypatch):
-        config = str(no_sample_config(workdir))
+        config = str(no_sample_config(workdir, n_samples=3))
         calls = record_backend_calls(monkeypatch)
-        argv = ["samples", "--config", config, "--n", "3"]
+        argv = ["samples", "--config", config]
         assert main(argv) == 0
         assert len(calls) == 2 * 3
         log = (workdir / "cache" / "responses.jsonl").read_bytes()
@@ -980,36 +1050,36 @@ class TestSamples:
     def test_rerun_after_a_failed_draw_asks_only_for_the_missing_draws(
         self, workdir, monkeypatch, capsys
     ):
-        config = str(no_sample_config(workdir))
+        config = str(no_sample_config(workdir, n_samples=4))
         calls = record_backend_calls(monkeypatch)
         vesna_replies(workdir, "v0", "v1", "")
-        assert main(["samples", "--config", config, "--n", "4"]) == 3
+        assert main(["samples", "--config", config]) == 3
         assert capsys.readouterr().err == "provider error: backend returned empty content\n"
         assert calls == [("Vesna Marinko", 0), ("Vesna Marinko", 1), ("Vesna Marinko", 2)]
-        assert drawn(config, "Vesna Marinko", 4) == ["v0", "v1", None, None]
+        assert drawn(config, "p01") == ["v0", "v1", None, None]
 
         calls.clear()
         vesna_replies(workdir, "v2", "v3")
-        assert main(["samples", "--config", config, "--n", "4"]) == 0
+        assert main(["samples", "--config", config]) == 0
         assert [d for concept, d in calls if concept == "Vesna Marinko"] == [2, 3]
-        assert drawn(config, "Vesna Marinko", 4) == ["v0", "v1", "v2", "v3"]
+        assert drawn(config, "p01") == ["v0", "v1", "v2", "v3"]
 
     def test_blank_draw_is_neither_cached_nor_stored(self, workdir, capsys):
         config = str(no_sample_config(workdir))
         vesna_replies(workdir, "v0", "   ")
-        assert main(["samples", "--config", config, "--n", "2"]) == 3
+        assert main(["samples", "--config", config]) == 3
         assert capsys.readouterr().err == "provider error: backend returned a blank sample\n"
         assert cached_responses(workdir) == ["v0"]
 
         vesna_replies(workdir, "v1")
-        assert main(["samples", "--config", config, "--n", "2"]) == 0
-        assert drawn(config, "Vesna Marinko", 2) == ["v0", "v1"]
+        assert main(["samples", "--config", config]) == 0
+        assert drawn(config, "p01") == ["v0", "v1"]
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_paragraphs_with_one_concept_share_one_set_of_draws(
         self, workdir, monkeypatch, capsys, parallelism
     ):
-        config = no_sample_config(workdir, parallelism=parallelism)
+        config = no_sample_config(workdir, n_samples=3, parallelism=parallelism)
         dataset = workdir / "dataset_empty.jsonl"
         rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
         dataset.write_text(
@@ -1017,16 +1087,16 @@ class TestSamples:
             encoding="utf-8",
         )
         calls = record_backend_calls(monkeypatch)
-        assert main(["samples", "--config", str(config), "--n", "3"]) == 0
+        assert main(["samples", "--config", str(config)]) == 0
         assert sorted(calls) == [("Vesna Marinko", k) for k in range(3)]
         assert "made 3 draws and took 0 from the cache, for 2 paragraphs" in capsys.readouterr().out
-        assert None not in drawn(config, "Vesna Marinko", 3)
+        assert None not in drawn(config, "p01") + drawn(config, "p02")
 
     def test_a_failed_parallel_run_keeps_every_earlier_draw(
         self, workdir, monkeypatch, capsys
     ):
-        config = str(no_sample_config(workdir, parallelism=4))
-        argv = ["samples", "--config", config, "--n", "4"]
+        config = str(no_sample_config(workdir, n_samples=4, parallelism=4))
+        argv = ["samples", "--config", config]
         keyed_backend(monkeypatch, blank={("Tomás Urquiza", 1)})
         calls = record_backend_calls(monkeypatch)
         assert main(argv) == 3
@@ -1035,8 +1105,8 @@ class TestSamples:
         # Each draw is cached as it completes, so every answered draw is kept.
         kept = {
             (concept, k)
-            for concept in ("Vesna Marinko", "Tomás Urquiza")
-            for k, hit in enumerate(drawn(config, concept, 4))
+            for paragraph, concept in (("p01", "Vesna Marinko"), ("p02", "Tomás Urquiza"))
+            for k, hit in enumerate(drawn(config, paragraph))
             if hit is not None
         }
         assert answered and kept == answered
@@ -1048,7 +1118,7 @@ class TestSamples:
         draws = {(concept, k) for concept in ("Vesna Marinko", "Tomás Urquiza") for k in range(4)}
         assert ("Tomás Urquiza", 1) in calls
         assert sorted(calls) == sorted(draws - answered)
-        assert None not in drawn(config, "Vesna Marinko", 4) + drawn(config, "Tomás Urquiza", 4)
+        assert None not in drawn(config, "p01") + drawn(config, "p02")
 
 
 def prepend_rule(workdir, rule):
@@ -1513,12 +1583,12 @@ def fixture_run(fixture_dir, directory, command, **config):
     ``command`` over it: ``samples`` draws 4 per paragraph, for rows with
     their samples removed."""
     if command == "samples":
-        config["dataset"] = EMPTY_DATASET
+        config.update(dataset=EMPTY_DATASET, detectors=selfcheck_pair(4))
     copy_fixture(fixture_dir, directory, **config)
     argv = [command, "--config", str(directory / "run_config.json")]
     if command == "samples":
         strip_samples(directory)
-        return argv + ["--n", "4"]
+        return argv
     if command == "extract":
         sentences, out = str(directory / "sentences.txt"), str(directory / "kgs.jsonl")
         return argv + ["--input", sentences, "--output", out]

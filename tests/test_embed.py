@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -8,14 +9,16 @@ import pytest
 from hallucheck.core import Triple
 from hallucheck.embed import (
     DimensionMismatch,
+    EmbedBackendError,
     HashEmbedder,
+    SbertEmbedder,
     ZeroVector,
     cosine_sim,
     triple_text,
 )
 from hallucheck.provider import ConfigError
 
-from conftest import PinnedEmbedder, clamp0
+from conftest import PinnedEmbedder, clamp0, fake_sbert
 
 
 def vec(*values):
@@ -249,3 +252,36 @@ def test_sbert_backend_reports_missing_dependency():
             SbertEmbedder()
     else:
         pytest.skip("sentence-transformers installed; error path not reachable")
+
+
+class TestSbertEmbedder:
+    """The sentence-transformer path, over a stand-in module."""
+
+    VECTORS = {"alpha": [0.5, -1.0, 2.0], "beta": [3.0, 0.25, -0.75]}
+
+    def embedder(self, monkeypatch, dim=3, fail=None):
+        module = fake_sbert(self.VECTORS, dim, fail)
+        monkeypatch.setitem(sys.modules, "sentence_transformers", module)
+        return SbertEmbedder("fake-model"), module
+
+    def test_rows_are_the_models_vectors_one_encode_per_text(self, monkeypatch):
+        embedder, module = self.embedder(monkeypatch)
+        matrix = embedder.embed_many(["alpha", "beta", "alpha"])
+        assert matrix.dtype == np.float64 and not matrix.flags.writeable
+        expected = [self.VECTORS["alpha"], self.VECTORS["beta"], self.VECTORS["alpha"]]
+        assert matrix.tolist() == expected
+        assert module.encoded == [["alpha"], ["beta"], ["alpha"]]
+
+    def test_dim_and_model_id_come_from_the_model(self, monkeypatch):
+        embedder, _ = self.embedder(monkeypatch, dim=7)
+        assert (embedder.dim, embedder.model_id) == (7, "fake-model")
+
+    def test_a_vector_of_the_wrong_length_is_refused(self, monkeypatch):
+        embedder, _ = self.embedder(monkeypatch, dim=4)
+        with pytest.raises(DimensionMismatch, match="backend returned 3 components, expected 4"):
+            embedder.embed("alpha")
+
+    def test_an_encode_failure_is_a_backend_error(self, monkeypatch):
+        embedder, _ = self.embedder(monkeypatch, fail=RuntimeError("out of memory"))
+        with pytest.raises(EmbedBackendError, match="^embedding failed: out of memory$"):
+            embedder.embed("alpha")

@@ -1,8 +1,10 @@
 """The README's quick starts hold: the library code runs as written, the CLI
-config example loads, and every config key is named."""
+config example loads, every config key is named, and every command line
+parses."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import hallucheck
@@ -62,3 +64,11 @@ def test_cli_config_example_loads_and_every_config_key_is_named(tmp_path):
     keys = set(table_keys((cli.RunConfig, cli._CONFIG)))
     assert {"provider", "rate_limit_per_minute", "use_kg", "expected_samples"} <= keys
     assert [key for key in sorted(keys) if f"`{key}`" not in text and f'"{key}"' not in text] == []
+
+
+def test_every_readme_command_line_parses():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("hallucheck ")]
+    assert sorted({argv[0] for argv in commands}) == ["evaluate", "extract", "samples", "score"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
